@@ -22,7 +22,6 @@ from .arguments import (
     gen_rebuts,
     is_strict,
     preferred_conclusions,
-    preferred_extensions,
     sub_args,
     top_rule,
     undercuts,
@@ -65,7 +64,7 @@ from .framework import (
     strict_args,
     validate_jsbaf,
 )
-from .grounded import GroundJsbaf, from_jsbaf, grounded_construction, grounded_labeling
+from .grounded import from_jsbaf, grounded_construction, grounded_labeling
 from .postulates import (
     PostulateReport,
     check_closure,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import formulas as fm
-from .errors import InstanceError
+from .errors import ResourceLimitError
 from .formulas import Formula, Not
 from .system import ArgumentationSystem, DefeasibleRule, StrictRule
 
@@ -326,36 +326,35 @@ def framework_from_system(
     return Translation(framework=framework, argument_of=argument_of, id_of=id_of, truncated=build.truncated)
 
 
-def preferred_extensions(
-    system: ArgumentationSystem,
-    max_args: int = 5000,
-    max_depth: int = 6,
-    max_enum_args: int = 13,
-) -> list[frozenset[Argument]]:
-    """In-sets of the preferred labelings of the translated framework,
-    mapped back to arguments and canonically ordered."""
-    from .framework import enumerate_preferred
-
-    translation = framework_from_system(system, max_args=max_args, max_depth=max_depth)
-    if translation.truncated:
-        raise InstanceError("argument construction truncated; extensions would be unreliable")
-    labelings = enumerate_preferred(translation.framework, max_args=max_enum_args)
-    extensions = [
-        frozenset(translation.argument_of[aid] for aid in lab.in_set) for lab in labelings
-    ]
-    return sorted(extensions, key=lambda ext: sorted(a.key for a in ext))
-
-
 def preferred_conclusions(
     system: ArgumentationSystem,
     max_args: int = 5000,
     max_depth: int = 6,
     max_enum_args: int = 13,
+    max_nonstrict: int | None = None,
 ) -> list[frozenset[Formula]]:
-    conclusion_sets = {
-        frozenset(a.conclusion for a in ext)
-        for ext in preferred_extensions(
-            system, max_args=max_args, max_depth=max_depth, max_enum_args=max_enum_args
+    """Conclusion sets of the preferred labelings of the translated
+    framework, canonically ordered.
+
+    Raises :class:`ResourceLimitError` when argument construction is
+    truncated, when more than ``max_nonstrict`` non-strict arguments are
+    built, or when the framework exceeds the enumeration bound.
+    """
+    from .framework import enumerate_preferred
+
+    build = build_arguments(system, max_args=max_args, max_depth=max_depth)
+    if build.truncated:
+        raise ResourceLimitError("argument construction truncated", bound_name="max_args")
+    nonstrict = sum(1 for a in build.arguments if not is_strict(a))
+    if max_nonstrict is not None and nonstrict > max_nonstrict:
+        raise ResourceLimitError(
+            f"{nonstrict} non-strict arguments exceed the labeling budget",
+            bound_name="max_nonstrict",
+            bound_value=max_nonstrict,
         )
+    translation = framework_from_system(system, build=build)
+    conclusion_sets = {
+        frozenset(translation.argument_of[aid].conclusion for aid in lab.in_set)
+        for lab in enumerate_preferred(translation.framework, max_args=max_enum_args)
     }
     return sorted(conclusion_sets, key=lambda fs: sorted(f.key for f in fs))

@@ -211,18 +211,13 @@ def _cmd_translate(options) -> int:
     return EXIT_OK
 
 
-def _postulate_reports_for(system, options):
-    conclusions = ar.preferred_conclusions(
-        system, max_args=options.max_args, max_depth=options.max_depth,
-        max_enum_args=options.max_enum_args,
-    )
-    digest = postulates.system_digest(system)
-    reports = []
-    for family in conclusions:
-        reports.append(postulates.check_closure(system, family))
-        reports.append(postulates.check_direct_consistency(family, instance_digest=digest))
-        reports.append(postulates.check_indirect_consistency(system, family))
-    return reports
+def _bounds(options) -> dict:
+    """The run's bounds, as keyword arguments of ``preferred_conclusions``."""
+    return {
+        "max_args": options.max_args,
+        "max_depth": options.max_depth,
+        "max_enum_args": options.max_enum_args,
+    }
 
 
 def _emit_reports(reports, options) -> int:
@@ -241,7 +236,7 @@ def _emit_reports(reports, options) -> int:
 
 def _cmd_postulates(options) -> int:
     system = _load(options, kind="as")
-    reports = _postulate_reports_for(system, options)
+    reports = postulates.conclusion_reports(system, **_bounds(options))
     if options.against:
         other = textio.parse_instance(options.against, kind="as")
         reports.append(
@@ -265,12 +260,11 @@ def _cmd_fuzz(options) -> int:
     reports = []
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}
     for trial in range(options.trials):
-        trial_reports = _fuzz_trial(checks, rng, options)
-        for report in trial_reports:
+        for report, systems in _fuzz_trial(checks, rng, options):
             counts[report.verdict] += 1
             if report.verdict == postulates.FAIL:
-                _dump_repro(report, trial, options)
-        reports.extend(trial_reports)
+                _dump_repro(report, systems, trial, options)
+            reports.append(report)
     if options.format == "json":
         for report in reports:
             print(report.to_json())
@@ -284,35 +278,22 @@ def _cmd_fuzz(options) -> int:
 
 
 def _fuzz_trial(checks, rng, options):
-    reports = []
+    """(report, the systems it was computed from) pairs of one trial."""
+    results = []
     if "closure" in checks or "consistency" in checks:
         system = gen.generate_system(gen.FuzzProfile(), rng=rng)
         try:
-            families = ar.preferred_conclusions(
-                system, max_args=options.max_args, max_depth=options.max_depth,
-                max_enum_args=options.max_enum_args,
-            )
-        except (ResourceLimitError, JsbafError):
-            families = None
-        if families is None:
-            reports.append(
+            reports = postulates.conclusion_reports(system, checks, **_bounds(options))
+        except JsbafError:
+            reports = [
                 postulates.PostulateReport(
                     postulate="closure",
                     instance_digest=postulates.system_digest(system),
                     verdict=postulates.INCONCLUSIVE,
                     witness={"reason": "labeling budget exhausted"},
                 )
-            )
-        else:
-            digest = postulates.system_digest(system)
-            for family in families:
-                if "closure" in checks:
-                    reports.append(postulates.check_closure(system, family))
-                if "consistency" in checks:
-                    reports.append(postulates.check_direct_consistency(family, instance_digest=digest))
-                    reports.append(postulates.check_indirect_consistency(system, family))
-        for report in reports:
-            report.source_system = system  # for reproduction dumps
+            ]
+        results += [(report, (system,)) for report in reports]
     if "non-interference" in checks:
         profile = gen.FuzzProfile(atom_count=(1, 2), defeasible_count=(1, 2),
                                   conjunction_probability=0.0)
@@ -321,41 +302,27 @@ def _fuzz_trial(checks, rng, options):
             s1, s2, merge=options.merge_policy,
             cross_rules=gen.cross_closure_rules(s1, s2),
         )
-        report.source_system = (s1, s2)
-        reports.append(report)
-    return reports
+        results.append((report, (s1, s2)))
+    return results
 
 
-def postulate_fails_on(system, postulate) -> bool:
-    """Replay helper: does any preferred conclusion family of the system
+def postulate_fails_on(system, postulate, **bounds) -> bool:
+    """Replay helper: does any preferred conclusion set of the system
     fail the given postulate?  Used for repro dumps and their shrinking."""
-    families = ar.preferred_conclusions(system)
-    digest = postulates.system_digest(system)
-    for family in families:
-        if postulate == "closure":
-            report = postulates.check_closure(system, family)
-        elif postulate == "direct_consistency":
-            report = postulates.check_direct_consistency(family, instance_digest=digest)
-        else:
-            report = postulates.check_indirect_consistency(system, family)
-        if report.verdict == postulates.FAIL:
-            return True
-    return False
+    return any(
+        report.postulate == postulate and report.verdict == postulates.FAIL
+        for report in postulates.conclusion_reports(system, **bounds)
+    )
 
 
-def _dump_repro(report, trial, options):
+def _dump_repro(report, systems, trial, options):
     import os
 
-    systems = getattr(report, "source_system", None)
-    if systems is None:
-        return
-    if not isinstance(systems, tuple):
-        systems = (systems,)
-    if len(systems) == 1 and report.postulate != "non_interference":
+    if len(systems) == 1:
         try:
             systems = (
                 postulates.shrink_failing_system(
-                    systems[0], lambda s: postulate_fails_on(s, report.postulate)
+                    systems[0], lambda s: postulate_fails_on(s, report.postulate, **_bounds(options))
                 ),
             )
         except JsbafError:

@@ -2,11 +2,12 @@
 
 A framework holds arguments, binary attacks, joint supports (a finite
 set of arguments supporting a single argument, at most one supporting
-set per argument) and a total preference preorder given as integer
-ranks.  An argument is *strict* when it is supported by the empty set or
-by strict arguments only.  Well-formed frameworks keep strict arguments
-unattacked and in a single topmost preference class, and have no cyclic
-support chains.
+set per argument) and, optionally, a total preference preorder given as
+integer ranks; without ranks every rank condition below is dropped.  An
+argument is *strict* when it is supported by the empty set or by strict
+arguments only.  Well-formed frameworks keep strict arguments unattacked
+and in a single topmost preference class, and have no cyclic support
+chains.
 
 Semantics are labeling-based.  A labeling maps every argument to IN,
 OUT or UNDEC.  Whether a label is *legal* for an argument depends on its
@@ -38,7 +39,9 @@ verified against the legality predicates above.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import InstanceError, ResourceLimitError
 
@@ -102,50 +105,77 @@ class Labeling:
         return "Labeling(" + ", ".join(f"{a}={l}" for a, l in self.labels) + ")"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Jsbaf:
-    """Arguments, attacks, joint supports and preference ranks.
+    """Arguments, attacks, joint supports and optional preference ranks.
 
     ``supports`` maps a supported argument to its unique supporting set;
     absence means unsupported, an empty set means supported by nothing
     (a tautology-like argument).  ``rank`` encodes the total preorder:
-    a is at most as preferred as b iff rank[a] <= rank[b].
+    a is at most as preferred as b iff rank[a] <= rank[b]; arguments it
+    leaves out get rank 0.  Without ``rank`` the framework is the
+    preference-free view, in which every rank condition is dropped.
+
+    Frameworks are immutable (``supports`` and ``rank`` are read-only
+    copies), so what is cached on them (strict set, engine, admissible
+    catalogue) never goes stale.
     """
 
     args: tuple[str, ...]
     attacks: frozenset[tuple[str, str]]
-    supports: dict[str, frozenset[str]] = field(default_factory=dict)
-    rank: dict[str, int] = field(default_factory=dict)
+    supports: Mapping[str, frozenset[str]] = field(default_factory=dict)
+    rank: Mapping[str, int] | None = None
 
     def __post_init__(self):
-        self.args = tuple(sorted(set(self.args)))
-        known = set(self.args)
-        self.attacks = frozenset(self.attacks)
-        for a, b in self.attacks:
+        args = tuple(sorted(set(self.args)))
+        known = set(args)
+        attacks = frozenset(self.attacks)
+        for a, b in attacks:
             if a not in known or b not in known:
                 raise InstanceError(f"attack ({a}, {b}) mentions an unknown argument")
-        self.supports = {h: frozenset(t) for h, t in self.supports.items()}
-        for head, tail in self.supports.items():
+        supports = {h: frozenset(t) for h, t in self.supports.items()}
+        for head, tail in supports.items():
             if head not in known or tail - known:
                 raise InstanceError(f"support for {head} mentions an unknown argument")
-        for a in self.args:
-            self.rank.setdefault(a, 0)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "attacks", attacks)
+        object.__setattr__(self, "supports", MappingProxyType(supports))
+        if self.rank is not None:
+            rank = {a: self.rank.get(a, 0) for a in args}
+            object.__setattr__(self, "rank", MappingProxyType(rank))
+
+    def rank_of(self, arg: str) -> int:
+        return 0 if self.rank is None else self.rank[arg]
 
     def attackers_of(self, arg: str) -> frozenset[str]:
         return frozenset(a for a, b in self.attacks if b == arg)
 
 
+def _cached(framework: Jsbaf, name: str, build):
+    """A value computed once per framework and kept on it."""
+    value = framework.__dict__.get(name)
+    if value is None:
+        value = build()
+        object.__setattr__(framework, name, value)
+    return value
+
+
 def strict_args(framework: Jsbaf) -> frozenset[str]:
-    """Least fixpoint: supported by the empty set, or by strict arguments only."""
-    strict: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, tail in framework.supports.items():
-            if head not in strict and tail <= strict:
-                strict.add(head)
-                changed = True
-    return frozenset(strict)
+    """Least fixpoint: supported by the empty set, or by strict arguments
+    only.  Computed once per framework; the engine reads it too."""
+
+    def fixpoint():
+        strict: set[str] = set()
+        changed = True
+        while changed:
+            changed = False
+            for head, tail in framework.supports.items():
+                if head not in strict and tail <= strict:
+                    strict.add(head)
+                    changed = True
+        return frozenset(strict)
+
+    return _cached(framework, "_strict_cache", fixpoint)
 
 
 # --- the label-legality engine -------------------------------------------
@@ -155,16 +185,16 @@ class _Engine:
     """Bitmask view of one framework; shared by the preference-aware and
     the preference-free (grounded) semantics via ``use_ranks``."""
 
-    def __init__(self, args, attacks, supports, rank=None):
-        self.ids = tuple(sorted(args))
+    def __init__(self, framework: Jsbaf):
+        self.ids = framework.args
         self.index = {a: i for i, a in enumerate(self.ids)}
         self.n = len(self.ids)
         self.attackers = [0] * self.n
-        for a, b in attacks:
+        for a, b in framework.attacks:
             self.attackers[self.index[b]] |= 1 << self.index[a]
         self.supports = []  # (head index, tail mask)
-        for head in sorted(supports):
-            tail = supports[head]
+        for head in sorted(framework.supports):
+            tail = framework.supports[head]
             self.supports.append((self.index[head], sum(1 << self.index[t] for t in tail)))
         self.containing = [[] for _ in range(self.n)]
         self.tail_of_head = {}
@@ -175,25 +205,13 @@ class _Engine:
                 low = m & -m
                 self.containing[low.bit_length() - 1].append(s)
                 m ^= low
-        self.use_ranks = rank is not None
-        self.rank = [rank[a] for a in self.ids] if rank else [0] * self.n
-        # strict arguments: least fixpoint over the supports
-        strict = 0
-        changed = True
-        while changed:
-            changed = False
-            for head, tmask in self.supports:
-                if not strict >> head & 1 and tmask & ~strict == 0:
-                    strict |= 1 << head
-                    changed = True
-        self.strict_mask = strict
+        self.use_ranks = framework.rank is not None
+        self.rank = [framework.rank_of(a) for a in self.ids]
+        self.strict_mask = self.mask(strict_args(framework))
         self.full_mask = (1 << self.n) - 1
 
     def mask(self, ids) -> int:
         return sum(1 << self.index[a] for a in ids)
-
-    def unmask(self, m: int) -> frozenset[str]:
-        return frozenset(self.ids[i] for i in range(self.n) if m >> i & 1)
 
     def masks_of(self, labeling: Labeling) -> tuple[int, int]:
         if tuple(a for a, _ in labeling.labels) != self.ids:
@@ -376,11 +394,7 @@ class _Engine:
 
 
 def _engine(framework: Jsbaf) -> _Engine:
-    cached = getattr(framework, "_engine_cache", None)
-    if cached is None:
-        cached = _Engine(framework.args, framework.attacks, framework.supports, framework.rank)
-        framework._engine_cache = cached
-    return cached
+    return _cached(framework, "_engine_cache", lambda: _Engine(framework))
 
 
 # --- public operations ----------------------------------------------------
@@ -405,10 +419,11 @@ def validate_structure(framework: Jsbaf):
 
 
 def validate_jsbaf(framework: Jsbaf):
-    """Check all structural restrictions, ranks included; returns a report."""
+    """Check all structural restrictions, the rank conditions included
+    when the framework has ranks; returns a report."""
     report = validate_structure(framework)
     strict = strict_args(framework)
-    if strict:
+    if strict and framework.rank is not None:
         ranks = {framework.rank[a] for a in strict}
         if len(ranks) > 1:
             report.failures.append("strict arguments are not all equally preferred")
@@ -489,17 +504,13 @@ def sim_labeling(framework: Jsbaf) -> Labeling:
     return eng.labeling(*eng.sim_masks())
 
 
-def _check_enum_bound(framework: Jsbaf, max_args: int):
+def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     if len(framework.args) > max_args:
         raise ResourceLimitError(
             f"{len(framework.args)} arguments exceed the enumeration bound of {max_args}",
             bound_name="max_enum_args",
             bound_value=max_args,
         )
-
-
-def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
-    _check_enum_bound(framework, max_args)
     eng = _engine(framework)
     found = [eng.labeling(im, om) for im, om in eng.enumerate_admissible_masks()]
     return sorted(found, key=Labeling.vector)

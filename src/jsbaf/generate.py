@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 from . import formulas as fm
 from .errors import InstanceError
 from .formulas import And, Formula, Not, Var
-from .framework import Jsbaf
-from .grounded import GroundJsbaf
+from .framework import Jsbaf, strict_args, validate_structure
 from .system import (
     ArgumentationSystem,
     DefeasibleRule,
@@ -93,44 +92,6 @@ def conjunction_intro_rules(left_pool, right_pool, id_prefix: str = "conj") -> t
                 continue
             pairs.add((a.key, b.key))
             rules.append(StrictRule(f"{id_prefix}{len(rules)}", (a, b), And(a, b)))
-    return tuple(rules)
-
-
-def auto_closure_rules(
-    universe,
-    max_antecedents: int = 2,
-    id_prefix: str = "auto",
-    atom_bound: int = 16,
-) -> tuple[StrictRule, ...]:
-    """Every entailment-valid rule over a finite formula universe, up to
-    the arity bound and modulo antecedent order (antecedents are emitted
-    in canonical order; a reordering never changes validity).  Rules
-    whose consequent already sits among the antecedents are skipped:
-    they only generate stuttering derivations."""
-    from itertools import combinations
-
-    pool = sorted(set(universe), key=fm.formula_key)
-    rules = []
-    for size in range(max_antecedents + 1):
-        for antecedents in combinations(pool, size):
-            for consequent in pool:
-                if consequent in antecedents:
-                    continue
-                if fm.entails(antecedents, consequent, atom_bound=atom_bound):
-                    rules.append(
-                        StrictRule(f"{id_prefix}{len(rules)}", antecedents, consequent)
-                    )
-    return tuple(rules)
-
-
-def projection_rules(products, id_prefix: str = "proj") -> tuple[StrictRule, ...]:
-    """Rules f & g -> f and f & g -> g for conjunction products."""
-    rules = []
-    for conj in sorted(set(products), key=fm.formula_key):
-        if not isinstance(conj, And):
-            continue
-        for part in (conj.left, conj.right):
-            rules.append(StrictRule(f"{id_prefix}{len(rules)}", (conj,), part))
     return tuple(rules)
 
 
@@ -239,7 +200,7 @@ def generate_disjoint_pair(
     return generate_system(left, rng=rng), generate_system(right, rng=rng)
 
 
-def generate_ground_framework(seed=None, rng: random.Random | None = None, max_args: int = 8) -> GroundJsbaf:
+def generate_ground_framework(seed=None, rng: random.Random | None = None, max_args: int = 8) -> Jsbaf:
     """A random preference-free framework honouring the structural
     restrictions: acyclic supports (tails only reference earlier
     arguments), one supporting set per argument, strict arguments
@@ -259,19 +220,10 @@ def generate_ground_framework(seed=None, rng: random.Random | None = None, max_a
         for b in ids
         if rng.random() < 0.12
     }
-    g = GroundJsbaf(args=tuple(ids), attacks=frozenset(), supports=supports)
-    from .grounded import validate_ground
-
-    strict = _ground_strict(g)
+    strict = strict_args(Jsbaf(args=tuple(ids), attacks=frozenset(), supports=supports))
     attacks = frozenset((a, b) for a, b in attacks if b not in strict)
-    g = GroundJsbaf(args=tuple(ids), attacks=attacks, supports=supports)
-    report = validate_ground(g)
+    g = Jsbaf(args=tuple(ids), attacks=attacks, supports=supports)
+    report = validate_structure(g)
     if not report.ok:
         raise InstanceError(f"generator produced an invalid framework: {report.failures}")
     return g
-
-
-def _ground_strict(g: GroundJsbaf) -> frozenset[str]:
-    from .framework import strict_args
-
-    return strict_args(Jsbaf(args=g.args, attacks=frozenset(), supports=dict(g.supports)))

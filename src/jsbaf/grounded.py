@@ -1,9 +1,14 @@
 """Preference-free grounded semantics for joint-support frameworks.
 
-This semantics ignores preference ranks entirely.  Legality is the same
-as in :mod:`jsbaf.framework` with every rank condition dropped; the
-legally-IN support clauses collapse into a single ordering between the
-multiset of co-supporter labels and the supported argument's label.
+This semantics ignores preference ranks entirely.  It works on the
+preference-free view of a framework: the same :class:`~jsbaf.framework.Jsbaf`
+without ranks (:func:`from_jsbaf`), on which the legality, admissibility
+and SIM functions of :mod:`jsbaf.framework` drop every rank condition.
+They are re-exported here; every function of this module that reads
+legality takes the view itself, so ranks given to it never count.  The
+legally-IN support clauses then collapse into a single ordering between
+the multiset of co-supporter labels and the supported argument's label
+(:func:`multiset_leq`).
 
 The grounded labeling accepts exactly the arguments one is *forced* to
 accept.  An argument is forced IN w.r.t. a labeling when all its
@@ -18,65 +23,44 @@ labeling in which the argument is legally IN.
 A ground-complete labeling is an admissible labeling containing all the
 arguments forced IN w.r.t. itself; the grounded labeling is the unique
 ground-complete labeling with a minimal IN-set.  It is computed by the
-grounded construction: start from the strict-including-minimal labeling
-and repeatedly accept one forced-IN argument together with everything
-downstream of its safe supports, recomputing the rejected set after each
-step.  The result does not depend on the order in which forced-IN
-arguments are picked.
+grounded construction: start from the strict-including-minimal (SIM)
+labeling (strict arguments IN, the rejections they force OUT, everything
+else UNDEC) and repeatedly accept one forced-IN argument together with
+everything downstream of its safe supports, recomputing the rejected set
+after each step.  The result does not depend on the order in which
+forced-IN arguments are picked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import InstanceError, ResourceLimitError
-from .framework import IN, OUT, UNDEC, Jsbaf, Labeling, _Engine
-
-DEFAULT_MAX_CATALOGUE_ARGS = 12
-
-
-@dataclass
-class GroundJsbaf:
-    """A framework without preference ranks."""
-
-    args: tuple[str, ...]
-    attacks: frozenset[tuple[str, str]]
-    supports: dict[str, frozenset[str]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.args = tuple(sorted(set(self.args)))
-        known = set(self.args)
-        self.attacks = frozenset(self.attacks)
-        for a, b in self.attacks:
-            if a not in known or b not in known:
-                raise InstanceError(f"attack ({a}, {b}) mentions an unknown argument")
-        self.supports = {h: frozenset(t) for h, t in self.supports.items()}
-        for head, tail in self.supports.items():
-            if head not in known or tail - known:
-                raise InstanceError(f"support for {head} mentions an unknown argument")
+from .errors import InstanceError
+from .framework import (  # legality, admissibility and SIM are the framework's, re-exported
+    DEFAULT_MAX_ENUM_ARGS,
+    IN,
+    OUT,
+    UNDEC,
+    Jsbaf,
+    Labeling,
+    _cached,
+    _engine,
+    _locate,
+    enumerate_admissible,
+    is_admissible,
+    legally_in,
+    legally_out,
+    sim_labeling,
+)
 
 
-def from_jsbaf(framework: Jsbaf) -> GroundJsbaf:
-    """Drop the ranks; the graph is unchanged."""
-    return GroundJsbaf(
-        args=framework.args,
-        attacks=framework.attacks,
-        supports=dict(framework.supports),
+def from_jsbaf(framework: Jsbaf) -> Jsbaf:
+    """The preference-free view: the same graph without ranks, built once."""
+    if framework.rank is None:
+        return framework
+    return _cached(
+        framework,
+        "_view_cache",
+        lambda: Jsbaf(args=framework.args, attacks=framework.attacks, supports=framework.supports),
     )
-
-
-def validate_ground(g: GroundJsbaf):
-    from .framework import validate_structure
-
-    return validate_structure(Jsbaf(args=g.args, attacks=g.attacks, supports=dict(g.supports)))
-
-
-def _engine(g: GroundJsbaf) -> _Engine:
-    cached = getattr(g, "_engine_cache", None)
-    if cached is None:
-        cached = _Engine(g.args, g.attacks, g.supports, rank=None)
-        g._engine_cache = cached
-    return cached
 
 
 def multiset_leq(labels, label: str) -> bool:
@@ -95,46 +79,7 @@ def multiset_leq(labels, label: str) -> bool:
     raise InstanceError(f"not a label: {label!r}")
 
 
-def _locate(g: GroundJsbaf, labeling: Labeling, arg: str):
-    eng = _engine(g)
-    if arg not in eng.index:
-        raise InstanceError(f"unknown argument {arg!r}")
-    in_mask, out_mask = eng.masks_of(labeling)
-    return eng, eng.index[arg], in_mask, out_mask
-
-
-def legally_in(g: GroundJsbaf, labeling: Labeling, arg: str) -> bool:
-    eng, i, in_mask, out_mask = _locate(g, labeling, arg)
-    return eng.legally_in(i, in_mask, out_mask)
-
-
-def legally_out(g: GroundJsbaf, labeling: Labeling, arg: str) -> bool:
-    eng, i, in_mask, out_mask = _locate(g, labeling, arg)
-    return eng.legally_out(i, in_mask, out_mask)
-
-
-def is_admissible(g: GroundJsbaf, labeling: Labeling) -> bool:
-    eng = _engine(g)
-    return eng.is_admissible(*eng.masks_of(labeling))
-
-
-def sim_labeling(g: GroundJsbaf) -> Labeling:
-    eng = _engine(g)
-    return eng.labeling(*eng.sim_masks())
-
-
-def support_ancestors(g: GroundJsbaf, arg: str) -> frozenset[str]:
-    """Arguments from which a support path reaches ``arg``."""
-    back: dict[str, frozenset[str]] = {h: t for h, t in g.supports.items()}
-    out: set[str] = set()
-    frontier = set(back.get(arg, ()))
-    while frontier:
-        out |= frontier
-        frontier = {x for f in frontier for x in back.get(f, ())} - out
-    return frozenset(out)
-
-
-def support_children(g: GroundJsbaf, arg: str) -> frozenset[str]:
+def support_children(g: Jsbaf, arg: str) -> frozenset[str]:
     """Arguments reachable from ``arg`` along support paths."""
     forward: dict[str, set[str]] = {}
     for head, tail in g.supports.items():
@@ -148,7 +93,7 @@ def support_children(g: GroundJsbaf, arg: str) -> frozenset[str]:
     return frozenset(out)
 
 
-def safe_supports(g: GroundJsbaf, labeling: Labeling, arg: str) -> list[tuple[frozenset[str], str]]:
+def safe_supports(g: Jsbaf, labeling: Labeling, arg: str) -> list[tuple[frozenset[str], str]]:
     """Supports (S, b) with ``arg`` in S such that every argument on every
     chain starting at (S, b) has all its attackers OUT."""
     out_set = labeling.out_set
@@ -168,24 +113,10 @@ def more_informative(label: str, than: str) -> bool:
     return than == UNDEC or label == than
 
 
-def admissible_catalogue(g: GroundJsbaf, max_args: int = DEFAULT_MAX_CATALOGUE_ARGS) -> list[Labeling]:
-    """All admissible labelings, cached on the framework."""
-    cached = getattr(g, "_catalogue_cache", None)
-    if cached is not None:
-        return cached
-    if len(g.args) > max_args:
-        raise ResourceLimitError(
-            f"{len(g.args)} arguments exceed the catalogue bound of {max_args}",
-            bound_name="max_catalogue_args",
-            bound_value=max_args,
-        )
-    eng = _engine(g)
-    catalogue = sorted(
-        (eng.labeling(im, om) for im, om in eng.enumerate_admissible_masks()),
-        key=Labeling.vector,
-    )
-    g._catalogue_cache = catalogue
-    return catalogue
+def admissible_catalogue(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
+    """All admissible labelings of the preference-free view, cached on it."""
+    g = from_jsbaf(g)
+    return _cached(g, "_catalogue_cache", lambda: enumerate_admissible(g, max_args=max_args))
 
 
 def _extends(base: Labeling, candidate: Labeling) -> bool:
@@ -193,11 +124,12 @@ def _extends(base: Labeling, candidate: Labeling) -> bool:
 
 
 def forced_in(
-    g: GroundJsbaf,
+    g: Jsbaf,
     labeling: Labeling,
     arg: str,
-    max_args: int = DEFAULT_MAX_CATALOGUE_ARGS,
+    max_args: int = DEFAULT_MAX_ENUM_ARGS,
 ) -> bool:
+    g = from_jsbaf(g)
     eng, i, in_mask, out_mask = _locate(g, labeling, arg)
     if eng.attackers[i] & ~out_mask:
         return False
@@ -222,20 +154,21 @@ def forced_in(
     return True
 
 
-def fi_set(g: GroundJsbaf, labeling: Labeling, max_args: int = DEFAULT_MAX_CATALOGUE_ARGS) -> frozenset[str]:
+def fi_set(g: Jsbaf, labeling: Labeling, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> frozenset[str]:
     return frozenset(a for a in g.args if forced_in(g, labeling, a, max_args=max_args))
 
 
 def is_ground_complete(
-    g: GroundJsbaf, labeling: Labeling, max_args: int = DEFAULT_MAX_CATALOGUE_ARGS
+    g: Jsbaf, labeling: Labeling, max_args: int = DEFAULT_MAX_ENUM_ARGS
 ) -> bool:
+    g = from_jsbaf(g)
     if not is_admissible(g, labeling):
         return False
     return fi_set(g, labeling, max_args=max_args) <= labeling.in_set
 
 
 def enumerate_ground_complete(
-    g: GroundJsbaf, max_args: int = DEFAULT_MAX_CATALOGUE_ARGS
+    g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS
 ) -> list[Labeling]:
     return [
         lab
@@ -245,9 +178,9 @@ def enumerate_ground_complete(
 
 
 def grounded_construction(
-    g: GroundJsbaf,
+    g: Jsbaf,
     pick=None,
-    max_args: int = DEFAULT_MAX_CATALOGUE_ARGS,
+    max_args: int = DEFAULT_MAX_ENUM_ARGS,
     trace: list | None = None,
 ) -> Labeling:
     """Iterate from the strict-including-minimal labeling, accepting one
@@ -259,6 +192,7 @@ def grounded_construction(
     the canonically smallest.  The final labeling is the same for every
     choice function.
     """
+    g = from_jsbaf(g)
     eng = _engine(g)
     labeling = sim_labeling(g)
     if trace is not None:
@@ -282,9 +216,9 @@ def grounded_construction(
 
 
 def grounded_labeling(
-    g: GroundJsbaf,
+    g: Jsbaf,
     oracle: bool = False,
-    max_args: int = DEFAULT_MAX_CATALOGUE_ARGS,
+    max_args: int = DEFAULT_MAX_ENUM_ARGS,
 ) -> Labeling:
     """The unique grounded labeling.
 

@@ -45,7 +45,7 @@ def naive_legally_in(framework: Jsbaf, labeling: Labeling, arg: str, use_ranks: 
         if arg not in tail:
             continue
         others = tail - {arg}
-        if use_ranks and any(framework.rank[arg] > framework.rank[b] for b in others):
+        if use_ranks and any(framework.rank_of(arg) > framework.rank_of(b) for b in others):
             continue
         if lab[head] == IN:
             continue
@@ -70,7 +70,7 @@ def naive_legally_out(framework: Jsbaf, labeling: Labeling, arg: str, use_ranks:
         if arg not in tail:
             continue
         others = tail - {arg}
-        if use_ranks and any(framework.rank[arg] > framework.rank[b] for b in others):
+        if use_ranks and any(framework.rank_of(arg) > framework.rank_of(b) for b in others):
             continue
         if any(lab[b] != IN for b in others):
             continue

@@ -132,6 +132,22 @@ def check_indirect_consistency(system: ArgumentationSystem, extension_conclusion
     )
 
 
+def conclusion_reports(system: ArgumentationSystem, checks=("closure", "consistency"), **bounds):
+    """Closure and/or direct and indirect consistency reports on every
+    preferred conclusion set of the system.  ``bounds`` go to
+    :func:`jsbaf.arguments.preferred_conclusions`; its
+    :class:`ResourceLimitError` propagates."""
+    digest = system_digest(system)
+    reports = []
+    for family in preferred_conclusions(system, **bounds):
+        if "closure" in checks:
+            reports.append(check_closure(system, family))
+        if "consistency" in checks:
+            reports.append(check_direct_consistency(family, instance_digest=digest))
+            reports.append(check_indirect_consistency(system, family))
+    return reports
+
+
 def restrict_conclusions(conclusion_families, atom_names) -> frozenset[frozenset[Formula]]:
     """Restrict each conclusion set to the formulas over the given atoms;
     families that collapse to the same restriction are merged."""
@@ -162,21 +178,12 @@ class NonInterferenceBudget:
         }
 
 
-def _preferred_restricted(system, atom_names, budget, rebut_mode="gen"):
-    """Restricted preferred conclusion sets, or a reason string on budget exhaustion."""
-    families, reason = _preferred_all(system, budget, rebut_mode=rebut_mode)
-    if reason is not None:
-        return None, reason
-    return restrict_conclusions(families, atom_names), None
-
-
 def check_non_interference(
     s1: ArgumentationSystem,
     s2: ArgumentationSystem,
     merge: str = "raw",
     cross_rules: tuple[StrictRule, ...] = (),
     budget: NonInterferenceBudget | None = None,
-    rebut_mode: str = "gen",
 ) -> PostulateReport:
     """Compare each side's restricted preferred conclusions with the union's."""
     budget = budget or NonInterferenceBudget()
@@ -192,51 +199,28 @@ def check_non_interference(
         budget=budget.as_dict(),
     )
 
-    union_raw, reason = _preferred_all(union, budget, rebut_mode=rebut_mode)
-    if reason is not None:
-        report.verdict = INCONCLUSIVE
-        report.witness = {"reason": f"union: {reason}"}
-        return report
-
-    for label, side in (("side1", s1), ("side2", s2)):
-        side_atoms = atoms_of_system(side)
-        side_families, reason = _preferred_restricted(side, side_atoms, budget, rebut_mode=rebut_mode)
-        if reason is not None:
-            report.verdict = INCONCLUSIVE
-            report.witness = {"reason": f"{label}: {reason}"}
-            return report
-        union_restricted = restrict_conclusions(union_raw, side_atoms)
-        if side_families != union_restricted:
-            report.verdict = FAIL
-            report.witness = {
-                "side": label,
-                "atoms": sorted(side_atoms),
-                "side_conclusions": _family_key(side_families),
-                "union_conclusions": _family_key(union_restricted),
-            }
-            return report
-    return report
-
-
-def _preferred_all(system, budget, rebut_mode="gen"):
-    from .arguments import build_arguments, framework_from_system, is_strict
-    from .framework import enumerate_preferred
-
-    build = build_arguments(system, max_args=budget.max_args, max_depth=budget.max_depth)
-    if build.truncated:
-        return None, "argument construction truncated"
-    nonstrict = sum(1 for a in build.arguments if not is_strict(a))
-    if nonstrict > budget.max_nonstrict:
-        return None, f"{nonstrict} non-strict arguments exceed the labeling budget"
-    translation = framework_from_system(system, build=build, rebut_mode=rebut_mode)
+    label = "union"
     try:
-        labelings = enumerate_preferred(translation.framework, max_args=budget.max_enum_args)
+        union_raw = preferred_conclusions(union, **budget.as_dict())
+        for label, side in (("side1", s1), ("side2", s2)):
+            side_atoms = atoms_of_system(side)
+            side_families = restrict_conclusions(
+                preferred_conclusions(side, **budget.as_dict()), side_atoms
+            )
+            union_restricted = restrict_conclusions(union_raw, side_atoms)
+            if side_families != union_restricted:
+                report.verdict = FAIL
+                report.witness = {
+                    "side": label,
+                    "atoms": sorted(side_atoms),
+                    "side_conclusions": _family_key(side_families),
+                    "union_conclusions": _family_key(union_restricted),
+                }
+                return report
     except ResourceLimitError as exc:
-        return None, str(exc)
-    return {
-        frozenset(translation.argument_of[aid].conclusion for aid in lab.in_set)
-        for lab in labelings
-    }, None
+        report.verdict = INCONCLUSIVE
+        report.witness = {"reason": f"{label}: {exc}"}
+    return report
 
 
 def shrink_failing_system(system: ArgumentationSystem, still_fails) -> ArgumentationSystem:

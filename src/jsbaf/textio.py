@@ -10,8 +10,9 @@ System files are line-oriented::
     defeasible <id>[<rank>]: <f1>, ... => <f>
     name <id> = <formula>
 
-Axiom lines synthesise rule ids ``ax0, ax1, ...`` in canonical formula
-order, so the prefix ``ax`` is reserved.  Framework files::
+Axiom lines get content-derived rule ids ``ax_<first 8 hex digits of
+the SHA-1 of the formula>`` (see :func:`jsbaf.system.axiom_rule_id`), so
+the prefix ``ax`` is reserved.  Framework files::
 
     arg <id> [rank=<int>]
     att <attacker> <target>
@@ -168,63 +169,6 @@ def format_system(system: ArgumentationSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def system_to_dict(system: ArgumentationSystem) -> dict:
-    return {
-        "atoms": sorted(system.atoms),
-        "options": ["assume-consequences"] if system.assume_consequences else [],
-        "axioms": [
-            fm.format_formula(r.consequent) for r in system.strict_rules if r.axiomatic
-        ],
-        "strict": [
-            {
-                "id": r.id,
-                "antecedents": [fm.format_formula(f) for f in r.antecedents],
-                "consequent": fm.format_formula(r.consequent),
-            }
-            for r in system.strict_rules
-            if not r.axiomatic
-        ],
-        "defeasible": [
-            {
-                "id": r.id,
-                "rank": system.rank[r.id],
-                "antecedents": [fm.format_formula(f) for f in r.antecedents],
-                "consequent": fm.format_formula(r.consequent),
-                **({"name": fm.format_formula(r.name)} if r.name is not None else {}),
-            }
-            for r in system.defeasible_rules
-        ],
-    }
-
-
-def system_from_dict(data: dict) -> ArgumentationSystem:
-    from .system import make_system
-
-    return make_system(
-        atoms=data.get("atoms", ()),
-        axioms=[parse_formula(f) for f in data.get("axioms", ())],
-        strict=[
-            StrictRule(
-                r["id"],
-                tuple(parse_formula(f) for f in r.get("antecedents", ())),
-                parse_formula(r["consequent"]),
-            )
-            for r in data.get("strict", ())
-        ],
-        defeasible=[
-            DefeasibleRule(
-                r["id"],
-                tuple(parse_formula(f) for f in r.get("antecedents", ())),
-                parse_formula(r["consequent"]),
-                parse_formula(r["name"]) if "name" in r else None,
-            )
-            for r in data.get("defeasible", ())
-        ],
-        rank={r["id"]: r.get("rank", 0) for r in data.get("defeasible", ())},
-        assume_consequences="assume-consequences" in data.get("options", ()),
-    )
-
-
 def parse_framework_text(text: str) -> Jsbaf:
     args: dict[str, int] = {}
     attacks: set[tuple[str, str]] = set()
@@ -273,7 +217,7 @@ def parse_framework_text(text: str) -> Jsbaf:
 
 
 def format_framework(framework: Jsbaf) -> str:
-    lines = [f"arg {a} rank={framework.rank[a]}" for a in framework.args]
+    lines = [f"arg {a} rank={framework.rank_of(a)}" for a in framework.args]
     lines += [f"att {a} {b}" for a, b in sorted(framework.attacks)]
     lines += [
         f"sup {head} <- " + ",".join(sorted(framework.supports[head]))
@@ -284,22 +228,13 @@ def format_framework(framework: Jsbaf) -> str:
 
 def framework_to_dict(framework: Jsbaf) -> dict:
     return {
-        "args": [{"id": a, "rank": framework.rank[a]} for a in framework.args],
+        "args": [{"id": a, "rank": framework.rank_of(a)} for a in framework.args],
         "attacks": sorted([a, b] for a, b in framework.attacks),
         "supports": [
             {"arg": head, "by": sorted(framework.supports[head])}
             for head in sorted(framework.supports)
         ],
     }
-
-
-def framework_from_dict(data: dict) -> Jsbaf:
-    return Jsbaf(
-        args=tuple(a["id"] for a in data.get("args", ())),
-        attacks=frozenset((a, b) for a, b in data.get("attacks", ())),
-        supports={s["arg"]: frozenset(s["by"]) for s in data.get("supports", ())},
-        rank={a["id"]: a.get("rank", 0) for a in data.get("args", ())},
-    )
 
 
 def parse_instance(path: str, kind: str | None = None):

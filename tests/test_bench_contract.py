@@ -1,0 +1,43 @@
+"""The names the benchmark under ``bench/`` calls still exist.
+
+Installing the traced run's span recorders looks up every wrapped entry
+point, and importing the workloads binds the profiles and budgets they
+use; a refactor that deletes or renames one of them fails here instead
+of breaking the benchmark.
+"""
+
+import importlib.util
+import pathlib
+import sys
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_span_recorders_install_and_restore():
+    import jsbaf.framework
+    import jsbaf.generate  # noqa: F401  (install wraps entry points of every module)
+    import jsbaf.textio  # noqa: F401
+
+    spans = _load("spans")
+    method = jsbaf.framework._Engine.enumerate_admissible_masks
+    installation = spans.install(spans.Tracer())
+    try:
+        assert jsbaf.framework._Engine.enumerate_admissible_masks is not method
+    finally:
+        installation.restore()
+    assert jsbaf.framework._Engine.enumerate_admissible_masks is method
+
+
+def test_workloads_import():
+    workloads = _load("workloads")
+    assert set(workloads.WORKLOADS) == {
+        "non-interference", "grounded-oracle", "translate", "postulate-fuzz",
+    }

@@ -121,6 +121,11 @@ class TestExitCodes:
         big.write_text("".join(f"arg x{i}\n" for i in range(20)))
         assert main(["solve", str(big), "--semantics", "admissible"]) == 2
 
+    def test_truncated_construction_is_2(self, capsys):
+        for command in ("solve", "postulates"):
+            assert main([command, str(INSTANCES / "as1.as"), "--max-args", "3"]) == 2
+            assert "resource limit: argument construction truncated" in capsys.readouterr().err
+
     def test_unknown_check_is_3(self, capsys):
         assert main(["fuzz", "--trials", "1", "--checks", "bogus"]) == 3
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from jsbaf import arguments as ar
@@ -57,6 +59,24 @@ class TestValidate:
         )
         report = fw.validate_jsbaf(skewed)
         assert any("not strictly below" in msg for msg in report.failures)
+
+
+class TestImmutability:
+    def test_caller_rank_dict_is_not_filled_in(self):
+        rank = {"a": 1}
+        framework = Jsbaf(args=("a", "b"), attacks=frozenset(), rank=rank)
+        assert rank == {"a": 1}
+        assert dict(framework.rank) == {"a": 1, "b": 0}
+
+    def test_no_change_after_enumeration(self):
+        # the engine cached by the enumerator must never outlive the graph
+        framework = Jsbaf(args=("x", "y"), attacks=frozenset(), supports={"y": frozenset()})
+        before = fw.enumerate_admissible(framework)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            framework.attacks = frozenset({("x", "x")})
+        with pytest.raises(TypeError):
+            framework.supports["x"] = frozenset()
+        assert fw.enumerate_admissible(framework) == before
 
 
 class TestStrictArgs:
@@ -210,8 +230,11 @@ class TestTranslation:
 
 class TestExtensions:
     def test_example_extensions(self, as1):
-        extensions = ar.preferred_extensions(as1)
-        families = {frozenset(str(a.conclusion) for a in ext) for ext in extensions}
+        translation = ar.framework_from_system(as1)
+        families = {
+            frozenset(str(translation.argument_of[a].conclusion) for a in lab.in_set)
+            for lab in fw.enumerate_preferred(translation.framework)
+        }
         assert families == {
             frozenset({"alpha", "!(gamma & delta & epsilon)", "gamma", "delta"}),
             frozenset({"alpha", "!(gamma & delta & epsilon)", "delta", "epsilon"}),
@@ -226,7 +249,6 @@ class TestExtensions:
 
     def test_empty_system(self):
         system = make_system(atoms=["p"])
-        assert ar.preferred_extensions(system) == [frozenset()]
         assert ar.preferred_conclusions(system) == [frozenset()]
 
     def test_truncated_system_is_rejected(self):
@@ -234,5 +256,5 @@ class TestExtensions:
             atoms=["p"],
             defeasible=[DefeasibleRule("d0", (), f("p")), DefeasibleRule("d1", (f("p"),), f("p"))],
         )
-        with pytest.raises(InstanceError):
-            ar.preferred_extensions(system, max_depth=4)
+        with pytest.raises(ResourceLimitError, match="argument construction truncated"):
+            ar.preferred_conclusions(system, max_depth=4)

@@ -4,7 +4,7 @@ from jsbaf import arguments as ar
 from jsbaf import generate as gen
 from jsbaf import textio
 from jsbaf.framework import enumerate_preferred
-from jsbaf.grounded import validate_ground
+from jsbaf.framework import validate_structure
 from jsbaf.system import systems_syn_disjoint, validate_system
 
 
@@ -68,7 +68,7 @@ class TestGeneratedFrameworks:
         rng = random.Random(23)
         for _ in range(30):
             g = gen.generate_ground_framework(rng=rng)
-            assert validate_ground(g).ok
+            assert validate_structure(g).ok
             assert len(g.args) <= 8
 
 
@@ -87,24 +87,3 @@ class TestClosureBuilders:
 
         rules = gen.conjunction_intro_rules([f("q")], [f("p")], id_prefix="c")
         assert [str(r.consequent) for r in rules] == ["p & q"]
-
-    def test_projection_rules(self):
-        from jsbaf.formulas import parse_formula as f
-
-        rules = gen.projection_rules([f("p & q")])
-        assert {str(r.consequent) for r in rules} == {"p", "q"}
-
-    def test_auto_closure_enumerates_valid_rules(self):
-        from jsbaf.formulas import parse_formula as f
-        from jsbaf import formulas as fm
-
-        universe = [f("p"), f("q"), f("p & q"), f("!!p")]
-        rules = gen.auto_closure_rules(universe, max_antecedents=2)
-        assert all(fm.entails(r.antecedents, r.consequent) for r in rules)
-        shapes = {
-            (tuple(str(a) for a in r.antecedents), str(r.consequent)) for r in rules
-        }
-        assert (("p",), "!!p") in shapes
-        assert (("p", "q"), "p & q") in shapes
-        assert (("p & q",), "p") in shapes
-        assert all(str(r.consequent) not in [str(a) for a in r.antecedents] for r in rules)

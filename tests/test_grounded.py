@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+import jsbaf.framework as fw
+import jsbaf.generate as gen
 import jsbaf.grounded as gr
 from jsbaf.errors import InstanceError
 from jsbaf.framework import IN, OUT, UNDEC, Jsbaf, Labeling
@@ -40,8 +44,27 @@ class TestFromJsbaf:
         assert g.args == ()
 
     def test_validation(self, g2, g3):
-        assert gr.validate_ground(g2).ok
-        assert gr.validate_ground(g3).ok
+        assert fw.validate_structure(g2).ok
+        assert fw.validate_structure(g3).ok
+
+    def test_view_drops_ranks(self, j1, g1):
+        assert j1.rank is not None
+        assert g1.rank is None
+        assert gr.from_jsbaf(g1) is g1
+        assert gr.from_jsbaf(j1) is g1
+
+    def test_ranks_and_call_order_do_not_matter(self):
+        # the ranked engine cached by the preference-aware enumerator must
+        # not leak into the grounded semantics
+        rng = random.Random(7)
+        for _ in range(1000):
+            g = gen.generate_ground_framework(rng=rng, max_args=7)
+            rank = {a: rng.randint(0, 2) for a in g.args}
+            ranked = Jsbaf(args=g.args, attacks=g.attacks, supports=g.supports, rank=rank)
+            fw.enumerate_admissible(ranked)
+            expected = gr.grounded_labeling(gr.from_jsbaf(ranked))
+            assert gr.grounded_labeling(ranked) == expected
+            assert gr.grounded_labeling(g) == expected
 
 
 class TestMultisetOrdering:
@@ -86,9 +109,6 @@ class TestSimAndAdmissibility:
 
 
 class TestSupportPaths:
-    def test_ancestors(self, g1):
-        assert gr.support_ancestors(g1, "bbar") == {"c", "d", "e"}
-
     def test_children(self, g1):
         assert gr.support_children(g1, "a") == {"b"}
 
@@ -102,7 +122,7 @@ class TestSafeSupports:
         assert gr.safe_supports(g3, gr.sim_labeling(g3), "A2") == []
 
     def test_unattacked_chain_is_safe(self):
-        g = gr.GroundJsbaf(
+        g = Jsbaf(
             args=("x", "y", "z"),
             attacks=frozenset(),
             supports={"y": frozenset({"x"}), "z": frozenset({"y"})},
@@ -153,11 +173,11 @@ class TestGroundedConstruction:
         )
 
     def test_empty(self):
-        g = gr.GroundJsbaf(args=(), attacks=frozenset())
+        g = Jsbaf(args=(), attacks=frozenset())
         assert gr.grounded_construction(g).labels == ()
 
     def test_unattacked_support_chain_is_accepted(self):
-        g = gr.GroundJsbaf(
+        g = Jsbaf(
             args=("x", "y", "z"),
             attacks=frozenset(),
             supports={"y": frozenset({"x"}), "z": frozenset({"y"})},

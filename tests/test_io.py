@@ -4,7 +4,7 @@ import pytest
 
 from jsbaf import textio
 from jsbaf.errors import ParseError
-from jsbaf.framework import Labeling
+from jsbaf.framework import Jsbaf, Labeling
 
 from conftest import INSTANCES
 
@@ -41,11 +41,6 @@ class TestSystemFormat:
         with pytest.raises(ParseError):
             textio.parse_system_text("atom p\nstrict ax_0: p -> p\n")
 
-    def test_json_mirror(self, as1):
-        data = textio.system_to_dict(as1)
-        again = textio.system_from_dict(json.loads(json.dumps(data)))
-        assert textio.format_system(again) == textio.format_system(as1)
-
 
 class TestFrameworkFormat:
     def test_round_trip(self, j1):
@@ -65,9 +60,17 @@ class TestFrameworkFormat:
             textio.parse_framework_text("arg a\narg a\n")
 
     def test_json_mirror(self, j1):
-        data = textio.framework_to_dict(j1)
-        again = textio.framework_from_dict(json.loads(json.dumps(data)))
-        assert textio.format_framework(again) == textio.format_framework(j1)
+        data = json.loads(json.dumps(textio.framework_to_dict(j1)))
+        assert data["args"] == [{"id": a, "rank": j1.rank[a]} for a in j1.args]
+        assert data["attacks"] == sorted([a, b] for a, b in j1.attacks)
+        assert data["supports"] == [
+            {"arg": head, "by": sorted(j1.supports[head])} for head in sorted(j1.supports)
+        ]
+
+    def test_rank_free_framework_prints_rank_zero(self):
+        framework = Jsbaf(args=("b", "a"), attacks=frozenset({("a", "b")}))
+        assert textio.format_framework(framework) == "arg a rank=0\narg b rank=0\natt a b\n"
+        assert textio.framework_to_dict(framework)["args"][0] == {"id": "a", "rank": 0}
 
 
 class TestParseInstance:

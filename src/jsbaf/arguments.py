@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from . import formulas as fm
 from .errors import ResourceLimitError
 from .formulas import Formula, Not
+from .framework import DEFAULT_MAX_ENUM_ARGS, Jsbaf, enumerate_preferred
 from .system import ArgumentationSystem, DefeasibleRule, StrictRule
 
 TOP_AXIOM = "axiom"
@@ -289,8 +290,6 @@ def framework_from_system(
     """Translate: attacks are defeats, every strict-rule application
     becomes a joint support, and preference ranks are the elitist
     weakest-link classes with the strict class on top."""
-    from .framework import Jsbaf  # deferred to keep module load order simple
-
     if build is None:
         build = build_arguments(system, max_args=max_args, max_depth=max_depth)
     args = build.arguments
@@ -330,7 +329,7 @@ def preferred_conclusions(
     system: ArgumentationSystem,
     max_args: int = 5000,
     max_depth: int = 6,
-    max_enum_args: int = 13,
+    max_enum_args: int = DEFAULT_MAX_ENUM_ARGS,
     max_nonstrict: int | None = None,
 ) -> list[frozenset[Formula]]:
     """Conclusion sets of the preferred labelings of the translated
@@ -340,11 +339,11 @@ def preferred_conclusions(
     truncated, when more than ``max_nonstrict`` non-strict arguments are
     built, or when the framework exceeds the enumeration bound.
     """
-    from .framework import enumerate_preferred
-
     build = build_arguments(system, max_args=max_args, max_depth=max_depth)
     if build.truncated:
-        raise ResourceLimitError("argument construction truncated", bound_name="max_args")
+        raise ResourceLimitError(
+            "argument construction truncated", bound_name="max_args", bound_value=max_args
+        )
     nonstrict = sum(1 for a in build.arguments if not is_strict(a))
     if max_nonstrict is not None and nonstrict > max_nonstrict:
         raise ResourceLimitError(

@@ -3,7 +3,7 @@
 Subcommands: ``validate``, ``solve``, ``translate``, ``postulates`` and
 ``fuzz``.  Exit codes: 0 success / all checks passed, 1 a postulate
 check failed, 2 a resource bound was hit or a check was inconclusive,
-3 usage, parse or validation errors.
+3 usage, parse or validation errors, cyclic supports included.
 """
 
 from __future__ import annotations
@@ -127,13 +127,15 @@ def _cmd_validate(options) -> int:
 
 
 def _framework_for(options, instance):
-    """(framework, conclusion lookup or None, emitted text)."""
+    """(framework, the translation it came from or None for a framework file)."""
     if isinstance(instance, ArgumentationSystem):
         translation = ar.framework_from_system(
             instance, max_args=options.max_args, max_depth=options.max_depth
         )
         if translation.truncated:
-            raise ResourceLimitError("argument construction truncated", bound_name="max_args")
+            raise ResourceLimitError(
+                "argument construction truncated", bound_name="max_args", bound_value=options.max_args
+            )
         return translation.framework, translation
     return instance, None
 
@@ -146,10 +148,9 @@ def _cmd_solve(options) -> int:
         chunks.append(textio.format_framework(framework))
 
     if options.semantics == "grounded":
-        ground = gr.from_jsbaf(framework)
         if translation is None and any(framework.rank.values()):
             print("note: preference ranks are ignored under grounded semantics", file=sys.stderr)
-        labeling = gr.grounded_labeling(ground, oracle=options.oracle, max_args=options.max_enum_args)
+        labeling = gr.grounded_labeling(framework, oracle=options.oracle, max_args=options.max_enum_args)
         labelings = [labeling]
         chunks.append(textio.format_labeling(labeling))
     else:
@@ -284,13 +285,13 @@ def _fuzz_trial(checks, rng, options):
         system = gen.generate_system(gen.FuzzProfile(), rng=rng)
         try:
             reports = postulates.conclusion_reports(system, checks, **_bounds(options))
-        except JsbafError:
+        except ResourceLimitError as exc:
             reports = [
                 postulates.PostulateReport(
                     postulate="closure",
                     instance_digest=postulates.system_digest(system),
                     verdict=postulates.INCONCLUSIVE,
-                    witness={"reason": "labeling budget exhausted"},
+                    witness={"reason": str(exc)},
                 )
             ]
         results += [(report, (system,)) for report in reports]

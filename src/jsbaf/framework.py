@@ -30,11 +30,15 @@ OUT.  Preferred labelings are the admissible ones with subset-maximal
 IN-sets.
 
 Enumeration works per candidate IN-set: for a fixed IN-set the OUT-set
-of an admissible labeling is forced (legal OUT-ness propagates only
-forward along the acyclic support graph, so the legally-OUT operator has
-a unique fixpoint), which reduces the search from 3**n labelings to
-2**k IN-sets over the non-strict arguments.  Every candidate is then
-verified against the legality predicates above.
+of an admissible labeling is forced.  Whether an argument is legally OUT
+depends only on the arguments downstream of it along supports, so one
+pass that visits every supported argument before its supporters decides
+it, and the legally-OUT operator has a unique fixpoint.  This reduces
+the search from 3**n labelings to 2**k IN-sets over the non-strict
+arguments; every candidate is then verified against the legality
+predicates above.  A framework with a cyclic support chain has no such
+order: the engine refuses it with an :class:`InstanceError` naming the
+cycle, which :func:`validate_structure` reports instead.
 """
 
 from __future__ import annotations
@@ -182,33 +186,33 @@ def strict_args(framework: Jsbaf) -> frozenset[str]:
 
 
 class _Engine:
-    """Bitmask view of one framework; shared by the preference-aware and
-    the preference-free (grounded) semantics via ``use_ranks``."""
+    """Bitmask view of one framework with acyclic supports; without ranks
+    every rank condition holds."""
 
     def __init__(self, framework: Jsbaf):
+        order, cycle = _support_order(framework)
+        if cycle:
+            raise InstanceError("cyclic support chain through " + " -> ".join(cycle))
         self.ids = framework.args
         self.index = {a: i for i, a in enumerate(self.ids)}
         self.n = len(self.ids)
+        self.order = [self.index[a] for a in order]  # supported heads before supporters
         self.attackers = [0] * self.n
         for a, b in framework.attacks:
             self.attackers[self.index[b]] |= 1 << self.index[a]
         self.supports = []  # (head index, tail mask)
+        # per argument, each support containing it: (head, co-supporters
+        # mask, whether the argument is at most as preferred as each of them)
+        self.member_of = [[] for _ in range(self.n)]
         for head in sorted(framework.supports):
             tail = framework.supports[head]
-            self.supports.append((self.index[head], sum(1 << self.index[t] for t in tail)))
-        self.containing = [[] for _ in range(self.n)]
-        self.tail_of_head = {}
-        for s, (head, tmask) in enumerate(self.supports):
-            self.tail_of_head[head] = tmask
-            m = tmask
-            while m:
-                low = m & -m
-                self.containing[low.bit_length() - 1].append(s)
-                m ^= low
-        self.use_ranks = framework.rank is not None
-        self.rank = [framework.rank_of(a) for a in self.ids]
+            self.supports.append((self.index[head], self.mask(tail)))
+            for t in tail:
+                holds = all(framework.rank_of(t) <= framework.rank_of(o) for o in tail)
+                self.member_of[self.index[t]].append(
+                    (self.index[head], self.mask(tail - {t}), holds)
+                )
         self.strict_mask = self.mask(strict_args(framework))
-        self.full_mask = (1 << self.n) - 1
 
     def mask(self, ids) -> int:
         return sum(1 << self.index[a] for a in ids)
@@ -226,29 +230,11 @@ class _Engine:
             )
         )
 
-    def rank_ok(self, i: int, tmask: int) -> bool:
-        """i is at most as preferred as every other member of the tail."""
-        if not self.use_ranks:
-            return True
-        ri = self.rank[i]
-        m = tmask & ~(1 << i)
-        while m:
-            low = m & -m
-            if self.rank[low.bit_length() - 1] < ri:
-                return False
-            m ^= low
-        return True
-
     def legally_in(self, i: int, in_mask: int, out_mask: int) -> bool:
         if self.attackers[i] & ~out_mask:
             return False
-        bit = 1 << i
-        for s in self.containing[i]:
-            head, tmask = self.supports[s]
-            if not self.rank_ok(i, tmask):
-                continue
-            others = tmask & ~bit
-            if in_mask >> head & 1:
+        for head, others, holds in self.member_of[i]:
+            if not holds or in_mask >> head & 1:
                 continue
             if out_mask >> head & 1:
                 # OUT head: an OUT co-supporter, or two distinct UNDEC ones
@@ -263,60 +249,30 @@ class _Engine:
             return False
         return True
 
-    def legally_out(self, i: int, in_mask: int, out_mask: int, memo=None) -> bool:
-        if self.attackers[i] & in_mask:
-            return True
-        bit = 1 << i
-        if memo is None:
-            memo = {}
-        for s in self.containing[i]:
-            head, tmask = self.supports[s]
-            if not self.rank_ok(i, tmask):
-                continue
-            if (tmask & ~bit) & ~in_mask:
-                continue
-            if self._chain(head, in_mask, out_mask, memo):
-                return True
-        return False
+    def legal_out(self, in_mask: int, out_mask: int | None = None) -> int:
+        """The legally-OUT arguments, in one pass over ``order``.
 
-    def _chain(self, head: int, in_mask: int, out_mask: int, memo: dict) -> bool:
-        """Can a qualifying support chain continue through ``head``?  The
-        head must be OUT; the chain succeeds once some head is attacked
-        by an IN argument."""
-        cached = memo.get(head)
-        if cached is not None:
-            return cached
-        if not out_mask >> head & 1:
-            memo[head] = False
-            return False
-        memo[head] = False  # cycle guard; support graphs are acyclic when valid
-        result = False
-        if self.attackers[head] & in_mask:
-            result = True
-        else:
-            hbit = 1 << head
-            for s in self.containing[head]:
-                nxt, tmask = self.supports[s]
-                if (tmask & ~hbit) & ~in_mask:
-                    continue
-                if self._chain(nxt, in_mask, out_mask, memo):
-                    result = True
-                    break
-        memo[head] = result
-        return result
-
-    def lfp_out(self, in_mask: int) -> int:
-        """Least fixpoint of the legally-OUT operator for a fixed IN-set.
-        For admissible labelings this is the only possible OUT-set."""
-        out = 0
-        changed = True
-        while changed:
-            changed = False
-            memo: dict = {}
-            for i in range(self.n):
-                if not out >> i & 1 and self.legally_out(i, in_mask, out, memo):
-                    out |= 1 << i
-                    changed = True
+        A support chain continues through a head that is OUT in
+        ``out_mask``; without ``out_mask``, through a head this pass found
+        legally OUT, and the result is the operator's unique fixpoint, the
+        only OUT-set an admissible labeling with this IN-set can have.
+        """
+        out = chain = 0  # chain: OUT heads from which a qualifying chain runs on
+        for i in self.order:
+            bit = 1 << i
+            continues = False
+            if self.attackers[i] & in_mask:
+                out |= bit
+                continues = True
+            else:
+                for head, others, holds in self.member_of[i]:
+                    if chain >> head & 1 and not others & ~in_mask:
+                        continues = True
+                        if holds:
+                            out |= bit
+                            break
+            if continues and (out if out_mask is None else out_mask) & bit:
+                chain |= bit
         return out
 
     def admissible_out_for(self, in_mask: int) -> int | None:
@@ -333,7 +289,7 @@ class _Engine:
             # closure: a fully IN supporting set forces its head IN
             if tmask & ~in_mask == 0 and not in_mask >> head & 1:
                 return None
-        out = self.lfp_out(in_mask)
+        out = self.legal_out(in_mask)
         if out & in_mask:
             return None
         m = in_mask
@@ -343,41 +299,6 @@ class _Engine:
                 return None
             m ^= low
         return out
-
-    def is_admissible(self, in_mask: int, out_mask: int) -> bool:
-        if self.strict_mask & ~in_mask:
-            return False
-        memo: dict = {}
-        for i in range(self.n):
-            bit_in = in_mask >> i & 1
-            bit_out = out_mask >> i & 1
-            if bit_in and not self.legally_in(i, in_mask, out_mask):
-                return False
-            if bit_out != self.legally_out(i, in_mask, out_mask, memo):
-                return False
-        return True
-
-    def sim_masks(self) -> tuple[int, int]:
-        in_mask = self.strict_mask
-        out = 0
-        for i in range(self.n):
-            if self.attackers[i] & in_mask:
-                out |= 1 << i
-        changed = True
-        while changed:
-            changed = False
-            for head, tmask in self.supports:
-                if not out >> head & 1:
-                    continue
-                m = tmask
-                while m:
-                    low = m & -m
-                    i = low.bit_length() - 1
-                    if not out >> i & 1 and (tmask & ~low) & ~in_mask == 0:
-                        out |= low
-                        changed = True
-                    m ^= low
-        return in_mask, out
 
     def enumerate_admissible_masks(self):
         free = [i for i in range(self.n) if not self.strict_mask >> i & 1]
@@ -407,7 +328,7 @@ def validate_structure(framework: Jsbaf):
     from .system import ValidationReport
 
     report = ValidationReport()
-    cycle = _support_cycle(framework)
+    _, cycle = _support_order(framework)
     if cycle:
         report.failures.append("cyclic support chain through " + " -> ".join(cycle))
     strict = strict_args(framework)
@@ -437,35 +358,35 @@ def validate_jsbaf(framework: Jsbaf):
     return report
 
 
-def _support_cycle(framework: Jsbaf):
-    """A cycle in the tail-to-head support graph, as a witness path, or None."""
+def _support_order(framework: Jsbaf):
+    """A post-order of the tail-to-head support graph (every supported
+    argument before its supporters) and a cycle of that graph as a
+    witness path, or None; the order is complete only without a cycle."""
     edges: dict[str, list[str]] = {a: [] for a in framework.args}
     for head in sorted(framework.supports):
         for t in sorted(framework.supports[head]):
             edges[t].append(head)
-    state: dict[str, int] = {}
-    stack_path: list[str] = []
-
-    def visit(v: str):
-        state[v] = 1
-        stack_path.append(v)
-        for w in edges[v]:
-            if state.get(w) == 1:
-                return stack_path[stack_path.index(w) :] + [w]
-            if state.get(w) is None:
-                found = visit(w)
-                if found:
-                    return found
-        stack_path.pop()
-        state[v] = 2
-        return None
-
-    for v in framework.args:
-        if state.get(v) is None:
-            found = visit(v)
-            if found:
-                return found
-    return None
+    state: dict[str, int] = {}  # 1 on the current path, 2 finished
+    order: list[str] = []
+    for root in framework.args:
+        if root in state:
+            continue
+        state[root] = 1
+        path, pending = [root], [iter(edges[root])]
+        while pending:
+            w = next(pending[-1], None)
+            if w is None:
+                pending.pop()
+                done = path.pop()
+                state[done] = 2
+                order.append(done)
+            elif state.get(w) == 1:
+                return order, path[path.index(w) :] + [w]
+            elif w not in state:
+                state[w] = 1
+                path.append(w)
+                pending.append(iter(edges[w]))
+    return order, None
 
 
 def _locate(framework: Jsbaf, labeling: Labeling, arg: str):
@@ -483,25 +404,24 @@ def legally_in(framework: Jsbaf, labeling: Labeling, arg: str) -> bool:
 
 def legally_out(framework: Jsbaf, labeling: Labeling, arg: str) -> bool:
     eng, i, in_mask, out_mask = _locate(framework, labeling, arg)
-    return eng.legally_out(i, in_mask, out_mask)
+    return bool(eng.legal_out(in_mask, out_mask) >> i & 1)
 
 
 def legally_undec(framework: Jsbaf, labeling: Labeling, arg: str) -> bool:
-    eng, i, in_mask, out_mask = _locate(framework, labeling, arg)
-    return not eng.legally_in(i, in_mask, out_mask) and not eng.legally_out(i, in_mask, out_mask)
+    return not legally_in(framework, labeling, arg) and not legally_out(framework, labeling, arg)
 
 
 def is_admissible(framework: Jsbaf, labeling: Labeling) -> bool:
     eng = _engine(framework)
     in_mask, out_mask = eng.masks_of(labeling)
-    return eng.is_admissible(in_mask, out_mask)
+    return eng.admissible_out_for(in_mask) == out_mask
 
 
 def sim_labeling(framework: Jsbaf) -> Labeling:
     """Strict-including-minimal labeling: strict arguments IN, rejections
     propagated from them OUT, everything else UNDEC."""
     eng = _engine(framework)
-    return eng.labeling(*eng.sim_masks())
+    return eng.labeling(eng.strict_mask, eng.legal_out(eng.strict_mask))
 
 
 def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:

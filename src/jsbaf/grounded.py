@@ -209,7 +209,7 @@ def grounded_construction(
             new_in.add(head)
             new_in |= support_children(g, head)
         in_mask = eng.mask(new_in)
-        out_mask = eng.lfp_out(in_mask)
+        out_mask = eng.legal_out(in_mask)
         labeling = eng.labeling(in_mask, out_mask)
         if trace is not None:
             trace.append(labeling)

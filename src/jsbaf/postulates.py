@@ -87,12 +87,14 @@ def cl_closure(strict_rules, formulas) -> frozenset[Formula]:
     return frozenset(out)
 
 
-def check_closure(system: ArgumentationSystem, extension_conclusions) -> PostulateReport:
+def check_closure(
+    system: ArgumentationSystem, extension_conclusions, instance_digest: str | None = None
+) -> PostulateReport:
     conclusions = frozenset(extension_conclusions)
     closed = cl_closure(system.strict_rules, conclusions)
     report = PostulateReport(
         postulate="closure",
-        instance_digest=system_digest(system),
+        instance_digest=system_digest(system) if instance_digest is None else instance_digest,
         verdict=PASS if closed == conclusions else FAIL,
         rule_universe=_universe_of(system),
     )
@@ -120,9 +122,13 @@ def check_direct_consistency(conclusions, instance_digest: str = "") -> Postulat
     )
 
 
-def check_indirect_consistency(system: ArgumentationSystem, extension_conclusions) -> PostulateReport:
+def check_indirect_consistency(
+    system: ArgumentationSystem, extension_conclusions, instance_digest: str | None = None
+) -> PostulateReport:
     closed = cl_closure(system.strict_rules, frozenset(extension_conclusions))
-    inner = check_direct_consistency(closed, instance_digest=system_digest(system))
+    if instance_digest is None:
+        instance_digest = system_digest(system)
+    inner = check_direct_consistency(closed, instance_digest=instance_digest)
     return PostulateReport(
         postulate="indirect_consistency",
         instance_digest=inner.instance_digest,
@@ -141,10 +147,10 @@ def conclusion_reports(system: ArgumentationSystem, checks=("closure", "consiste
     reports = []
     for family in preferred_conclusions(system, **bounds):
         if "closure" in checks:
-            reports.append(check_closure(system, family))
+            reports.append(check_closure(system, family, instance_digest=digest))
         if "consistency" in checks:
             reports.append(check_direct_consistency(family, instance_digest=digest))
-            reports.append(check_indirect_consistency(system, family))
+            reports.append(check_indirect_consistency(system, family, instance_digest=digest))
     return reports
 
 

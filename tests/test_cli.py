@@ -63,6 +63,16 @@ class TestValidate:
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["validate"]) == 3
 
+    def test_long_support_chain(self, tmp_path, capsys):
+        chain = tmp_path / "chain.jsbaf"
+        n = 3000
+        chain.write_text(
+            "".join(f"arg x{i}\n" for i in range(n))
+            + "".join(f"sup x{i + 1} <- x{i}\n" for i in range(n - 1))
+        )
+        assert main(["validate", str(chain)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "valid"
+
 
 class TestTranslate:
     def test_translation_parses_back(self, capsys, tmp_path):
@@ -100,6 +110,14 @@ class TestFuzz:
         assert code == 0
         assert "trials=0 pass=0 fail=0 inconclusive=0" in out
 
+    def test_inconclusive_reason_names_the_bound(self, capsys, tmp_path):
+        code = main(["fuzz", "--trials", "3", "--max-enum-args", "1", "--format", "json",
+                     "--repro-dir", str(tmp_path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        reasons = [json.loads(line)["witness"]["reason"] for line in lines[:-1]]
+        assert reasons and all("enumeration bound of 1" in r for r in reasons)
+
     def test_small_run_passes(self, capsys, tmp_path):
         code = main(
             ["fuzz", "--trials", "5", "--seed", "3", "--checks",
@@ -125,6 +143,15 @@ class TestExitCodes:
         for command in ("solve", "postulates"):
             assert main([command, str(INSTANCES / "as1.as"), "--max-args", "3"]) == 2
             assert "resource limit: argument construction truncated" in capsys.readouterr().err
+
+    def test_cyclic_supports_is_3(self, tmp_path, capsys):
+        cyclic = tmp_path / "cyclic.jsbaf"
+        cyclic.write_text("arg a\narg b\nsup a <- b\nsup b <- a\n")
+        for semantics in ("admissible", "preferred", "grounded"):
+            assert main(["solve", str(cyclic), "--semantics", semantics, "--oracle"]) == 3
+            err = capsys.readouterr().err
+            assert "cyclic support chain through a -> b -> a" in err
+            assert "Traceback" not in err
 
     def test_unknown_check_is_3(self, capsys):
         assert main(["fuzz", "--trials", "1", "--checks", "bogus"]) == 3

@@ -50,6 +50,15 @@ class TestValidate:
         report = fw.validate_jsbaf(framework)
         assert any("cyclic support chain" in msg for msg in report.failures)
 
+    def test_engine_refuses_cyclic_supports(self):
+        framework = Jsbaf(
+            args=("x", "y"),
+            attacks=frozenset(),
+            supports={"x": frozenset({"y"}), "y": frozenset({"x"})},
+        )
+        with pytest.raises(InstanceError, match="cyclic support chain through x -> y -> x"):
+            fw.legally_out(framework, labeling_of(framework), "x")
+
     def test_rank_restrictions(self, j1):
         skewed = Jsbaf(
             args=j1.args,

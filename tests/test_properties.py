@@ -196,6 +196,9 @@ class TestEngineAgainstNaive:
             for _ in range(15):
                 labels = tuple((a, rng.choice(fw.LABELS)) for a in framework.args)
                 labeling = Labeling(labels)
+                assert fw.is_admissible(framework, labeling) == naive.naive_is_admissible(
+                    framework, labeling
+                )
                 for arg in framework.args:
                     assert fw.legally_in(framework, labeling, arg) == naive.naive_legally_in(
                         framework, labeling, arg
@@ -222,6 +225,9 @@ class TestEngineAgainstNaive:
             for _ in range(10):
                 labels = tuple((a, rng.choice(fw.LABELS)) for a in g.args)
                 labeling = Labeling(labels)
+                assert gr.is_admissible(g, labeling) == naive.naive_is_admissible(
+                    plain, labeling, use_ranks=False
+                )
                 for arg in g.args:
                     assert gr.legally_in(g, labeling, arg) == naive.naive_legally_in(
                         plain, labeling, arg, use_ranks=False

@@ -33,12 +33,16 @@ Enumeration works per candidate IN-set: for a fixed IN-set the OUT-set
 of an admissible labeling is forced.  Whether an argument is legally OUT
 depends only on the arguments downstream of it along supports, so one
 pass that visits every supported argument before its supporters decides
-it, and the legally-OUT operator has a unique fixpoint.  This reduces
-the search from 3**n labelings to 2**k IN-sets over the non-strict
-arguments; every candidate is then verified against the legality
-predicates above.  A framework with a cyclic support chain has no such
-order: the engine refuses it with an :class:`InstanceError` naming the
-cycle, which :func:`validate_structure` reports instead.
+it, and the legally-OUT operator has a unique fixpoint.  The IN-sets
+are searched depth first from the strict arguments, deciding each
+non-strict argument IN or not, supporters before the heads they
+support.  A branch ends as soon as its IN-set attacks itself, since
+every superset does too, and a head whose supporting set is all IN is
+only tried IN, as closure demands; so the search visits far fewer than
+the 2**k subsets of the k non-strict arguments.  Every IN-set it
+reaches is verified against the legality predicates above.  A framework with a cyclic support chain has no such order: the
+engine refuses it with an :class:`InstanceError` naming the cycle,
+which :func:`validate_structure` reports instead.
 """
 
 from __future__ import annotations
@@ -166,17 +170,26 @@ def _cached(framework: Jsbaf, name: str, build):
 
 def strict_args(framework: Jsbaf) -> frozenset[str]:
     """Least fixpoint: supported by the empty set, or by strict arguments
-    only.  Computed once per framework; the engine reads it too."""
+    only.  A head whose supporting set has a member not yet strict waits
+    on that member and is checked again once it turns strict, so a long
+    support chain is settled in linear time in any order; arguments on a
+    support cycle stay non-strict.  Computed once per framework; the
+    engine reads it too."""
 
     def fixpoint():
+        supports = framework.supports
         strict: set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for head, tail in framework.supports.items():
-                if head not in strict and tail <= strict:
-                    strict.add(head)
-                    changed = True
+        waiting: dict[str, list[str]] = {}  # member not yet strict -> heads waiting on it
+        ready = list(supports)
+        while ready:
+            head = ready.pop()
+            for t in supports[head]:
+                if t not in strict:
+                    waiting.setdefault(t, []).append(head)
+                    break
+            else:
+                strict.add(head)
+                ready.extend(waiting.pop(head, ()))
         return frozenset(strict)
 
     return _cached(framework, "_strict_cache", fixpoint)
@@ -200,13 +213,13 @@ class _Engine:
         self.attackers = [0] * self.n
         for a, b in framework.attacks:
             self.attackers[self.index[b]] |= 1 << self.index[a]
-        self.supports = []  # (head index, tail mask)
+        self.supports = {}  # head index -> tail mask
         # per argument, each support containing it: (head, co-supporters
         # mask, whether the argument is at most as preferred as each of them)
         self.member_of = [[] for _ in range(self.n)]
         for head in sorted(framework.supports):
             tail = framework.supports[head]
-            self.supports.append((self.index[head], self.mask(tail)))
+            self.supports[self.index[head]] = self.mask(tail)
             for t in tail:
                 holds = all(framework.rank_of(t) <= framework.rank_of(o) for o in tail)
                 self.member_of[self.index[t]].append(
@@ -285,7 +298,7 @@ class _Engine:
             if self.attackers[low.bit_length() - 1] & in_mask:
                 return None  # an IN argument can never have an IN attacker
             m ^= low
-        for head, tmask in self.supports:
+        for head, tmask in self.supports.items():
             # closure: a fully IN supporting set forces its head IN
             if tmask & ~in_mask == 0 and not in_mask >> head & 1:
                 return None
@@ -301,17 +314,37 @@ class _Engine:
         return out
 
     def enumerate_admissible_masks(self):
-        free = [i for i in range(self.n) if not self.strict_mask >> i & 1]
-        for choice in range(1 << len(free)):
-            in_mask = self.strict_mask
-            c = choice
-            while c:
-                low = c & -c
-                in_mask |= 1 << free[low.bit_length() - 1]
-                c ^= low
-            out = self.admissible_out_for(in_mask)
-            if out is not None:
-                yield in_mask, out
+        """Every admissible (IN mask, OUT mask), by a depth-first search
+        from the strict mask that decides each non-strict argument IN or
+        not, supporters before the heads they support.  A branch ends once
+        its IN-set attacks itself, as every superset does too; a head whose
+        supporting set is all IN is only tried IN.  Each leaf is verified
+        by ``admissible_out_for``."""
+        attackers, supports = self.attackers, self.supports
+        free = []  # non-strict arguments, supporters first
+        attacking = 0  # arguments attacking the IN-set
+        for i in reversed(self.order):
+            if self.strict_mask >> i & 1:
+                attacking |= attackers[i]
+            else:
+                free.append(i)
+        if attacking & self.strict_mask:
+            return
+        k = len(free)
+        stack = [(0, self.strict_mask, attacking)]  # (arguments decided, IN mask, attacking)
+        while stack:
+            depth, in_mask, attacking = stack.pop()
+            if depth == k:
+                out = self.admissible_out_for(in_mask)
+                if out is not None:
+                    yield in_mask, out
+                continue
+            i = free[depth]
+            bit = 1 << i
+            if i not in supports or supports[i] & ~in_mask:
+                stack.append((depth + 1, in_mask, attacking))
+            if not (attacking & bit or attackers[i] & (in_mask | bit)):
+                stack.append((depth + 1, in_mask | bit, attacking | attackers[i]))
 
 
 def _engine(framework: Jsbaf) -> _Engine:
@@ -437,11 +470,14 @@ def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS
 
 
 def enumerate_preferred(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
+    """The admissible labelings with subset-maximal IN-sets, in the order
+    of :func:`enumerate_admissible`.  Taken largest first, an IN-set is
+    maximal unless a maximal one kept before contains it: every strictly
+    larger IN-set has been visited already."""
     admissible = enumerate_admissible(framework, max_args=max_args)
     in_sets = [lab.in_set for lab in admissible]
-    preferred = [
-        lab
-        for lab, s in zip(admissible, in_sets)
-        if not any(s < other for other in in_sets)
-    ]
-    return sorted(preferred, key=Labeling.vector)
+    maximal: list[frozenset[str]] = []
+    for in_set in sorted(in_sets, key=len, reverse=True):
+        if not any(in_set < kept for kept in maximal):
+            maximal.append(in_set)
+    return [lab for lab, in_set in zip(admissible, in_sets) if in_set in maximal]

@@ -1,9 +1,13 @@
 import dataclasses
+import random
+import time
 
 import pytest
 
 from jsbaf import arguments as ar
 from jsbaf import framework as fw
+from jsbaf import generate as gen
+from jsbaf import postulates as po
 from jsbaf.errors import InstanceError, ResourceLimitError
 from jsbaf.formulas import parse_formula as f
 from jsbaf.framework import Jsbaf, Labeling
@@ -104,6 +108,24 @@ class TestStrictArgs:
         )
         assert fw.strict_args(framework) == {"x", "y"}
 
+    def test_support_cycle_stays_non_strict(self):
+        framework = Jsbaf(
+            args=("x", "y", "z"),
+            attacks=frozenset(),
+            supports={"x": frozenset(), "y": frozenset({"x", "z"}), "z": frozenset({"y"})},
+        )
+        assert fw.strict_args(framework) == {"x"}
+
+    def test_long_chain_listed_downstream_first(self):
+        ids = [f"x{i}" for i in range(8000)]
+        supports = {ids[i]: frozenset({ids[i - 1]}) for i in range(len(ids) - 1, 0, -1)}
+        supports[ids[0]] = frozenset()
+        framework = Jsbaf(args=tuple(ids), attacks=frozenset(), supports=supports)
+        started = time.perf_counter()
+        strict = fw.strict_args(framework)
+        assert time.perf_counter() - started < 0.5
+        assert strict == set(ids)
+
 
 class TestLegality:
     def test_legally_in(self, j1, l1, l2):
@@ -192,6 +214,44 @@ class TestEnumeration:
 
     def test_enumeration_contains_sim(self, j1):
         assert fw.sim_labeling(j1) in fw.enumerate_admissible(j1)
+
+
+class TestSearchWork:
+    def test_leaves_on_criterion_7_pairs(self, monkeypatch):
+        # the first ten criterion-7 pairs: 107,243 candidate IN-sets for the
+        # 2**k scan, 3,100 leaves for the pruned search
+        calls = [0]
+        nominal = [0]
+        verify = fw._Engine.admissible_out_for
+        search = fw._Engine.enumerate_admissible_masks
+
+        def counted_verify(engine, in_mask):
+            calls[0] += 1
+            return verify(engine, in_mask)
+
+        def counted_search(engine):
+            nominal[0] += 1 << (engine.n - engine.strict_mask.bit_count())
+            return search(engine)
+
+        monkeypatch.setattr(fw._Engine, "admissible_out_for", counted_verify)
+        monkeypatch.setattr(fw._Engine, "enumerate_admissible_masks", counted_search)
+        profile = gen.FuzzProfile(
+            atom_count=(1, 3),
+            defeasible_count=(1, 2),
+            axiom_count=(0, 1),
+            conjunction_probability=0.0,
+        )
+        for i in range(10):
+            rng = random.Random(f"acceptance-non-interference-{i}")
+            s1, s2 = gen.generate_disjoint_pair(profile, rng=rng)
+            po.check_non_interference(
+                s1,
+                s2,
+                merge="raw" if i % 2 == 0 else "interleave",
+                cross_rules=gen.cross_closure_rules(s1, s2),
+            )
+        assert nominal[0] == 107_243
+        assert calls[0] <= 3_100
 
 
 class TestTranslation:

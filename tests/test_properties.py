@@ -188,6 +188,20 @@ class TestArgumentRelations:
         assert checked
 
 
+def _random_acyclic_framework(rng, max_args):
+    ids = [f"a{i}" for i in range(rng.randint(0, max_args))]
+    attacks = {(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 2 * len(ids)))}
+    # each head is supported by arguments drawn before it, so supports are acyclic
+    drawn = rng.sample(ids, len(ids))
+    supports = {
+        head: frozenset(rng.sample(drawn[:j], rng.randint(0, min(j, 3))))
+        for j, head in enumerate(drawn)
+        if rng.random() < 0.5
+    }
+    rank = None if rng.random() < 0.4 else {a: rng.randint(0, 2) for a in ids}
+    return fw.Jsbaf(args=tuple(ids), attacks=frozenset(attacks), supports=supports, rank=rank)
+
+
 class TestEngineAgainstNaive:
     def test_legality_on_random_labelings(self, fuzzed_systems):
         rng = random.Random(77)
@@ -214,6 +228,25 @@ class TestEngineAgainstNaive:
                 continue
             fast = fw.enumerate_admissible(framework)
             assert fast == naive.naive_enumerate_admissible(framework)
+
+    def test_enumeration_matches_naive_outside_the_domain(self):
+        # random acyclic frameworks the translation never produces: attacked
+        # strict arguments, self-attacks, and ranks absent, valid or invalid
+        rng = random.Random(4242)
+        seen = {"attacked strict": 0, "self-attack": 0, "rank-free": 0, "invalid ranks": 0}
+        for _ in range(200):
+            framework = _random_acyclic_framework(rng, max_args=7)
+            strict = fw.strict_args(framework)
+            seen["attacked strict"] += any(b in strict for _, b in framework.attacks)
+            seen["self-attack"] += any(a == b for a, b in framework.attacks)
+            seen["rank-free"] += framework.rank is None
+            seen["invalid ranks"] += any(
+                "preferred" in failure or "strict class" in failure
+                for failure in fw.validate_jsbaf(framework).failures
+            )
+            assert fw.enumerate_admissible(framework) == naive.naive_enumerate_admissible(framework)
+            assert fw.enumerate_preferred(framework) == naive.naive_enumerate_preferred(framework)
+        assert all(seen.values()), seen
 
     def test_grounded_legality_matches_naive(self):
         rng = random.Random(5150)

@@ -14,7 +14,6 @@ from .arguments import (
     ad_sub,
     build_arguments,
     c_sub,
-    conclusion,
     def_rules,
     defeats,
     ewl_leq,
@@ -23,7 +22,6 @@ from .arguments import (
     is_strict,
     preferred_conclusions,
     sub_args,
-    top_rule,
     undercuts,
 )
 from .errors import (

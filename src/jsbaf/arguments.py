@@ -20,12 +20,13 @@ comparing minimum ranks (strict arguments count as maximal).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import formulas as fm
 from .errors import ResourceLimitError
 from .formulas import Formula, Not
 from .framework import DEFAULT_MAX_ENUM_ARGS, Jsbaf, enumerate_preferred
-from .system import ArgumentationSystem, DefeasibleRule, StrictRule
+from .system import DEFAULT_MAX_ARGS, DEFAULT_MAX_DEPTH, ArgumentationSystem, DefeasibleRule, StrictRule
 
 TOP_AXIOM = "axiom"
 TOP_CONSEQUENCE = "consequence"
@@ -85,14 +86,6 @@ def def_rules(argument: Argument) -> frozenset[str]:
     return argument.defeasible_rules
 
 
-def top_rule(argument: Argument) -> str:
-    return argument.rule_id
-
-
-def conclusion(argument: Argument) -> Formula:
-    return argument.conclusion
-
-
 def is_strict(argument: Argument) -> bool:
     return not argument.defeasible_rules
 
@@ -124,14 +117,10 @@ class BuildResult:
     arguments: tuple[Argument, ...]
     truncated: bool
 
-    def by_conclusion(self) -> dict[Formula, list[Argument]]:
-        table: dict[Formula, list[Argument]] = {}
-        for a in self.arguments:
-            table.setdefault(a.conclusion, []).append(a)
-        return table
 
-
-def build_arguments(system: ArgumentationSystem, max_args: int = 5000, max_depth: int = 6) -> BuildResult:
+def build_arguments(
+    system: ArgumentationSystem, max_args: int = DEFAULT_MAX_ARGS, max_depth: int = DEFAULT_MAX_DEPTH
+) -> BuildResult:
     """Close the rule set bottom-up, deduplicating structurally.
 
     Stops at the least fixpoint or when ``max_args`` / ``max_depth`` is
@@ -175,7 +164,7 @@ def build_arguments(system: ArgumentationSystem, max_args: int = 5000, max_depth
             # snapshot the pools: additions take effect next round, which
             # keeps the iteration order independent of dict internals
             pools = [list(pool) for pool in pools]
-            for combo in _product(pools):
+            for combo in product(*pools):
                 if add(Argument(rule.id, combo, rule.consequent, kind)):
                     changed = True
                 if truncated:
@@ -185,15 +174,6 @@ def build_arguments(system: ArgumentationSystem, max_args: int = 5000, max_depth
 
     ordered = tuple(sorted(known.values(), key=lambda a: (a.depth, a.key)))
     return BuildResult(arguments=ordered, truncated=truncated)
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head,) + rest
 
 
 # --- attacks and preference lifting --------------------------------------
@@ -210,10 +190,6 @@ def undercuts(a: Argument, b: Argument, system: ArgumentationSystem) -> bool:
     return False
 
 
-def _sub_conclusions(b: Argument) -> frozenset[Formula]:
-    return frozenset(x.conclusion for x in sub_args(b))
-
-
 def gen_rebuts(a: Argument, b: Argument) -> bool:
     """a's conclusion is ``!conj(Gamma)`` for a non-empty Gamma of
     sub-argument conclusions of the defeasible argument b."""
@@ -222,7 +198,7 @@ def gen_rebuts(a: Argument, b: Argument) -> bool:
     if not isinstance(a.conclusion, Not):
         return False
     body = a.conclusion.sub
-    targets = _sub_conclusions(b)
+    targets = frozenset(x.conclusion for x in sub_args(b))
     for candidate in fm.conjunction_peels(body):
         if all(f in targets for f in candidate):
             return True
@@ -244,26 +220,11 @@ def ewl_leq(a: Argument, b: Argument, system: ArgumentationSystem) -> bool:
     return rb is None or ra <= rb
 
 
-def restricted_rebuts(a: Argument, b: Argument) -> bool:
-    """Classic sub-argument rebut: a concludes the complement of some
-    defeasible-topped sub-argument's conclusion.  Misses everything the
-    gen-rebut reaches through conjunctions or strict-rule conclusions;
-    kept only as a deliberately weaker engine variant for harness
-    self-tests."""
-    if not b.defeasible_rules:
-        return False
-    return any(
-        bp.top_kind == TOP_DEFEASIBLE and fm.is_neg_complement(a.conclusion, bp.conclusion)
-        for bp in sub_args(b)
-    )
-
-
-def defeats(a: Argument, b: Argument, system: ArgumentationSystem, rebut_mode: str = "gen") -> bool:
-    """Undercut, or rebut not coming from a strictly weaker argument."""
+def defeats(a: Argument, b: Argument, system: ArgumentationSystem) -> bool:
+    """Undercut, or gen-rebut not coming from a strictly weaker argument."""
     if undercuts(a, b, system):
         return True
-    rebutted = gen_rebuts(a, b) if rebut_mode == "gen" else restricted_rebuts(a, b)
-    if not rebutted:
+    if not gen_rebuts(a, b):
         return False
     strictly_weaker = ewl_leq(a, b, system) and not ewl_leq(b, a, system)
     return not strictly_weaker
@@ -276,16 +237,14 @@ def defeats(a: Argument, b: Argument, system: ArgumentationSystem, rebut_mode: s
 class Translation:
     framework: "Jsbaf"
     argument_of: dict[str, Argument]
-    id_of: dict[Argument, str]
     truncated: bool
 
 
 def framework_from_system(
     system: ArgumentationSystem,
     build: BuildResult | None = None,
-    max_args: int = 5000,
-    max_depth: int = 6,
-    rebut_mode: str = "gen",
+    max_args: int = DEFAULT_MAX_ARGS,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> Translation:
     """Translate: attacks are defeats, every strict-rule application
     becomes a joint support, and preference ranks are the elitist
@@ -300,7 +259,7 @@ def framework_from_system(
     attacks = set()
     for a in args:
         for b in args:
-            if defeats(a, b, system, rebut_mode=rebut_mode):
+            if defeats(a, b, system):
                 attacks.add((id_of[a], id_of[b]))
 
     supports: dict[str, frozenset[str]] = {}
@@ -322,13 +281,13 @@ def framework_from_system(
         supports=supports,
         rank=rank,
     )
-    return Translation(framework=framework, argument_of=argument_of, id_of=id_of, truncated=build.truncated)
+    return Translation(framework=framework, argument_of=argument_of, truncated=build.truncated)
 
 
 def preferred_conclusions(
     system: ArgumentationSystem,
-    max_args: int = 5000,
-    max_depth: int = 6,
+    max_args: int = DEFAULT_MAX_ARGS,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     max_enum_args: int = DEFAULT_MAX_ENUM_ARGS,
     max_nonstrict: int | None = None,
 ) -> list[frozenset[Formula]]:

@@ -9,6 +9,7 @@ check failed, 2 a resource bound was hit or a check was inconclusive,
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -18,7 +19,8 @@ from . import generate as gen
 from . import grounded as gr
 from . import naive, postulates, textio
 from .errors import JsbafError, ParseError, ResourceLimitError
-from .system import ArgumentationSystem, validate_system
+from .formulas import DEFAULT_ATOM_BOUND
+from .system import DEFAULT_MAX_ARGS, DEFAULT_MAX_DEPTH, ArgumentationSystem, validate_system
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -26,50 +28,62 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 
-def _add_common(parser):
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--max-args", type=int, default=5000, help="argument construction bound")
-    parser.add_argument("--max-depth", type=int, default=6, help="argument nesting bound")
-    parser.add_argument("--atom-bound", type=int, default=16, help="truth-table atom bound")
-    parser.add_argument("--max-enum-args", type=int, default=fw.DEFAULT_MAX_ENUM_ARGS,
-                        help="labeling enumeration bound")
-    parser.add_argument("--seed", type=int, default=0)
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flags read by more than one subcommand; each subcommand takes the groups it reads
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--max-args", type=_positive_int, default=DEFAULT_MAX_ARGS,
+                        help="argument construction bound")
+    bounds.add_argument("--max-depth", type=_positive_int, default=DEFAULT_MAX_DEPTH,
+                        help="argument nesting bound")
+    enum = argparse.ArgumentParser(add_help=False)
+    enum.add_argument("--max-enum-args", type=int, default=fw.DEFAULT_MAX_ENUM_ARGS,
+                      help="labeling enumeration bound")
+
     parser = argparse.ArgumentParser(prog="jsbaf")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check an instance file")
+    p = sub.add_parser("validate", parents=[bounds], help="check an instance file")
     p.add_argument("path")
     p.add_argument("--kind", choices=("as", "jsbaf"))
-    _add_common(p)
+    p.add_argument("--atom-bound", type=int, default=DEFAULT_ATOM_BOUND, help="truth-table atom bound")
+    p.set_defaults(run=_cmd_validate)
 
-    p = sub.add_parser("solve", help="compute labelings / extensions")
+    p = sub.add_parser("solve", parents=[fmt, bounds, enum], help="compute labelings / extensions")
     p.add_argument("path")
     p.add_argument("--kind", choices=("as", "jsbaf"))
     p.add_argument("--semantics", choices=("admissible", "preferred", "grounded"), default="preferred")
     p.add_argument("--emit-jsbaf", action="store_true", help="also print the translated framework")
     p.add_argument("--oracle", action="store_true", help="cross-check against the naive implementations")
-    _add_common(p)
+    p.set_defaults(run=_cmd_solve)
 
-    p = sub.add_parser("translate", help="translate a rule system into a framework")
+    p = sub.add_parser("translate", parents=[fmt, bounds], help="translate a rule system into a framework")
     p.add_argument("path")
-    _add_common(p)
+    p.set_defaults(run=_cmd_translate)
 
-    p = sub.add_parser("postulates", help="postulate checks on one instance or a disjoint pair")
+    p = sub.add_parser("postulates", parents=[fmt, bounds, enum],
+                       help="postulate checks on one instance or a disjoint pair")
     p.add_argument("path")
     p.add_argument("--against", help="second system for non-interference")
     p.add_argument("--merge-policy", choices=("raw", "interleave"), default="raw")
-    _add_common(p)
+    p.set_defaults(run=_cmd_postulates)
 
-    p = sub.add_parser("fuzz", help="randomised postulate checking")
+    p = sub.add_parser("fuzz", parents=[fmt, bounds, enum], help="randomised postulate checking")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--merge-policy", choices=("raw", "interleave"), default="raw")
     p.add_argument("--checks", default="closure,consistency",
                    help="comma list of closure,consistency,non-interference")
     p.add_argument("--repro-dir", default=".")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=_cmd_fuzz)
     return parser
 
 
@@ -80,7 +94,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return _dispatch(options)
+        return options.run(options)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -92,27 +106,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def _dispatch(options) -> int:
-    command = options.command
-    if command == "validate":
-        return _cmd_validate(options)
-    if command == "solve":
-        return _cmd_solve(options)
-    if command == "translate":
-        return _cmd_translate(options)
-    if command == "postulates":
-        return _cmd_postulates(options)
-    if command == "fuzz":
-        return _cmd_fuzz(options)
-    raise AssertionError(command)
-
-
 def _load(options, kind=None):
-    return textio.parse_instance(options.path, kind=kind or getattr(options, "kind", None))
+    """The instance file's text and the system or framework it holds."""
+    text = textio.read_instance(options.path)
+    kind = kind or getattr(options, "kind", None)
+    return text, textio.parse_instance(options.path, kind=kind, text=text)
 
 
 def _cmd_validate(options) -> int:
-    instance = _load(options)
+    _, instance = _load(options)
     if isinstance(instance, ArgumentationSystem):
         report = validate_system(
             instance,
@@ -141,7 +143,7 @@ def _framework_for(options, instance):
 
 
 def _cmd_solve(options) -> int:
-    instance = _load(options)
+    text, instance = _load(options)
     framework, translation = _framework_for(options, instance)
     chunks = []
     if options.emit_jsbaf and translation is not None:
@@ -172,12 +174,11 @@ def _cmd_solve(options) -> int:
         )
 
     if options.format == "json":
-        digest = textio.instance_digest(open(options.path, encoding="utf-8").read())
         payload = {
             "semantics": options.semantics,
-            "labelings": [textio.labeling_to_dict(lab) for lab in labelings],
+            "labelings": [lab.as_dict() for lab in labelings],
         }
-        sys.stdout.write(textio.wrap_json(digest, payload))
+        sys.stdout.write(textio.wrap_json(textio.instance_digest(text), payload))
     else:
         sys.stdout.write("\n".join(chunks))
     return EXIT_OK
@@ -195,18 +196,17 @@ def _oracle_check(framework, labelings, semantics):
 
 
 def _cmd_translate(options) -> int:
-    instance = _load(options, kind="as")
+    text, instance = _load(options, kind="as")
     translation = ar.framework_from_system(
         instance, max_args=options.max_args, max_depth=options.max_depth
     )
     if translation.truncated:
         print("note: argument construction truncated", file=sys.stderr)
-    text = textio.format_framework(translation.framework)
     if options.format == "json":
-        digest = textio.instance_digest(open(options.path, encoding="utf-8").read())
-        sys.stdout.write(textio.wrap_json(digest, textio.framework_to_dict(translation.framework)))
+        payload = textio.framework_to_dict(translation.framework)
+        sys.stdout.write(textio.wrap_json(textio.instance_digest(text), payload))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(textio.format_framework(translation.framework))
         for aid in sorted(translation.argument_of):
             print(f"# {aid} concludes {translation.argument_of[aid].conclusion}")
     return EXIT_OK
@@ -236,7 +236,7 @@ def _emit_reports(reports, options) -> int:
 
 
 def _cmd_postulates(options) -> int:
-    system = _load(options, kind="as")
+    _, system = _load(options, kind="as")
     reports = postulates.conclusion_reports(system, **_bounds(options))
     if options.against:
         other = textio.parse_instance(options.against, kind="as")
@@ -317,8 +317,6 @@ def postulate_fails_on(system, postulate, **bounds) -> bool:
 
 
 def _dump_repro(report, systems, trial, options):
-    import os
-
     if len(systems) == 1:
         try:
             systems = (

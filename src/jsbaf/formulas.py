@@ -251,7 +251,10 @@ def _parse_conj(t: _Tokens) -> Formula:
 
 def parse_formula(text: str, line: int | None = None) -> Formula:
     t = _Tokens(text, line=line)
-    f = _parse_conj(t)
+    try:
+        f = _parse_conj(t)
+    except RecursionError:
+        raise ParseError("formula nested too deeply", line=line) from None
     if t.peek():
         raise t.error(f"unexpected {t.peek()!r}")
     return f

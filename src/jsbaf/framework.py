@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import InstanceError, ResourceLimitError
+from .system import ValidationReport
 
 IN = "IN"
 OUT = "OUT"
@@ -358,8 +359,6 @@ def validate_structure(framework: Jsbaf):
     """The rank-free structural restrictions: acyclic supports, strict
     arguments unattacked (uniqueness and finiteness of supporting sets
     hold by representation)."""
-    from .system import ValidationReport
-
     report = ValidationReport()
     _, cycle = _support_order(framework)
     if cycle:

@@ -24,9 +24,10 @@ output.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import formulas as fm
+from .arguments import build_arguments
 from .errors import InstanceError
 from .formulas import And, Formula, Not, Var
 from .framework import Jsbaf, strict_args, validate_structure
@@ -55,9 +56,6 @@ class FuzzProfile:
     max_regenerate: int = 50
     build_args: int = 300  # discard systems whose own construction truncates
     build_depth: int = 8
-
-    def pick(self, rng: random.Random, bounds: tuple[int, int]) -> int:
-        return rng.randint(*bounds)
 
 
 def _literal(rng: random.Random, atom_names) -> Formula:
@@ -110,8 +108,6 @@ def cross_closure_rules(s1: ArgumentationSystem, s2: ArgumentationSystem) -> tup
 def generate_system(profile: FuzzProfile, seed=None, rng: random.Random | None = None) -> ArgumentationSystem:
     """Deterministic per (profile, seed): a validated, saturated system."""
     rng = rng or random.Random(seed)
-    from .arguments import build_arguments
-
     for _ in range(profile.max_regenerate):
         system = _generate_once(profile, rng)
         if not validate_system(system).ok:
@@ -124,12 +120,12 @@ def generate_system(profile: FuzzProfile, seed=None, rng: random.Random | None =
 
 def _generate_once(profile: FuzzProfile, rng: random.Random) -> ArgumentationSystem:
     p = profile
-    atom_names = [f"{p.atom_prefix}{i}" for i in range(p.pick(rng, p.atom_count))]
+    atom_names = [f"{p.atom_prefix}{i}" for i in range(rng.randint(*p.atom_count))]
 
     defeasible: list[DefeasibleRule] = []
     rank: dict[str, int] = {}
     names: dict[int, Formula] = {}
-    n_def = p.pick(rng, p.defeasible_count)
+    n_def = rng.randint(*p.defeasible_count)
     for i in range(n_def):
         if rng.random() < p.conjunction_probability and len(atom_names) >= 2:
             first, second = rng.sample(atom_names, 2)
@@ -141,7 +137,7 @@ def _generate_once(profile: FuzzProfile, rng: random.Random) -> ArgumentationSys
         antecedents = tuple(
             lit
             for lit in (
-                _literal(rng, atom_names) for _ in range(p.pick(rng, p.antecedent_count))
+                _literal(rng, atom_names) for _ in range(rng.randint(*p.antecedent_count))
             )
             if lit != consequent  # direct self-support only feeds the depth bound
         )
@@ -155,7 +151,7 @@ def _generate_once(profile: FuzzProfile, rng: random.Random) -> ArgumentationSys
 
     axioms = {
         _literal(rng, atom_names)
-        for _ in range(p.pick(rng, p.axiom_count))
+        for _ in range(rng.randint(*p.axiom_count))
         if atom_names
     }
 

@@ -12,7 +12,7 @@ whatever consequence-rule closure the caller supplies.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from . import formulas as fm
 from .arguments import preferred_conclusions
@@ -27,6 +27,7 @@ from .system import (
     systems_syn_disjoint,
     union_systems,
 )
+from .textio import format_system, instance_digest
 
 PASS = "pass"
 FAIL = "fail"
@@ -68,8 +69,6 @@ def _universe_of(system: ArgumentationSystem) -> dict:
 
 
 def system_digest(system: ArgumentationSystem) -> str:
-    from .textio import format_system, instance_digest
-
     return instance_digest(format_system(system))
 
 
@@ -175,14 +174,6 @@ class NonInterferenceBudget:
     max_enum_args: int = 40
     max_nonstrict: int = 21
 
-    def as_dict(self) -> dict:
-        return {
-            "max_args": self.max_args,
-            "max_depth": self.max_depth,
-            "max_enum_args": self.max_enum_args,
-            "max_nonstrict": self.max_nonstrict,
-        }
-
 
 def check_non_interference(
     s1: ArgumentationSystem,
@@ -192,7 +183,7 @@ def check_non_interference(
     budget: NonInterferenceBudget | None = None,
 ) -> PostulateReport:
     """Compare each side's restricted preferred conclusions with the union's."""
-    budget = budget or NonInterferenceBudget()
+    bounds = asdict(budget or NonInterferenceBudget())
     if not systems_syn_disjoint(s1, s2):
         raise InstanceError("systems are not syntactically disjoint")
     union = union_systems(s1, s2, merge=merge, cross_rules=cross_rules)
@@ -202,16 +193,16 @@ def check_non_interference(
         instance_digest=digest,
         verdict=PASS,
         rule_universe={"union": _universe_of(union), "merge_policy": merge},
-        budget=budget.as_dict(),
+        budget=bounds,
     )
 
     label = "union"
     try:
-        union_raw = preferred_conclusions(union, **budget.as_dict())
+        union_raw = preferred_conclusions(union, **bounds)
         for label, side in (("side1", s1), ("side2", s2)):
             side_atoms = atoms_of_system(side)
             side_families = restrict_conclusions(
-                preferred_conclusions(side, **budget.as_dict()), side_atoms
+                preferred_conclusions(side, **bounds), side_atoms
             )
             union_restricted = restrict_conclusions(union_raw, side_atoms)
             if side_families != union_restricted:
@@ -230,20 +221,23 @@ def check_non_interference(
 
 
 def shrink_failing_system(system: ArgumentationSystem, still_fails) -> ArgumentationSystem:
-    """Greedily drop defeasible rules and axioms while ``still_fails``
-    keeps returning True; used to minimise fuzz reproductions."""
+    """Greedily drop defeasible rules, then strict rules, while
+    ``still_fails`` keeps returning True; used to minimise fuzz
+    reproductions."""
     current = system
     progress = True
     while progress:
         progress = False
-        for rule in current.defeasible_rules:
-            candidate = ArgumentationSystem(
-                atoms=current.atoms,
-                strict_rules=current.strict_rules,
-                defeasible_rules=tuple(r for r in current.defeasible_rules if r.id != rule.id),
-                rank={k: v for k, v in current.rank.items() if k != rule.id},
-                assume_consequences=current.assume_consequences,
-            )
+        candidates = [
+            replace(current, defeasible_rules=tuple(r for r in current.defeasible_rules if r.id != rule.id),
+                    rank={k: v for k, v in current.rank.items() if k != rule.id})
+            for rule in current.defeasible_rules
+        ] + [
+            replace(current, strict_rules=tuple(r for r in current.strict_rules if r.id != rule.id),
+                    rank=dict(current.rank))
+            for rule in current.strict_rules
+        ]
+        for candidate in candidates:
             try:
                 if still_fails(candidate):
                     current = candidate
@@ -251,22 +245,6 @@ def shrink_failing_system(system: ArgumentationSystem, still_fails) -> Argumenta
                     break
             except JsbafError:
                 continue
-        else:
-            for rule in current.strict_rules:
-                candidate = ArgumentationSystem(
-                    atoms=current.atoms,
-                    strict_rules=tuple(r for r in current.strict_rules if r.id != rule.id),
-                    defeasible_rules=current.defeasible_rules,
-                    rank=dict(current.rank),
-                    assume_consequences=current.assume_consequences,
-                )
-                try:
-                    if still_fails(candidate):
-                        current = candidate
-                        progress = True
-                        break
-                except JsbafError:
-                    continue
     return current
 
 

@@ -12,6 +12,7 @@ set, in which case validation records the waiver instead of checking.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from . import formulas as fm
@@ -27,8 +28,6 @@ AXIOM_ID_PREFIX = "ax_"
 def axiom_rule_id(formula: Formula) -> str:
     """Content-derived id: stable, and collision-free across the
     syntactically disjoint systems that unions combine."""
-    import hashlib
-
     return AXIOM_ID_PREFIX + hashlib.sha1(formula.key.encode()).hexdigest()[:8]
 
 

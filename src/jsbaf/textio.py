@@ -36,6 +36,7 @@ from .system import (
     ArgumentationSystem,
     DefeasibleRule,
     StrictRule,
+    make_system,
 )
 
 SCHEMA_VERSION = 1
@@ -69,7 +70,7 @@ def parse_system_text(text: str) -> ArgumentationSystem:
     axioms: list = []
     strict: list[StrictRule] = []
     defeasible: list[DefeasibleRule] = []
-    names: dict[str, str] = {}
+    names: dict[str, tuple[str, int]] = {}
     rank: dict[str, int] = {}
     assume = False
 
@@ -110,7 +111,7 @@ def parse_system_text(text: str) -> ArgumentationSystem:
             rule_id, _, formula = rest.partition("=")
             if not formula.strip():
                 raise ParseError("expected '=' and a formula", line=lineno)
-            names[rule_id.strip()] = formula.strip()
+            names[rule_id.strip()] = (formula.strip(), lineno)
         else:
             raise ParseError(f"unknown directive {keyword!r}", line=lineno)
 
@@ -119,7 +120,7 @@ def parse_system_text(text: str) -> ArgumentationSystem:
     for rule in defeasible:
         if rule.id in names:
             named.append(
-                DefeasibleRule(rule.id, rule.antecedents, rule.consequent, parse_formula(names[rule.id]))
+                DefeasibleRule(rule.id, rule.antecedents, rule.consequent, parse_formula(*names[rule.id]))
             )
         else:
             named.append(rule)
@@ -130,9 +131,7 @@ def parse_system_text(text: str) -> ArgumentationSystem:
         if rule.id.startswith(AXIOM_ID_PREFIX):
             raise ParseError(f"rule id {rule.id!r} is reserved for axiom lines")
 
-    from .system import make_system
-
-    system = make_system(
+    return make_system(
         atoms=atoms,
         axioms=axioms,
         strict=strict,
@@ -140,7 +139,6 @@ def parse_system_text(text: str) -> ArgumentationSystem:
         rank=rank,
         assume_consequences=assume,
     )
-    return system
 
 
 def format_system(system: ArgumentationSystem) -> str:
@@ -237,11 +235,22 @@ def framework_to_dict(framework: Jsbaf) -> dict:
     }
 
 
-def parse_instance(path: str, kind: str | None = None):
-    """Load a system or framework file; the kind is inferred from the
-    extension (.as / .jsbaf) or from the directives when not given."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+def read_instance(path: str) -> str:
+    """The text of an instance file; a file that cannot be read as UTF-8
+    text is a :class:`ParseError`."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def parse_instance(path: str, kind: str | None = None, text: str | None = None):
+    """Load a system or framework file, or parse ``text`` already read
+    from it; the kind is inferred from the extension (.as / .jsbaf) or
+    from the directives when not given."""
+    if text is None:
+        text = read_instance(path)
     if kind is None:
         if path.endswith(".as"):
             kind = "as"
@@ -272,7 +281,3 @@ def wrap_json(digest: str, payload) -> str:
         sort_keys=True,
         indent=2,
     ) + "\n"
-
-
-def labeling_to_dict(labeling: Labeling) -> dict:
-    return {a: label for a, label in labeling.labels}

@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+from hypothesis import given, settings, strategies as st
+
+from jsbaf import textio
 from jsbaf.cli import main
 
 from conftest import INSTANCES
@@ -79,11 +82,15 @@ class TestTranslate:
         code = main(["translate", str(INSTANCES / "as1.as")])
         out = capsys.readouterr().out
         assert code == 0
-        from jsbaf import textio
-
         body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
         framework = textio.parse_framework_text(body)
         assert len(framework.args) == 6
+
+    def test_json_digest_is_the_input_files(self, capsys):
+        path = INSTANCES / "as1.as"
+        assert main(["translate", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["instance_digest"] == textio.instance_digest(path.read_text(encoding="utf-8"))
 
 
 class TestPostulates:
@@ -156,6 +163,144 @@ class TestExitCodes:
     def test_unknown_check_is_3(self, capsys):
         assert main(["fuzz", "--trials", "1", "--checks", "bogus"]) == 3
 
+    def test_nonpositive_construction_bound_is_3(self, capsys):
+        for flag in ("--max-args", "--max-depth"):
+            for value in ("0", "-1"):
+                for command in ("validate", "solve", "translate", "postulates"):
+                    assert main([command, str(INSTANCES / "as1.as"), flag, value]) == 3
+                assert main(["fuzz", "--trials", "1", flag, value]) == 3
+        assert "expected a positive integer, got 0" in capsys.readouterr().err
+
+    def test_unreadable_file_is_3(self, tmp_path, capsys):
+        undecodable = tmp_path / "latin1.as"
+        undecodable.write_bytes("atom caf\u00e9\n".encode("latin-1"))
+        for path in (tmp_path / "missing.as", undecodable, tmp_path):
+            assert main(["solve", str(path)]) == 3
+            assert f"error: cannot read {path}" in capsys.readouterr().err
+
+    def test_deeply_nested_formula_is_3(self, tmp_path, capsys):
+        deep = tmp_path / "deep.as"
+        deep.write_text("atom p\naxiom " + "!" * 3000 + "p\n")
+        for command in ("validate", "solve", "translate", "postulates"):
+            assert main([command, str(deep)]) == 3
+            assert "formula nested too deeply (line 2)" in capsys.readouterr().err
+
+    def test_flag_a_command_does_not_read_is_3(self, capsys):
+        as1, j1 = str(INSTANCES / "as1.as"), str(INSTANCES / "j1.jsbaf")
+        for argv in (
+            ["validate", as1, "--format", "json"],
+            ["validate", as1, "--max-enum-args", "5"],
+            ["solve", j1, "--seed", "5"],
+            ["solve", j1, "--atom-bound", "5"],
+            ["translate", as1, "--max-enum-args", "5"],
+            ["postulates", as1, "--seed", "5"],
+            ["fuzz", "--trials", "0", "--atom-bound", "5"],
+        ):
+            assert main(argv) == 3
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+SEED_TEXTS = [path.read_text(encoding="utf-8") for path in sorted(INSTANCES.iterdir())]
+SEED_LINES = [  # one pool per kind of instance file
+    sorted({line for path in INSTANCES.glob(pattern) for line in path.read_text().splitlines()})
+    for pattern in ("*.as", "*.jsbaf")
+]
+SMALL_BOUNDS = ["--max-args", "40", "--max-depth", "4"]
+
+
+def _mutate(text, edits):
+    """Apply (line, column, deleted length, inserted text) edits in order."""
+    lines = text.splitlines()
+    for row, column, deleted, inserted in edits:
+        row %= len(lines)
+        at = column % (len(lines[row]) + 1)
+        lines[row] = lines[row][:at] + inserted + lines[row][at + deleted:]
+    return "\n".join(lines)
+
+
+def _framework_text(ranks, attacks, supports):
+    lines = [f"arg {a} rank={r}" for a, r in zip("abcd", ranks)]
+    lines += [f"att {a} {b}" for a, b in attacks]
+    lines += [f"sup {head} <- {','.join(tail)}" for head, tail in supports.items()]
+    return "\n".join(lines)
+
+
+def _system_text(axioms, defeasible, strict, named):
+    lines = ["atom p", "atom q"] + [f"axiom {a}" for a in axioms]
+    lines += [
+        f"defeasible d{i}[{rank}]: {', '.join(body)} => {head}"
+        for i, (rank, body, head) in enumerate(defeasible)
+    ]
+    lines += [f"strict s{i}: {', '.join(body)} -> {head}" for i, (body, head) in enumerate(strict)]
+    lines += [f"name d{i} = {name}" for i, name in named.items()]
+    return "\n".join(lines)
+
+
+_ids = st.sampled_from("abcd")
+_ranks = st.sampled_from(["0", "1", "2", "-1", "x", ""])  # the last two do not parse
+_formulas = st.sampled_from(["p", "!p", "q", "!q", "p & q", "!(p & q)", "!!p", "!!q"])
+instance_texts = st.one_of(
+    st.builds(
+        _mutate,
+        st.sampled_from(SEED_TEXTS),
+        st.lists(
+            st.tuples(
+                st.integers(0, 99), st.integers(0, 99), st.integers(0, 4),
+                st.text("pq !&()-<>=,:[]#\n01", max_size=3),
+            ),
+            max_size=3,
+        ),
+    ),
+    # shuffled, dropped and cut lines of one kind of instance file
+    st.sampled_from(SEED_LINES)
+    .flatmap(lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 60)), max_size=14))
+    .map(lambda cut_lines: "\n".join(line[:cut] for line, cut in cut_lines)),
+    # small frameworks, cyclic supports and attacked strict arguments included
+    st.builds(
+        _framework_text,
+        st.lists(_ranks, min_size=4, max_size=4),
+        st.lists(st.tuples(_ids, _ids), max_size=6),
+        st.dictionaries(_ids, st.lists(_ids, max_size=2), max_size=3),
+    ),
+    # small systems, inconsistent strict rules included
+    st.builds(
+        _system_text,
+        st.lists(_formulas, max_size=2),
+        st.lists(st.tuples(_ranks, st.lists(_formulas, max_size=2), _formulas), max_size=4),
+        st.lists(st.tuples(st.lists(_formulas, max_size=2), _formulas), max_size=3),
+        st.dictionaries(st.integers(0, 4), _formulas, max_size=2),
+    ),
+    st.text("atom axiom strict defeasible name arg att sup p q !&()-<>=,:[]#\n0123", max_size=120),
+)
+cli_argvs = st.sampled_from(
+    [
+        ["validate", "--atom-bound", "8", *SMALL_BOUNDS],
+        ["solve", "--semantics", "admissible", "--oracle", "--max-enum-args", "7", *SMALL_BOUNDS],
+        ["solve", "--semantics", "preferred", "--emit-jsbaf", "--max-enum-args", "7", *SMALL_BOUNDS],
+        ["solve", "--semantics", "grounded", "--oracle", "--format", "json", "--max-enum-args", "7"],
+        ["translate", "--format", "json", *SMALL_BOUNDS],
+        ["solve", "--max-enum-args", "3", "--max-args", "8"],
+        ["postulates", "--max-enum-args", "7", *SMALL_BOUNDS],
+        ["postulates", "--format", "json", "--max-enum-args", "3", "--max-args", "8"],
+    ]
+)
+
+
+class TestRandomInput:
+    def test_exit_codes_on_random_and_mutated_instances(self, tmp_path, capsys):
+        @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+        @given(text=instance_texts, argv=cli_argvs, suffix=st.sampled_from([".as", ".jsbaf", ".txt"]))
+        def run(text, argv, suffix):
+            path = tmp_path / ("instance" + suffix)
+            path.write_text(text, encoding="utf-8")
+            code = main([argv[0], str(path), *argv[1:]])
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2, 3)
+            if code == 1:  # a failed postulate check, and nothing else
+                assert argv[0] == "postulates" and (": fail" in out or ': "fail"' in out)
+
+        run()
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self):
@@ -164,6 +309,16 @@ class TestDeterminism:
         second = run_cli(*argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_json_output_closes_its_files(self):
+        # -X dev turns an unclosed file into a ResourceWarning on stderr
+        for command, name in (("solve", "j1.jsbaf"), ("translate", "as1.as")):
+            argv = [command, str(INSTANCES / name), "--format", "json"]
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-m", "jsbaf.cli", *argv], capture_output=True, text=True
+            )
+            assert proc.returncode == 0
+            assert proc.stderr == ""
 
     def test_fuzz_reruns_identical(self):
         argv = ["fuzz", "--trials", "3", "--seed", "9", "--format", "json"]

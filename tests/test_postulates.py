@@ -4,7 +4,7 @@ from jsbaf import arguments as ar
 from jsbaf import generate as gen
 from jsbaf import postulates as po
 from jsbaf.errors import InstanceError
-from jsbaf.formulas import Not, Var, parse_formula as f
+from jsbaf.formulas import Not, Var, is_neg_complement, parse_formula as f
 from jsbaf.framework import enumerate_preferred
 from jsbaf.system import DefeasibleRule, make_system
 
@@ -164,19 +164,29 @@ class TestNonInterference:
         assert report.verdict == po.INCONCLUSIVE
 
 
+def restricted_rebuts(a, b):
+    """Classic sub-argument rebut: a concludes the complement of the
+    conclusion of some defeasible-topped sub-argument of b.  Weaker than
+    the gen-rebut, which also reaches conjunctions and the conclusions of
+    strict rules."""
+    return bool(b.defeasible_rules) and any(
+        bp.top_kind == ar.TOP_DEFEASIBLE and is_neg_complement(a.conclusion, bp.conclusion)
+        for bp in ar.sub_args(b)
+    )
+
+
 class TestBrokenEngineSelfTest:
-    def test_restricted_rebut_mode_breaks_consistency(self, as1):
-        # the weaker rebut misses the attack on the conjunction argument,
-        # so the lone preferred labeling accepts complementary conclusions
-        translation = ar.framework_from_system(as1, rebut_mode="restricted")
+    def test_restricted_rebut_mode_breaks_consistency(self, as1, monkeypatch):
+        # an engine with the weaker rebut misses the attack on the conjunction
+        # argument, so the lone preferred labeling accepts complementary conclusions
+        monkeypatch.setattr(ar, "gen_rebuts", restricted_rebuts)
+        translation = ar.framework_from_system(as1)
         labelings = enumerate_preferred(translation.framework)
         assert len(labelings) == 1
         family = [translation.argument_of[a].conclusion for a in labelings[0].in_set]
         report = po.check_direct_consistency(family)
         assert report.verdict == po.FAIL
         phi, psi = (f(s) for s in report.witness["pair"])
-        from jsbaf.formulas import is_neg_complement
-
         assert is_neg_complement(phi, psi)
 
     def test_gen_rebut_mode_is_consistent(self, as1, as1_families):

@@ -82,10 +82,6 @@ def sub_args(argument: Argument) -> frozenset[Argument]:
     return argument._sub_set
 
 
-def def_rules(argument: Argument) -> frozenset[str]:
-    return argument.defeasible_rules
-
-
 def is_strict(argument: Argument) -> bool:
     return not argument.defeasible_rules
 

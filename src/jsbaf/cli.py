@@ -4,6 +4,10 @@ Subcommands: ``validate``, ``solve``, ``translate``, ``postulates`` and
 ``fuzz``.  Exit codes: 0 success / all checks passed, 1 a postulate
 check failed, 2 a resource bound was hit or a check was inconclusive,
 3 usage, parse or validation errors, cyclic supports included.
+
+``solve``, ``translate`` and ``postulates`` validate every file they read
+first and exit 3 on input that ``validate`` rejects.  Under grounded
+semantics only the rank-free restrictions are checked.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from . import framework as fw
 from . import generate as gen
 from . import grounded as gr
 from . import naive, postulates, textio
-from .errors import JsbafError, ParseError, ResourceLimitError
+from .errors import InstanceError, JsbafError, ParseError, ResourceLimitError
 from .formulas import DEFAULT_ATOM_BOUND
 from .system import DEFAULT_MAX_ARGS, DEFAULT_MAX_DEPTH, ArgumentationSystem, validate_system
 
@@ -106,24 +110,31 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def _load(options, kind=None):
-    """The instance file's text and the system or framework it holds."""
-    text = textio.read_instance(options.path)
-    kind = kind or getattr(options, "kind", None)
-    return text, textio.parse_instance(options.path, kind=kind, text=text)
-
-
-def _cmd_validate(options) -> int:
-    _, instance = _load(options)
+def _load(options, path=None, kind=None, refuse=True):
+    """An instance file's text, the system or framework it holds and its
+    validation report.  Input outside the domain is refused with an
+    InstanceError naming every failure, unless ``refuse`` is off."""
+    path = path or options.path
+    text = textio.read_instance(path)
+    instance = textio.parse_instance(path, kind=kind or getattr(options, "kind", None), text=text)
     if isinstance(instance, ArgumentationSystem):
         report = validate_system(
             instance,
             max_args=options.max_args,
             max_depth=options.max_depth,
-            atom_bound=options.atom_bound,
+            atom_bound=getattr(options, "atom_bound", DEFAULT_ATOM_BOUND),
         )
+    elif getattr(options, "semantics", None) == "grounded":
+        report = fw.validate_structure(instance)  # grounded ignores ranks
     else:
         report = fw.validate_jsbaf(instance)
+    if refuse and not report.ok:
+        raise InstanceError(f"{path} is invalid: " + "; ".join(report.failures))
+    return text, instance, report
+
+
+def _cmd_validate(options) -> int:
+    _, _, report = _load(options, refuse=False)
     print(report)
     return EXIT_OK if report.ok else EXIT_USAGE
 
@@ -143,7 +154,7 @@ def _framework_for(options, instance):
 
 
 def _cmd_solve(options) -> int:
-    text, instance = _load(options)
+    text, instance, _ = _load(options)
     framework, translation = _framework_for(options, instance)
     chunks = []
     if options.emit_jsbaf and translation is not None:
@@ -196,7 +207,7 @@ def _oracle_check(framework, labelings, semantics):
 
 
 def _cmd_translate(options) -> int:
-    text, instance = _load(options, kind="as")
+    text, instance, _ = _load(options, kind="as")
     translation = ar.framework_from_system(
         instance, max_args=options.max_args, max_depth=options.max_depth
     )
@@ -236,10 +247,10 @@ def _emit_reports(reports, options) -> int:
 
 
 def _cmd_postulates(options) -> int:
-    _, system = _load(options, kind="as")
+    _, system, _ = _load(options, kind="as")
     reports = postulates.conclusion_reports(system, **_bounds(options))
     if options.against:
-        other = textio.parse_instance(options.against, kind="as")
+        _, other, _ = _load(options, path=options.against, kind="as")
         reports.append(
             postulates.check_non_interference(
                 system,

@@ -80,11 +80,6 @@ class And(Formula):
         self._hash = hash(self.key)
 
 
-def atoms(formula: Formula) -> frozenset[str]:
-    """The atom names occurring in ``formula`` (never empty)."""
-    return formula.atom_set
-
-
 def atoms_of(formulas: Iterable[Formula]) -> frozenset[str]:
     out: set[str] = set()
     for f in formulas:

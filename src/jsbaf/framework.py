@@ -69,20 +69,12 @@ class Labeling:
     labels: tuple[tuple[str, str], ...]
 
     @staticmethod
-    def from_mapping(mapping) -> "Labeling":
-        items = tuple(sorted(mapping.items()))
-        for _, label in items:
-            if label not in LABELS:
-                raise InstanceError(f"not a label: {label!r}")
-        return Labeling(items)
-
-    @staticmethod
     def from_sets(args, in_set=(), out_set=()) -> "Labeling":
         in_set, out_set = set(in_set), set(out_set)
         if in_set & out_set or not (in_set | out_set) <= set(args):
             raise InstanceError("label sets must be disjoint subsets of the arguments")
-        return Labeling.from_mapping(
-            {a: IN if a in in_set else OUT if a in out_set else UNDEC for a in args}
+        return Labeling(
+            tuple((a, IN if a in in_set else OUT if a in out_set else UNDEC) for a in sorted(set(args)))
         )
 
     def as_dict(self) -> dict[str, str]:

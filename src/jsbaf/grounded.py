@@ -5,10 +5,7 @@ preference-free view of a framework: the same :class:`~jsbaf.framework.Jsbaf`
 without ranks (:func:`from_jsbaf`), on which the legality, admissibility
 and SIM functions of :mod:`jsbaf.framework` drop every rank condition.
 They are re-exported here; every function of this module that reads
-legality takes the view itself, so ranks given to it never count.  The
-legally-IN support clauses then collapse into a single ordering between
-the multiset of co-supporter labels and the supported argument's label
-(:func:`multiset_leq`).
+legality takes the view itself, so ranks given to it never count.
 
 The grounded labeling accepts exactly the arguments one is *forced* to
 accept.  An argument is forced IN w.r.t. a labeling when all its
@@ -37,7 +34,6 @@ from .errors import InstanceError
 from .framework import (  # legality, admissibility and SIM are the framework's, re-exported
     DEFAULT_MAX_ENUM_ARGS,
     IN,
-    OUT,
     UNDEC,
     Jsbaf,
     Labeling,
@@ -61,22 +57,6 @@ def from_jsbaf(framework: Jsbaf) -> Jsbaf:
         "_view_cache",
         lambda: Jsbaf(args=framework.args, attacks=framework.attacks, supports=framework.supports),
     )
-
-
-def multiset_leq(labels, label: str) -> bool:
-    """Ordering between a multiset of labels and a single label.
-
-    The empty multiset is below IN only; UNDEC needs an UNDEC or OUT
-    member; OUT needs an OUT member or at least two UNDEC members.
-    """
-    labels = list(labels)
-    if label == IN:
-        return True
-    if label == UNDEC:
-        return OUT in labels or UNDEC in labels
-    if label == OUT:
-        return OUT in labels or labels.count(UNDEC) >= 2
-    raise InstanceError(f"not a label: {label!r}")
 
 
 def support_children(g: Jsbaf, arg: str) -> frozenset[str]:

@@ -67,8 +67,8 @@ class TestSubArguments:
         }
 
     def test_def_rules(self, example_args):
-        assert ar.def_rules(example_args["gamma & delta & epsilon"]) == {"rd1", "rd2"}
-        assert ar.def_rules(example_args["!(gamma & delta & epsilon)"]) == frozenset()
+        assert example_args["gamma & delta & epsilon"].defeasible_rules == {"rd1", "rd2"}
+        assert example_args["!(gamma & delta & epsilon)"].defeasible_rules == frozenset()
 
     def test_is_strict(self, example_args):
         assert ar.is_strict(example_args["alpha"])

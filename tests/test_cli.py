@@ -200,6 +200,48 @@ class TestExitCodes:
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
+INVALID_SYSTEM = "atom p\natom q\naxiom p\naxiom !p\ndefeasible d1[0]: => q\nstrict s1: q -> p & q\n"
+ATTACKED_STRICT = "arg a\narg b\nsup a <-\natt b a\n"
+
+
+class TestRefusal:
+    """Every subcommand validates its input first and refuses, with exit 3,
+    what ``validate`` rejects."""
+
+    def test_invalid_system_is_3(self, tmp_path, capsys):
+        path = tmp_path / "invalid.as"
+        path.write_text(INVALID_SYSTEM)
+        assert main(["validate", str(path)]) == 3
+        capsys.readouterr()
+        for command in ("solve", "translate", "postulates"):
+            assert main([command, str(path)]) == 3
+            captured = capsys.readouterr()
+            assert "axioms are jointly unsatisfiable" in captured.err
+            assert captured.out == ""
+
+    def test_attacked_strict_argument_is_3(self, tmp_path, capsys):
+        path = tmp_path / "attacked.jsbaf"
+        path.write_text(ATTACKED_STRICT)
+        for argv in (["--oracle"], ["--semantics", "grounded"]):
+            assert main(["solve", str(path), *argv]) == 3
+            captured = capsys.readouterr()
+            assert "strict argument a is attacked" in captured.err
+            assert captured.out == ""
+
+    def test_invalid_second_system_is_3(self, tmp_path, capsys):
+        path = tmp_path / "invalid.as"
+        path.write_text(INVALID_SYSTEM)
+        assert main(["postulates", str(INSTANCES / "as1.as"), "--against", str(path)]) == 3
+        assert "axioms are jointly unsatisfiable" in capsys.readouterr().err
+
+    def test_ranked_semantics_refuse_equal_ranks(self, capsys):
+        # all of j3's ranks are 0; grounded ignores ranks and solves it (TestSolve)
+        j3 = str(INSTANCES / "j3.jsbaf")
+        for semantics in ("admissible", "preferred"):
+            assert main(["solve", j3, "--semantics", semantics]) == 3
+            assert "not strictly below the strict class" in capsys.readouterr().err
+
+
 SEED_TEXTS = [path.read_text(encoding="utf-8") for path in sorted(INSTANCES.iterdir())]
 SEED_LINES = [  # one pool per kind of instance file
     sorted({line for path in INSTANCES.glob(pattern) for line in path.read_text().splitlines()})
@@ -296,8 +338,9 @@ class TestRandomInput:
             code = main([argv[0], str(path), *argv[1:]])
             out = capsys.readouterr().out
             assert code in (0, 1, 2, 3)
-            if code == 1:  # a failed postulate check, and nothing else
+            if code == 1:  # a failed postulate check on valid input, and nothing else
                 assert argv[0] == "postulates" and (": fail" in out or ': "fail"' in out)
+                assert main(["validate", str(path)]) == 0
 
         run()
 

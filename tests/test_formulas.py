@@ -11,13 +11,13 @@ def f(text):
 
 class TestAtoms:
     def test_single_atom(self):
-        assert fm.atoms(Var("p")) == {"p"}
+        assert Var("p").atom_set == {"p"}
 
     def test_negated_conjunction(self):
-        assert fm.atoms(f("!(gamma & delta & epsilon)")) == {"gamma", "delta", "epsilon"}
+        assert f("!(gamma & delta & epsilon)").atom_set == {"gamma", "delta", "epsilon"}
 
     def test_union_is_idempotent(self):
-        assert fm.atoms(f("p & !p")) == {"p"}
+        assert f("p & !p").atom_set == {"p"}
 
 
 class TestSatisfies:

@@ -67,21 +67,6 @@ class TestFromJsbaf:
             assert gr.grounded_labeling(g) == expected
 
 
-class TestMultisetOrdering:
-    def test_empty_multiset(self):
-        assert gr.multiset_leq([], IN)
-        assert not gr.multiset_leq([], UNDEC)
-        assert not gr.multiset_leq([], OUT)
-
-    def test_two_undecs_reach_out(self):
-        assert gr.multiset_leq([UNDEC, UNDEC], OUT)
-        assert not gr.multiset_leq([UNDEC], OUT)
-
-    def test_in_members_do_not_help(self):
-        assert not gr.multiset_leq([IN], OUT)
-        assert gr.multiset_leq([IN, OUT], OUT)
-
-
 class TestLegality:
     def test_not_legally_in_with_single_undec_cosupporter(self, g3):
         sim = gr.sim_labeling(g3)

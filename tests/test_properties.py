@@ -107,7 +107,7 @@ def brute_gen_rebuts(a, b):
 
 
 def brute_ewl_leq(a, b, system):
-    dr_a, dr_b = ar.def_rules(a), ar.def_rules(b)
+    dr_a, dr_b = a.defeasible_rules, b.defeasible_rules
     if not dr_a and not dr_b:
         return True
     return any(

@@ -26,7 +26,10 @@ from . import formulas as fm
 from .errors import ResourceLimitError
 from .formulas import Formula, Not
 from .framework import DEFAULT_MAX_ENUM_ARGS, Jsbaf, enumerate_preferred
-from .system import DEFAULT_MAX_ARGS, DEFAULT_MAX_DEPTH, ArgumentationSystem, DefeasibleRule, StrictRule
+from .system import ArgumentationSystem, DefeasibleRule, StrictRule
+
+DEFAULT_MAX_ARGS = 5000
+DEFAULT_MAX_DEPTH = 6
 
 TOP_AXIOM = "axiom"
 TOP_CONSEQUENCE = "consequence"

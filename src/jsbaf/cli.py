@@ -24,7 +24,7 @@ from . import grounded as gr
 from . import naive, postulates, textio
 from .errors import InstanceError, JsbafError, ParseError, ResourceLimitError
 from .formulas import DEFAULT_ATOM_BOUND
-from .system import DEFAULT_MAX_ARGS, DEFAULT_MAX_DEPTH, ArgumentationSystem, validate_system
+from .system import ArgumentationSystem, validate_system
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -44,9 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
     bounds = argparse.ArgumentParser(add_help=False)
-    bounds.add_argument("--max-args", type=_positive_int, default=DEFAULT_MAX_ARGS,
+    bounds.add_argument("--max-args", type=_positive_int, default=ar.DEFAULT_MAX_ARGS,
                         help="argument construction bound")
-    bounds.add_argument("--max-depth", type=_positive_int, default=DEFAULT_MAX_DEPTH,
+    bounds.add_argument("--max-depth", type=_positive_int, default=ar.DEFAULT_MAX_DEPTH,
                         help="argument nesting bound")
     enum = argparse.ArgumentParser(add_help=False)
     enum.add_argument("--max-enum-args", type=int, default=fw.DEFAULT_MAX_ENUM_ARGS,
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="jsbaf")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[bounds], help="check an instance file")
+    p = sub.add_parser("validate", help="check an instance file")
     p.add_argument("path")
     p.add_argument("--kind", choices=("as", "jsbaf"))
     p.add_argument("--atom-bound", type=int, default=DEFAULT_ATOM_BOUND, help="truth-table atom bound")
@@ -118,12 +118,7 @@ def _load(options, path=None, kind=None, refuse=True):
     text = textio.read_instance(path)
     instance = textio.parse_instance(path, kind=kind or getattr(options, "kind", None), text=text)
     if isinstance(instance, ArgumentationSystem):
-        report = validate_system(
-            instance,
-            max_args=options.max_args,
-            max_depth=options.max_depth,
-            atom_bound=getattr(options, "atom_bound", DEFAULT_ATOM_BOUND),
-        )
+        report = validate_system(instance, atom_bound=getattr(options, "atom_bound", DEFAULT_ATOM_BOUND))
     elif getattr(options, "semantics", None) == "grounded":
         report = fw.validate_structure(instance)  # grounded ignores ranks
     else:
@@ -265,9 +260,10 @@ def _cmd_postulates(options) -> int:
 def _cmd_fuzz(options) -> int:
     checks = [c.strip() for c in options.checks.split(",") if c.strip()]
     unknown = set(checks) - {"closure", "consistency", "non-interference"}
-    if unknown:
-        print(f"error: unknown checks {sorted(unknown)}", file=sys.stderr)
-        return EXIT_USAGE
+    if unknown or not checks:
+        raise JsbafError(f"unknown checks {sorted(unknown)}" if unknown else "--checks names no check")
+    if options.trials < 0:
+        raise JsbafError(f"--trials must not be negative, got {options.trials}")
     rng = random.Random(options.seed)
     reports = []
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}
@@ -297,13 +293,14 @@ def _fuzz_trial(checks, rng, options):
         try:
             reports = postulates.conclusion_reports(system, checks, **_bounds(options))
         except ResourceLimitError as exc:
+            # one inconclusive report per postulate the checks ask for
+            requested = ["closure"] if "closure" in checks else []
+            if "consistency" in checks:
+                requested += ["direct_consistency", "indirect_consistency"]
+            digest = postulates.system_digest(system)
             reports = [
-                postulates.PostulateReport(
-                    postulate="closure",
-                    instance_digest=postulates.system_digest(system),
-                    verdict=postulates.INCONCLUSIVE,
-                    witness={"reason": str(exc)},
-                )
+                postulates.PostulateReport(name, digest, postulates.INCONCLUSIVE, {"reason": str(exc)})
+                for name in requested
             ]
         results += [(report, (system,)) for report in reports]
     if "non-interference" in checks:

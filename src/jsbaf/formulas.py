@@ -145,6 +145,16 @@ def is_neg_complement(phi: Formula, psi: Formula) -> bool:
     return isinstance(psi, Not) and psi.sub == phi
 
 
+def complementary_pairs(formulas: Iterable[Formula]):
+    """Every pair (phi, psi) of complements among the formulas, each pair
+    once, in canonical order."""
+    ordered = sorted(set(formulas), key=formula_key)
+    for i, phi in enumerate(ordered):
+        for psi in ordered[i + 1 :]:
+            if is_neg_complement(phi, psi):
+                yield phi, psi
+
+
 def big_conj(formulas: list[Formula] | tuple[Formula, ...]) -> Formula:
     """Fold an ordered, non-empty list into ``f0 & (f1 & (...))``.
 

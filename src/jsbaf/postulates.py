@@ -17,12 +17,13 @@ from dataclasses import asdict, dataclass, field, replace
 from . import formulas as fm
 from .arguments import preferred_conclusions
 from .errors import InstanceError, JsbafError, ResourceLimitError
-from .formulas import Formula, Not, Var
+from .formulas import Formula, Var
 from .system import (
     ArgumentationSystem,
     DefeasibleRule,
     StrictRule,
     atoms_of_system,
+    cl_closure,
     make_system,
     systems_syn_disjoint,
     union_systems,
@@ -72,20 +73,6 @@ def system_digest(system: ArgumentationSystem) -> str:
     return instance_digest(format_system(system))
 
 
-def cl_closure(strict_rules, formulas) -> frozenset[Formula]:
-    """Smallest superset closed under the strict rules; rules without
-    antecedents always fire."""
-    out = set(formulas)
-    changed = True
-    while changed:
-        changed = False
-        for rule in strict_rules:
-            if rule.consequent not in out and all(a in out for a in rule.antecedents):
-                out.add(rule.consequent)
-                changed = True
-    return frozenset(out)
-
-
 def check_closure(
     system: ArgumentationSystem, extension_conclusions, instance_digest: str | None = None
 ) -> PostulateReport:
@@ -104,15 +91,8 @@ def check_closure(
 
 
 def check_direct_consistency(conclusions, instance_digest: str = "") -> PostulateReport:
-    ordered = sorted(set(conclusions), key=fm.formula_key)
-    witness = None
-    for i, phi in enumerate(ordered):
-        for psi in ordered[i + 1 :]:
-            if fm.is_neg_complement(phi, psi):
-                witness = {"pair": [str(phi), str(psi)]}
-                break
-        if witness:
-            break
+    pair = next(fm.complementary_pairs(conclusions), None)
+    witness = {"pair": [str(f) for f in pair]} if pair else None
     return PostulateReport(
         postulate="direct_consistency",
         instance_digest=instance_digest,

@@ -125,6 +125,19 @@ class TestFuzz:
         reasons = [json.loads(line)["witness"]["reason"] for line in lines[:-1]]
         assert reasons and all("enumeration bound of 1" in r for r in reasons)
 
+    def test_inconclusive_reports_name_only_requested_postulates(self, capsys, tmp_path):
+        for checks, names in (
+            ("consistency", ["direct_consistency", "indirect_consistency"]),
+            ("closure", ["closure"]),
+        ):
+            code = main(["fuzz", "--checks", checks, "--max-enum-args", "1", "--trials", "2",
+                         "--format", "json", "--repro-dir", str(tmp_path)])
+            lines = capsys.readouterr().out.splitlines()
+            assert code == 2
+            reports = [json.loads(line) for line in lines[:-1]]
+            assert [r["postulate"] for r in reports] == names * 2
+            assert {r["verdict"] for r in reports} == {"inconclusive"}
+
     def test_small_run_passes(self, capsys, tmp_path):
         code = main(
             ["fuzz", "--trials", "5", "--seed", "3", "--checks",
@@ -163,10 +176,16 @@ class TestExitCodes:
     def test_unknown_check_is_3(self, capsys):
         assert main(["fuzz", "--trials", "1", "--checks", "bogus"]) == 3
 
+    def test_fuzz_that_checks_nothing_is_3(self, capsys):
+        for argv in (["--trials", "-3"], ["--checks", ","]):
+            assert main(["fuzz", *argv]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_nonpositive_construction_bound_is_3(self, capsys):
         for flag in ("--max-args", "--max-depth"):
             for value in ("0", "-1"):
-                for command in ("validate", "solve", "translate", "postulates"):
+                for command in ("solve", "translate", "postulates"):
                     assert main([command, str(INSTANCES / "as1.as"), flag, value]) == 3
                 assert main(["fuzz", "--trials", "1", flag, value]) == 3
         assert "expected a positive integer, got 0" in capsys.readouterr().err
@@ -190,6 +209,7 @@ class TestExitCodes:
         for argv in (
             ["validate", as1, "--format", "json"],
             ["validate", as1, "--max-enum-args", "5"],
+            ["validate", as1, "--max-args", "5"],
             ["solve", j1, "--seed", "5"],
             ["solve", j1, "--atom-bound", "5"],
             ["translate", as1, "--max-enum-args", "5"],
@@ -200,6 +220,20 @@ class TestExitCodes:
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# p reaches !p through seven strict steps, one more than the default construction depth
+DEEP_INCONSISTENT_SYSTEM = """option assume-consequences
+atom p
+atom q
+axiom p
+defeasible d1[0]: => q
+strict s1: p -> q
+strict s2: q -> !!q
+strict s3: !!q -> !!!!q
+strict s4: !!!!q -> !!!!!!q
+strict s5: !!!!!!q -> !!!!!!!!q
+strict s6: !!!!!!!!q -> !!!!!!!!!!q
+strict s7: !!!!!!!!!!q -> !p
+"""
 INVALID_SYSTEM = "atom p\natom q\naxiom p\naxiom !p\ndefeasible d1[0]: => q\nstrict s1: q -> p & q\n"
 ATTACKED_STRICT = "arg a\narg b\nsup a <-\natt b a\n"
 
@@ -217,6 +251,19 @@ class TestRefusal:
             assert main([command, str(path)]) == 3
             captured = capsys.readouterr()
             assert "axioms are jointly unsatisfiable" in captured.err
+            assert captured.out == ""
+
+    def test_inconsistency_beyond_the_construction_bounds_is_3(self, tmp_path, capsys):
+        path = tmp_path / "deep.as"
+        path.write_text(DEEP_INCONSISTENT_SYSTEM)
+        assert main(["validate", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert "failure: inconsistent: strict arguments conclude both !p and p" in out
+        assert "truncated" not in out
+        for command in ("solve", "translate", "postulates"):
+            assert main([command, str(path)]) == 3
+            captured = capsys.readouterr()
+            assert "strict arguments conclude both !p and p" in captured.err
             assert captured.out == ""
 
     def test_attacked_strict_argument_is_3(self, tmp_path, capsys):
@@ -316,7 +363,7 @@ instance_texts = st.one_of(
 )
 cli_argvs = st.sampled_from(
     [
-        ["validate", "--atom-bound", "8", *SMALL_BOUNDS],
+        ["validate", "--atom-bound", "8"],
         ["solve", "--semantics", "admissible", "--oracle", "--max-enum-args", "7", *SMALL_BOUNDS],
         ["solve", "--semantics", "preferred", "--emit-jsbaf", "--max-enum-args", "7", *SMALL_BOUNDS],
         ["solve", "--semantics", "grounded", "--oracle", "--format", "json", "--max-enum-args", "7"],

@@ -17,10 +17,12 @@ from jsbaf import arguments as ar
 from jsbaf import formulas as fm
 from jsbaf import framework as fw
 from jsbaf import generate as gen
-from jsbaf import naive
+from jsbaf import naive, textio
 from jsbaf.formulas import And, Not, Var, parse_formula
 from jsbaf.framework import Labeling
-from jsbaf.system import StrictRule
+from jsbaf.system import StrictRule, cl_closure
+
+from test_cli import _formulas, _system_text
 
 
 # --- hypothesis strategies -------------------------------------------------
@@ -268,6 +270,40 @@ class TestEngineAgainstNaive:
                     assert gr.legally_out(g, labeling, arg) == naive.naive_legally_out(
                         plain, labeling, arg, use_ranks=False
                     )
+
+
+def _strict_conclusions_match_closure(system):
+    """The conclusions of the strict arguments of a build are inside the
+    closure of the strict rules over nothing, and are all of it when the
+    build is not truncated: validation checks consistency on the closure."""
+    build = ar.build_arguments(system, max_args=3000, max_depth=12)
+    built = {a.conclusion for a in build.arguments if ar.is_strict(a)}
+    closure = cl_closure(system.strict_rules, ())
+    assert built <= closure
+    if not build.truncated:
+        assert built == closure
+    return not build.truncated
+
+
+_small_systems = st.builds(
+    _system_text,
+    st.lists(_formulas, max_size=2),
+    st.lists(st.tuples(st.sampled_from("012"), st.lists(_formulas, max_size=2), _formulas), max_size=4),
+    st.lists(st.tuples(st.lists(_formulas, max_size=2), _formulas), max_size=4),
+    st.just({}),
+).map(textio.parse_system_text)
+
+
+class TestStrictClosure:
+    def test_generated_systems(self, fuzzed_systems):
+        rng = random.Random(35)
+        systems = fuzzed_systems + [gen.generate_system(gen.FuzzProfile(), rng=rng) for _ in range(75)]
+        assert all(_strict_conclusions_match_closure(system) for system in systems)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_small_systems)
+    def test_small_systems(self, system):
+        _strict_conclusions_match_closure(system)
 
 
 class TestSemanticInvariants:

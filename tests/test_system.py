@@ -61,6 +61,25 @@ class TestValidate:
         report = validate_system(system)
         assert any("inconsistent" in msg for msg in report.failures)
 
+    def test_inconsistency_deeper_than_construction_bounds(self, monkeypatch):
+        # p reaches !p through seven strict steps, beyond the default depth of 6
+        chain = ["p", "q"] + ["!" * n + "q" for n in (2, 4, 6, 8, 10)] + ["!p"]
+        system = make_system(
+            atoms=["p", "q"],
+            axioms=[f("p")],
+            strict=[StrictRule(f"s{i}", (f(a),), f(c)) for i, (a, c) in enumerate(zip(chain, chain[1:]))],
+            defeasible=[DefeasibleRule("d1", (), f("q"))],
+            assume_consequences=True,
+        )
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("validation built arguments")
+
+        monkeypatch.setattr("jsbaf.arguments.build_arguments", no_build)
+        report = validate_system(system)
+        assert report.failures == ["inconsistent: strict arguments conclude both !p and p"]
+        assert report.notes == ["7 consequence rules taken as given (assume_consequences)"]
+
 
 class TestAtomsOfSystem:
     def test_example_system(self, as1):

@@ -113,8 +113,22 @@ def c_sub(argument: Argument) -> frozenset[Argument]:
 
 @dataclass
 class BuildResult:
+    """The arguments built, canonically ordered, and the bound that stopped
+    construction as ``(name, value)``, or None at the least fixpoint."""
+
     arguments: tuple[Argument, ...]
-    truncated: bool
+    bound: tuple[str, int] | None = None
+
+    @property
+    def truncated(self) -> bool:
+        return self.bound is not None
+
+    def complete(self) -> "BuildResult":
+        """This build, or a :class:`ResourceLimitError` naming its bound."""
+        if self.bound is None:
+            return self
+        name, value = self.bound
+        raise ResourceLimitError(f"argument construction truncated at the {name} bound of {value}", name, value)
 
 
 def build_arguments(
@@ -122,8 +136,8 @@ def build_arguments(
 ) -> BuildResult:
     """Close the rule set bottom-up, deduplicating structurally.
 
-    Stops at the least fixpoint or when ``max_args`` / ``max_depth`` is
-    exhausted, in which case the result is flagged truncated.  The output
+    Stops at the least fixpoint or at the first candidate past
+    ``max_args`` / ``max_depth``, and then records that bound.  The output
     order is canonical: by depth, then by serialised form.
     """
     if max_args <= 0 or max_depth <= 0:
@@ -137,24 +151,24 @@ def build_arguments(
 
     known: dict[str, Argument] = {}
     by_conclusion: dict[Formula, list[Argument]] = {}
-    truncated = False
+    bound = None
 
     def add(argument: Argument) -> bool:
-        nonlocal truncated
+        nonlocal bound
         if argument.key in known:
             return False
         if argument.depth > max_depth:
-            truncated = True
+            bound = ("max_depth", max_depth)
             return False
         if len(known) >= max_args:
-            truncated = True
+            bound = ("max_args", max_args)
             return False
         known[argument.key] = argument
         by_conclusion.setdefault(argument.conclusion, []).append(argument)
         return True
 
     changed = True
-    while changed and not truncated:
+    while changed and bound is None:
         changed = False
         for kind, rule in rules:
             pools = [by_conclusion.get(f, ()) for f in rule.antecedents]
@@ -166,13 +180,13 @@ def build_arguments(
             for combo in product(*pools):
                 if add(Argument(rule.id, combo, rule.consequent, kind)):
                     changed = True
-                if truncated:
+                if bound is not None:
                     break
-            if truncated:
+            if bound is not None:
                 break
 
     ordered = tuple(sorted(known.values(), key=lambda a: (a.depth, a.key)))
-    return BuildResult(arguments=ordered, truncated=truncated)
+    return BuildResult(arguments=ordered, bound=bound)
 
 
 # --- attacks and preference lifting --------------------------------------
@@ -239,17 +253,13 @@ class Translation:
     truncated: bool
 
 
-def framework_from_system(
-    system: ArgumentationSystem,
-    build: BuildResult | None = None,
-    max_args: int = DEFAULT_MAX_ARGS,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> Translation:
-    """Translate: attacks are defeats, every strict-rule application
+def framework_from_system(system: ArgumentationSystem, build: BuildResult | None = None) -> Translation:
+    """Translate the arguments of ``build``, by default those built under
+    the default bounds: attacks are defeats, every strict-rule application
     becomes a joint support, and preference ranks are the elitist
     weakest-link classes with the strict class on top."""
     if build is None:
-        build = build_arguments(system, max_args=max_args, max_depth=max_depth)
+        build = build_arguments(system)
     args = build.arguments
     width = max(3, len(str(max(len(args), 1))))
     id_of = {a: f"a{str(i).zfill(width)}" for i, a in enumerate(args)}
@@ -297,11 +307,7 @@ def preferred_conclusions(
     truncated, when more than ``max_nonstrict`` non-strict arguments are
     built, or when the framework exceeds the enumeration bound.
     """
-    build = build_arguments(system, max_args=max_args, max_depth=max_depth)
-    if build.truncated:
-        raise ResourceLimitError(
-            "argument construction truncated", bound_name="max_args", bound_value=max_args
-        )
+    build = build_arguments(system, max_args=max_args, max_depth=max_depth).complete()
     nonstrict = sum(1 for a in build.arguments if not is_strict(a))
     if max_nonstrict is not None and nonstrict > max_nonstrict:
         raise ResourceLimitError(

@@ -7,7 +7,10 @@ check failed, 2 a resource bound was hit or a check was inconclusive,
 
 ``solve``, ``translate`` and ``postulates`` validate every file they read
 first and exit 3 on input that ``validate`` rejects.  Under grounded
-semantics only the rank-free restrictions are checked.
+semantics only the rank-free restrictions are checked.  Bound flags must
+be positive.  On a hit construction bound ``solve`` and ``translate``
+exit 2 naming it, and ``postulates`` reports each postulate inconclusive
+with that reason and still runs ``--against``.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--max-depth", type=_positive_int, default=ar.DEFAULT_MAX_DEPTH,
                         help="argument nesting bound")
     enum = argparse.ArgumentParser(add_help=False)
-    enum.add_argument("--max-enum-args", type=int, default=fw.DEFAULT_MAX_ENUM_ARGS,
+    enum.add_argument("--max-enum-args", type=_positive_int, default=fw.DEFAULT_MAX_ENUM_ARGS,
                       help="labeling enumeration bound")
 
     parser = argparse.ArgumentParser(prog="jsbaf")
@@ -58,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check an instance file")
     p.add_argument("path")
     p.add_argument("--kind", choices=("as", "jsbaf"))
-    p.add_argument("--atom-bound", type=int, default=DEFAULT_ATOM_BOUND, help="truth-table atom bound")
+    p.add_argument("--atom-bound", type=_positive_int, default=DEFAULT_ATOM_BOUND,
+                   help="truth-table atom bound")
     p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("solve", parents=[fmt, bounds, enum], help="compute labelings / extensions")
@@ -137,13 +141,8 @@ def _cmd_validate(options) -> int:
 def _framework_for(options, instance):
     """(framework, the translation it came from or None for a framework file)."""
     if isinstance(instance, ArgumentationSystem):
-        translation = ar.framework_from_system(
-            instance, max_args=options.max_args, max_depth=options.max_depth
-        )
-        if translation.truncated:
-            raise ResourceLimitError(
-                "argument construction truncated", bound_name="max_args", bound_value=options.max_args
-            )
+        build = ar.build_arguments(instance, max_args=options.max_args, max_depth=options.max_depth)
+        translation = ar.framework_from_system(instance, build=build.complete())
         return translation.framework, translation
     return instance, None
 
@@ -203,16 +202,12 @@ def _oracle_check(framework, labelings, semantics):
 
 def _cmd_translate(options) -> int:
     text, instance, _ = _load(options, kind="as")
-    translation = ar.framework_from_system(
-        instance, max_args=options.max_args, max_depth=options.max_depth
-    )
-    if translation.truncated:
-        print("note: argument construction truncated", file=sys.stderr)
+    framework, translation = _framework_for(options, instance)
     if options.format == "json":
-        payload = textio.framework_to_dict(translation.framework)
+        payload = textio.framework_to_dict(framework)
         sys.stdout.write(textio.wrap_json(textio.instance_digest(text), payload))
     else:
-        sys.stdout.write(textio.format_framework(translation.framework))
+        sys.stdout.write(textio.format_framework(framework))
         for aid in sorted(translation.argument_of):
             print(f"# {aid} concludes {translation.argument_of[aid].conclusion}")
     return EXIT_OK
@@ -290,18 +285,7 @@ def _fuzz_trial(checks, rng, options):
     results = []
     if "closure" in checks or "consistency" in checks:
         system = gen.generate_system(gen.FuzzProfile(), rng=rng)
-        try:
-            reports = postulates.conclusion_reports(system, checks, **_bounds(options))
-        except ResourceLimitError as exc:
-            # one inconclusive report per postulate the checks ask for
-            requested = ["closure"] if "closure" in checks else []
-            if "consistency" in checks:
-                requested += ["direct_consistency", "indirect_consistency"]
-            digest = postulates.system_digest(system)
-            reports = [
-                postulates.PostulateReport(name, digest, postulates.INCONCLUSIVE, {"reason": str(exc)})
-                for name in requested
-            ]
+        reports = postulates.conclusion_reports(system, checks, **_bounds(options))
         results += [(report, (system,)) for report in reports]
     if "non-interference" in checks:
         profile = gen.FuzzProfile(atom_count=(1, 2), defeasible_count=(1, 2),

@@ -2,11 +2,12 @@
 
 Each check returns a report rather than raising: the verdict is PASS,
 FAIL with an independently re-checkable witness, or INCONCLUSIVE when a
-resource budget ran out before an answer was reached.  Closure is
-checked against the instantiated strict-rule set of the system at hand;
-non-interference compares the restricted preferred conclusions of two
-syntactically disjoint systems against those of their union, built with
-whatever consequence-rule closure the caller supplies.
+resource budget ran out before an answer was reached, with a reason
+naming the bound and its value.  Closure is checked against the
+instantiated strict-rule set of the system at hand; non-interference
+compares the restricted preferred conclusions of two syntactically
+disjoint systems against those of their union, built with whatever
+consequence-rule closure the caller supplies.
 """
 
 from __future__ import annotations
@@ -120,11 +121,18 @@ def check_indirect_consistency(
 def conclusion_reports(system: ArgumentationSystem, checks=("closure", "consistency"), **bounds):
     """Closure and/or direct and indirect consistency reports on every
     preferred conclusion set of the system.  ``bounds`` go to
-    :func:`jsbaf.arguments.preferred_conclusions`; its
-    :class:`ResourceLimitError` propagates."""
+    :func:`jsbaf.arguments.preferred_conclusions`; when it hits one, the
+    result is one INCONCLUSIVE report per requested postulate instead."""
     digest = system_digest(system)
+    try:
+        families = preferred_conclusions(system, **bounds)
+    except ResourceLimitError as exc:
+        names = ["closure"] if "closure" in checks else []
+        if "consistency" in checks:
+            names += ["direct_consistency", "indirect_consistency"]
+        return [PostulateReport(name, digest, INCONCLUSIVE, {"reason": str(exc)}) for name in names]
     reports = []
-    for family in preferred_conclusions(system, **bounds):
+    for family in families:
         if "closure" in checks:
             reports.append(check_closure(system, family, instance_digest=digest))
         if "consistency" in checks:

@@ -160,9 +160,34 @@ class TestExitCodes:
         assert main(["solve", str(big), "--semantics", "admissible"]) == 2
 
     def test_truncated_construction_is_2(self, capsys):
-        for command in ("solve", "postulates"):
-            assert main([command, str(INSTANCES / "as1.as"), "--max-args", "3"]) == 2
-            assert "resource limit: argument construction truncated" in capsys.readouterr().err
+        assert main(["solve", str(INSTANCES / "as1.as"), "--max-args", "3"]) == 2
+        assert "resource limit: argument construction truncated" in capsys.readouterr().err
+        assert main(["postulates", str(INSTANCES / "as1.as"), "--max-args", "3"]) == 2
+        reports = capsys.readouterr().out.splitlines()
+        assert len(reports) == 3
+        assert all(": inconclusive" in r and "argument construction truncated" in r for r in reports)
+
+    def test_translate_past_the_depth_bound_is_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.as"
+        path.write_text(DEEP_CONSISTENT_SYSTEM)
+        for command in ("translate", "solve"):
+            assert main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "resource limit: argument construction truncated at the max_depth bound of 6\n"
+        assert main(["postulates", str(path), "--max-depth", "5"]) == 2
+        reports = capsys.readouterr().out.splitlines()
+        assert len(reports) == 3 and all("max_depth bound of 5" in r for r in reports)
+
+    def test_postulates_past_a_bound_still_checks_the_pair(self, capsys):
+        argv = ["postulates", str(INSTANCES / "as1.as"), "--against", str(INSTANCES / "as_u.as")]
+        assert main([*argv, "--max-args", "3"]) == 2
+        reports = capsys.readouterr().out.splitlines()
+        assert [r.split(":")[0] for r in reports] == [
+            "closure", "direct_consistency", "indirect_consistency", "non_interference"
+        ]
+        assert all(": inconclusive" in r and "max_args bound of 3" in r for r in reports[:3])
+        assert reports[3] == "non_interference: pass"
 
     def test_cyclic_supports_is_3(self, tmp_path, capsys):
         cyclic = tmp_path / "cyclic.jsbaf"
@@ -183,12 +208,19 @@ class TestExitCodes:
             assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_nonpositive_construction_bound_is_3(self, capsys):
-        for flag in ("--max-args", "--max-depth"):
-            for value in ("0", "-1"):
-                for command in ("solve", "translate", "postulates"):
-                    assert main([command, str(INSTANCES / "as1.as"), flag, value]) == 3
-                assert main(["fuzz", "--trials", "1", flag, value]) == 3
-        assert "expected a positive integer, got 0" in capsys.readouterr().err
+        as1 = str(INSTANCES / "as1.as")
+        construction, enumeration = ("--max-args", "--max-depth"), ("--max-enum-args",)
+        for argv, flags in (
+            (["solve", as1], construction + enumeration),
+            (["translate", as1], construction),
+            (["postulates", as1], construction + enumeration),
+            (["fuzz", "--trials", "1"], construction + enumeration),
+            (["validate", as1], ("--atom-bound",)),
+        ):
+            for flag in flags:
+                for value in ("0", "-1"):
+                    assert main([*argv, flag, value]) == 3
+                    assert f"{flag}: expected a positive integer, got {value}" in capsys.readouterr().err
 
     def test_unreadable_file_is_3(self, tmp_path, capsys):
         undecodable = tmp_path / "latin1.as"
@@ -234,6 +266,8 @@ strict s5: !!!!!!q -> !!!!!!!!q
 strict s6: !!!!!!!!q -> !!!!!!!!!!q
 strict s7: !!!!!!!!!!q -> !p
 """
+# the same chain without its last step: consistent, but deeper than the default depth
+DEEP_CONSISTENT_SYSTEM = DEEP_INCONSISTENT_SYSTEM.rsplit("strict s7", 1)[0]
 INVALID_SYSTEM = "atom p\natom q\naxiom p\naxiom !p\ndefeasible d1[0]: => q\nstrict s1: q -> p & q\n"
 ATTACKED_STRICT = "arg a\narg b\nsup a <-\natt b a\n"
 

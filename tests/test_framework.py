@@ -325,5 +325,6 @@ class TestExtensions:
             atoms=["p"],
             defeasible=[DefeasibleRule("d0", (), f("p")), DefeasibleRule("d1", (f("p"),), f("p"))],
         )
-        with pytest.raises(ResourceLimitError, match="argument construction truncated"):
+        with pytest.raises(ResourceLimitError, match="argument construction truncated") as caught:
             ar.preferred_conclusions(system, max_depth=4)
+        assert (caught.value.bound_name, caught.value.bound_value) == ("max_depth", 4)

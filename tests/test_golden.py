@@ -30,6 +30,9 @@ def invocations():
     yield ["postulates", "instances/as1.as", "--against", "instances/as_u.as"]
     yield ["postulates", "instances/as_u.as", "--against", "instances/as1.as"]
     yield ["fuzz", "--trials", "50", "--seed", "1", "--checks", "closure,consistency,non-interference"]
+    for command in ("translate", "solve", "postulates"):
+        yield [command, "instances/as1.as", "--max-args", "3"]
+    yield ["postulates", "instances/as1.as", "--against", "instances/as_u.as", "--max-args", "3"]
 
 
 def transcript() -> str:

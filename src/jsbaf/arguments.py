@@ -1,20 +1,18 @@
-"""Argument construction and the attack relations between arguments.
+"""Argument construction and the translation of a rule system into a framework.
 
 An argument is a finite derivation tree: a top rule applied to
 sub-arguments whose conclusions match the rule's antecedents position by
 position.  Identity is structural, so two arguments are the same exactly
 when they apply the same rule to the same sub-arguments.
 
-Attacks come in two forms.  An undercut targets the application of a
-named defeasible rule through the structural complement of its name.  A
-gen-rebut targets a defeasible argument b with a conclusion of the shape
-``!conj(Gamma)`` for some non-empty set Gamma of conclusions of
-sub-arguments of b, where the conjunction is taken in canonical formula
-order.  Preferences are lifted from defeasible rules to arguments by the
-elitist weakest link: an argument is at most as strong as another when
-its weakest defeasible rule is at most as highly ranked as every
-defeasible rule of the other, which for integer ranks reduces to
-comparing minimum ranks (strict arguments count as maximal).
+The translation's attacks are the defeats defined in :mod:`jsbaf.naive`,
+found from two indexes built in one pass over the arguments rather than
+by testing every ordered pair: formula -> the arguments that a
+conclusion of that formula undercuts, and formula -> the non-strict
+arguments with a sub-argument concluding it.  An argument concluding
+``!phi`` may gen-rebut the arguments found in the second index under
+every element of one sequence of ``conjunction_peels(phi)``; only these
+candidates get the elitist weakest-link test, on minimum ranks.
 """
 
 from __future__ import annotations
@@ -39,17 +37,8 @@ TOP_DEFEASIBLE = "defeasible"
 class Argument:
     """Immutable derivation tree with precomputed derived data."""
 
-    __slots__ = (
-        "rule_id",
-        "subs",
-        "conclusion",
-        "top_kind",
-        "key",
-        "depth",
-        "defeasible_rules",
-        "_sub_set",
-        "_hash",
-    )
+    __slots__ = ("rule_id", "subs", "conclusion", "top_kind", "key", "depth", "defeasible_rules",
+                 "_sub_set", "_hash")
 
     def __init__(self, rule_id: str, subs: tuple["Argument", ...], conclusion: Formula, top_kind: str):
         self.rule_id = rule_id
@@ -189,58 +178,17 @@ def build_arguments(
     return BuildResult(arguments=ordered, bound=bound)
 
 
-# --- attacks and preference lifting --------------------------------------
-
-
-def undercuts(a: Argument, b: Argument, system: ArgumentationSystem) -> bool:
-    """a concludes the complement of the name of a defeasible rule applied in b."""
-    for bp in sub_args(b):
-        if bp.top_kind != TOP_DEFEASIBLE:
-            continue
-        name = system.name_of(bp.rule_id)
-        if name is not None and fm.is_neg_complement(a.conclusion, name):
-            return True
-    return False
-
-
-def gen_rebuts(a: Argument, b: Argument) -> bool:
-    """a's conclusion is ``!conj(Gamma)`` for a non-empty Gamma of
-    sub-argument conclusions of the defeasible argument b."""
-    if not b.defeasible_rules:
-        return False
-    if not isinstance(a.conclusion, Not):
-        return False
-    body = a.conclusion.sub
-    targets = frozenset(x.conclusion for x in sub_args(b))
-    for candidate in fm.conjunction_peels(body):
-        if all(f in targets for f in candidate):
-            return True
-    return False
-
-
 def min_rank(a: Argument, system: ArgumentationSystem) -> int | None:
     """Rank of the weakest defeasible rule used; None means strict (maximal)."""
-    if not a.defeasible_rules:
-        return None
-    return min(system.rank[r] for r in a.defeasible_rules)
+    return min((system.rank[r] for r in a.defeasible_rules), default=None)
 
 
-def ewl_leq(a: Argument, b: Argument, system: ArgumentationSystem) -> bool:
-    """Elitist weakest link: a is at most as preferred as b."""
-    ra, rb = min_rank(a, system), min_rank(b, system)
-    if ra is None:
-        return rb is None
-    return rb is None or ra <= rb
-
-
-def defeats(a: Argument, b: Argument, system: ArgumentationSystem) -> bool:
-    """Undercut, or gen-rebut not coming from a strictly weaker argument."""
-    if undercuts(a, b, system):
-        return True
-    if not gen_rebuts(a, b):
-        return False
-    strictly_weaker = ewl_leq(a, b, system) and not ewl_leq(b, a, system)
-    return not strictly_weaker
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # --- translation into a framework ----------------------------------------
@@ -262,30 +210,56 @@ def framework_from_system(system: ArgumentationSystem, build: BuildResult | None
         build = build_arguments(system)
     args = build.arguments
     width = max(3, len(str(max(len(args), 1))))
-    id_of = {a: f"a{str(i).zfill(width)}" for i, a in enumerate(args)}
-    argument_of = {aid: a for a, aid in id_of.items()}
+    ids = [f"a{str(i).zfill(width)}" for i in range(len(args))]
+    id_of = dict(zip(args, ids))
+    argument_of = dict(zip(ids, args))
+    ranks = [min_rank(a, system) for a in args]
+
+    # formula -> bitmask of the arguments that a conclusion of that formula
+    # undercuts, and of the non-strict arguments with a sub-conclusion of it
+    complements = {}
+    for rule in system.defeasible_rules:
+        name = system.name_of(rule.id)
+        if name is not None:
+            complements[rule.id] = (Not(name), name.sub) if isinstance(name, Not) else (Not(name),)
+    undercut_pool: dict[Formula, int] = {}
+    rebut_pool: dict[Formula, int] = {}
+    for j, b in enumerate(args):
+        if not b.defeasible_rules:
+            continue
+        for bp in sub_args(b):
+            if bp.top_kind == TOP_DEFEASIBLE:
+                for key in complements.get(bp.rule_id, ()):
+                    undercut_pool[key] = undercut_pool.get(key, 0) | 1 << j
+            rebut_pool[bp.conclusion] = rebut_pool.get(bp.conclusion, 0) | 1 << j
 
     attacks = set()
-    for a in args:
-        for b in args:
-            if defeats(a, b, system):
-                attacks.add((id_of[a], id_of[b]))
+    for i, a in enumerate(args):
+        targets = undercut_pool.get(a.conclusion, 0)
+        if isinstance(a.conclusion, Not):
+            rebutted = 0
+            for peel in fm.conjunction_peels(a.conclusion.sub):
+                mask = -1
+                for f in peel:
+                    mask &= rebut_pool.get(f, 0)
+                rebutted |= mask
+            # a gen-rebut from a strictly weaker argument is no defeat
+            for j in _bits(rebutted & ~targets):
+                if ranks[i] is None or ranks[i] >= ranks[j]:
+                    targets |= 1 << j
+        attacks.update((ids[i], ids[j]) for j in _bits(targets))
 
     supports: dict[str, frozenset[str]] = {}
     for a in args:
         if a.top_kind != TOP_DEFEASIBLE:
             supports[id_of[a]] = frozenset(id_of[s] for s in a.subs)
 
-    finite = sorted({r for r in (min_rank(a, system) for a in args) if r is not None})
+    finite = sorted({r for r in ranks if r is not None})
     rank_index = {r: i for i, r in enumerate(finite)}
-    strict_rank = len(finite)
-    rank = {}
-    for a in args:
-        r = min_rank(a, system)
-        rank[id_of[a]] = strict_rank if r is None else rank_index[r]
+    rank = {aid: len(finite) if r is None else rank_index[r] for aid, r in zip(ids, ranks)}
 
     framework = Jsbaf(
-        args=tuple(sorted(id_of.values())),
+        args=tuple(ids),
         attacks=frozenset(attacks),
         supports=supports,
         rank=rank,

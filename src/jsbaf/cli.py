@@ -190,13 +190,8 @@ def _cmd_solve(options) -> int:
 
 
 def _oracle_check(framework, labelings, semantics):
-    enum = (
-        naive.naive_enumerate_admissible
-        if semantics == "admissible"
-        else naive.naive_enumerate_preferred
-    )
-    expected = enum(framework)
-    if expected != labelings:
+    enum = naive.naive_enumerate_admissible if semantics == "admissible" else naive.naive_enumerate_preferred
+    if enum(framework) != labelings:
         raise JsbafError("oracle mismatch: naive enumeration disagrees with the engine")
 
 
@@ -241,14 +236,8 @@ def _cmd_postulates(options) -> int:
     reports = postulates.conclusion_reports(system, **_bounds(options))
     if options.against:
         _, other, _ = _load(options, path=options.against, kind="as")
-        reports.append(
-            postulates.check_non_interference(
-                system,
-                other,
-                merge=options.merge_policy,
-                cross_rules=gen.cross_closure_rules(system, other),
-            )
-        )
+        cross_rules = gen.cross_closure_rules(system, other)
+        reports.append(postulates.check_non_interference(system, other, options.merge_policy, cross_rules))
     return _emit_reports(reports, options)
 
 

@@ -140,9 +140,7 @@ def satisfiable(gamma: Iterable[Formula], atom_bound: int = DEFAULT_ATOM_BOUND) 
 
 def is_neg_complement(phi: Formula, psi: Formula) -> bool:
     """Structural complement test: ``phi`` is ``!psi`` or ``psi`` is ``!phi``."""
-    if isinstance(phi, Not) and phi.sub == psi:
-        return True
-    return isinstance(psi, Not) and psi.sub == phi
+    return isinstance(phi, Not) and phi.sub == psi or isinstance(psi, Not) and psi.sub == phi
 
 
 def complementary_pairs(formulas: Iterable[Formula]):

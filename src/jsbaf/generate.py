@@ -70,10 +70,8 @@ def saturation_rules(base_formulas, id_prefix: str = "sat") -> tuple[StrictRule,
     for f in base_formulas:
         if isinstance(f, Not):
             sources.add(f.sub)
-    rules = []
-    for i, f in enumerate(sorted(sources, key=fm.formula_key)):
-        rules.append(StrictRule(f"{id_prefix}{i}", (f,), Not(Not(f))))
-    return tuple(rules)
+    ordered = sorted(sources, key=fm.formula_key)
+    return tuple(StrictRule(f"{id_prefix}{i}", (f,), Not(Not(f))) for i, f in enumerate(ordered))
 
 
 def conjunction_intro_rules(left_pool, right_pool, id_prefix: str = "conj") -> tuple[StrictRule, ...]:
@@ -210,12 +208,7 @@ def generate_ground_framework(seed=None, rng: random.Random | None = None, max_a
             pool = ids[:i]
             size = rng.randint(0, min(3, len(pool)))
             supports[arg] = frozenset(rng.sample(pool, size))
-    attacks = {
-        (a, b)
-        for a in ids
-        for b in ids
-        if rng.random() < 0.12
-    }
+    attacks = {(a, b) for a in ids for b in ids if rng.random() < 0.12}
     strict = strict_args(Jsbaf(args=tuple(ids), attacks=frozenset(), supports=supports))
     attacks = frozenset((a, b) for a, b in attacks if b not in strict)
     g = Jsbaf(args=tuple(ids), attacks=attacks, supports=supports)

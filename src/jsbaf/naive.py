@@ -7,14 +7,32 @@ labelings are found by scanning all 3**n assignments.  They exist as an
 independent cross-check path (the ``--oracle`` solver mode and the
 equivalence tests drive them), so keep them straightforward rather than
 fast.
+
+The attack relations between the arguments of a rule system are here
+too, tested pair by pair as defined.  An undercut targets the
+application of a named defeasible rule through the structural
+complement of its name.  A gen-rebut targets a defeasible argument b
+with a conclusion of the shape ``!conj(Gamma)`` for some non-empty set
+Gamma of conclusions of sub-arguments of b, where the conjunction is
+taken in canonical formula order.  Preferences are lifted from
+defeasible rules to arguments by the elitist weakest link: an argument
+is at most as strong as another when its weakest defeasible rule is at
+most as highly ranked as every defeasible rule of the other, which for
+integer ranks reduces to comparing minimum ranks (strict arguments
+count as maximal).  A defeat is an undercut, or a gen-rebut not coming
+from a strictly weaker argument.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from . import formulas as fm
+from .arguments import TOP_DEFEASIBLE, Argument, min_rank, sub_args
 from .errors import ResourceLimitError
+from .formulas import Not
 from .framework import IN, OUT, UNDEC, Jsbaf, Labeling
+from .system import ArgumentationSystem
 
 NAIVE_MAX_ARGS = 12
 
@@ -141,3 +159,34 @@ def naive_enumerate_preferred(
         for lab in admissible
         if not any(lab.in_set < other.in_set for other in admissible)
     ]
+
+
+# --- attacks between the arguments of a rule system, pair by pair ---------
+
+
+def undercuts(a: Argument, b: Argument, system: ArgumentationSystem) -> bool:
+    """a concludes the complement of the name of a defeasible rule applied in b."""
+    names = (system.name_of(bp.rule_id) for bp in sub_args(b) if bp.top_kind == TOP_DEFEASIBLE)
+    return any(name is not None and fm.is_neg_complement(a.conclusion, name) for name in names)
+
+
+def gen_rebuts(a: Argument, b: Argument) -> bool:
+    """a's conclusion is ``!conj(Gamma)`` for a non-empty Gamma of
+    sub-argument conclusions of the defeasible argument b."""
+    if not b.defeasible_rules or not isinstance(a.conclusion, Not):
+        return False
+    targets = frozenset(x.conclusion for x in sub_args(b))
+    return any(all(f in targets for f in peel) for peel in fm.conjunction_peels(a.conclusion.sub))
+
+
+def ewl_leq(a: Argument, b: Argument, system: ArgumentationSystem) -> bool:
+    """Elitist weakest link: a is at most as preferred as b."""
+    ra, rb = min_rank(a, system), min_rank(b, system)
+    return rb is None or (ra is not None and ra <= rb)
+
+
+def defeats(a: Argument, b: Argument, system: ArgumentationSystem) -> bool:
+    """Undercut, or gen-rebut not coming from a strictly weaker argument."""
+    if undercuts(a, b, system):
+        return True
+    return gen_rebuts(a, b) and not (ewl_leq(a, b, system) and not ewl_leq(b, a, system))

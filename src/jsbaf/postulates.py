@@ -130,7 +130,11 @@ def conclusion_reports(system: ArgumentationSystem, checks=("closure", "consiste
         names = ["closure"] if "closure" in checks else []
         if "consistency" in checks:
             names += ["direct_consistency", "indirect_consistency"]
-        return [PostulateReport(name, digest, INCONCLUSIVE, {"reason": str(exc)}) for name in names]
+        return [
+            PostulateReport(name, digest, INCONCLUSIVE, {"reason": str(exc)}, _universe_of(system),
+                            {exc.bound_name: exc.bound_value})
+            for name in names
+        ]
     reports = []
     for family in families:
         if "closure" in checks:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 from . import formulas as fm
 from .errors import ParseError
@@ -115,16 +116,8 @@ def parse_system_text(text: str) -> ArgumentationSystem:
         else:
             raise ParseError(f"unknown directive {keyword!r}", line=lineno)
 
-    named = []
-    defeasible_ids = {r.id for r in defeasible}
-    for rule in defeasible:
-        if rule.id in names:
-            named.append(
-                DefeasibleRule(rule.id, rule.antecedents, rule.consequent, parse_formula(*names[rule.id]))
-            )
-        else:
-            named.append(rule)
-    unknown = set(names) - defeasible_ids
+    named = [replace(r, name=parse_formula(*names[r.id])) if r.id in names else r for r in defeasible]
+    unknown = set(names) - {r.id for r in defeasible}
     if unknown:
         raise ParseError(f"name given for unknown defeasible rules {sorted(unknown)}")
     for rule in strict:
@@ -146,11 +139,7 @@ def format_system(system: ArgumentationSystem) -> str:
     if system.assume_consequences:
         lines.append("option assume-consequences")
     lines += [f"atom {a}" for a in sorted(system.atoms)]
-    lines += [
-        f"axiom {fm.format_formula(r.consequent)}"
-        for r in system.strict_rules
-        if r.axiomatic
-    ]
+    lines += [f"axiom {fm.format_formula(f)}" for f in system.axioms]
     for rule in system.strict_rules:
         if rule.axiomatic:
             continue

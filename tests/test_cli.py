@@ -125,6 +125,17 @@ class TestFuzz:
         reasons = [json.loads(line)["witness"]["reason"] for line in lines[:-1]]
         assert reasons and all("enumeration bound of 1" in r for r in reasons)
 
+    def test_inconclusive_reports_carry_budget_and_rule_universe(self, capsys, tmp_path):
+        code = main(["fuzz", "--trials", "30", "--seed", "2", "--max-args", "6", "--format", "json",
+                     "--repro-dir", str(tmp_path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        inconclusive = [r for r in map(json.loads, lines[:-1]) if r["verdict"] == "inconclusive"]
+        assert inconclusive
+        for report in inconclusive:
+            assert report["budget"] == {"max_args": 6}
+            assert set(report["rule_universe"]) == {"axiomatic", "consequence", "defeasible"}
+
     def test_inconclusive_reports_name_only_requested_postulates(self, capsys, tmp_path):
         for checks, names in (
             ("consistency", ["direct_consistency", "indirect_consistency"]),

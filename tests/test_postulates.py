@@ -2,10 +2,11 @@ import pytest
 
 from jsbaf import arguments as ar
 from jsbaf import generate as gen
+from jsbaf import naive
 from jsbaf import postulates as po
 from jsbaf.errors import InstanceError
 from jsbaf.formulas import Not, Var, is_neg_complement, parse_formula as f
-from jsbaf.framework import enumerate_preferred
+from jsbaf.framework import Jsbaf, enumerate_preferred
 from jsbaf.system import DefeasibleRule, make_system
 
 
@@ -175,13 +176,31 @@ def restricted_rebuts(a, b):
     )
 
 
+def restricted_defeats(a, b, system):
+    """:func:`jsbaf.naive.defeats` with the restricted rebut in place of
+    the gen-rebut."""
+    if naive.undercuts(a, b, system):
+        return True
+    if not restricted_rebuts(a, b):
+        return False
+    return not (naive.ewl_leq(a, b, system) and not naive.ewl_leq(b, a, system))
+
+
 class TestBrokenEngineSelfTest:
-    def test_restricted_rebut_mode_breaks_consistency(self, as1, monkeypatch):
+    def test_restricted_rebut_mode_breaks_consistency(self, as1):
         # an engine with the weaker rebut misses the attack on the conjunction
-        # argument, so the lone preferred labeling accepts complementary conclusions
-        monkeypatch.setattr(ar, "gen_rebuts", restricted_rebuts)
+        # argument, so the lone preferred labeling accepts complementary conclusions;
+        # the weakened framework keeps the translation's arguments, supports and ranks
         translation = ar.framework_from_system(as1)
-        labelings = enumerate_preferred(translation.framework)
+        full, argument_of = translation.framework, translation.argument_of
+        attacks = frozenset(
+            (x, y)
+            for x in full.args
+            for y in full.args
+            if restricted_defeats(argument_of[x], argument_of[y], as1)
+        )
+        weakened = Jsbaf(args=full.args, attacks=attacks, supports=full.supports, rank=full.rank)
+        labelings = enumerate_preferred(weakened)
         assert len(labelings) == 1
         family = [translation.argument_of[a].conclusion for a in labelings[0].in_set]
         report = po.check_direct_consistency(family)

@@ -2,9 +2,10 @@
 
 The legality and enumeration engines are checked against the naive
 definitional transcriptions in :mod:`jsbaf.naive`; the argument-level
-relations are checked against independent brute-force re-derivations
-written here (exhaustive subset search for rebuts, quantifier
-transcription for the preference lifting).
+relations of :mod:`jsbaf.naive` are checked against independent
+brute-force re-derivations written here (exhaustive subset search for
+rebuts, quantifier transcription for the preference lifting), and the
+translation's indexed attacks against those pairwise relations.
 """
 
 import random
@@ -18,10 +19,13 @@ from jsbaf import formulas as fm
 from jsbaf import framework as fw
 from jsbaf import generate as gen
 from jsbaf import naive, textio
+from jsbaf import postulates as po
 from jsbaf.formulas import And, Not, Var, parse_formula
 from jsbaf.framework import Labeling
-from jsbaf.system import StrictRule, cl_closure
+from jsbaf.system import StrictRule, cl_closure, union_systems
 
+from test_acceptance import corpus6, corpus7
+from test_bench_contract import _load
 from test_cli import _formulas, _system_text
 
 
@@ -119,7 +123,7 @@ def brute_ewl_leq(a, b, system):
 
 
 def brute_defeats(a, b, system):
-    if ar.undercuts(a, b, system):
+    if naive.undercuts(a, b, system):
         return True
     if not brute_gen_rebuts(a, b):
         return False
@@ -132,23 +136,36 @@ def fuzzed_systems():
     return [gen.generate_system(gen.FuzzProfile(), rng=rng) for _ in range(25)]
 
 
+def assert_attacks_are_naive_defeats(system, build=None):
+    """The translation's attacks are exactly the pairs that the pairwise
+    ``naive.defeats`` accepts; returns how many there are."""
+    build = build or ar.build_arguments(system)
+    translation = ar.framework_from_system(system, build=build)
+    id_of = {a: aid for aid, a in translation.argument_of.items()}
+    args = build.arguments
+    expected = {(id_of[a], id_of[b]) for a in args for b in args if naive.defeats(a, b, system)}
+    assert translation.framework.attacks == expected
+    return len(expected)
+
+
 class TestArgumentRelations:
     def test_defeats_matches_brute_force(self, fuzzed_systems):
         for system in fuzzed_systems:
             args = ar.build_arguments(system).arguments
             for a in args:
                 for b in args:
-                    assert ar.defeats(a, b, system) == brute_defeats(a, b, system)
+                    assert naive.defeats(a, b, system) == brute_defeats(a, b, system)
+            assert_attacks_are_naive_defeats(system)
 
     def test_ewl_is_a_total_preorder(self, fuzzed_systems):
         for system in fuzzed_systems:
             args = ar.build_arguments(system).arguments[:12]
             for a in args:
                 for b in args:
-                    assert ar.ewl_leq(a, b, system) or ar.ewl_leq(b, a, system)
+                    assert naive.ewl_leq(a, b, system) or naive.ewl_leq(b, a, system)
                     for c in args:
-                        if ar.ewl_leq(a, b, system) and ar.ewl_leq(b, c, system):
-                            assert ar.ewl_leq(a, c, system)
+                        if naive.ewl_leq(a, b, system) and naive.ewl_leq(b, c, system):
+                            assert naive.ewl_leq(a, c, system)
 
     def test_adsub_entails_every_sub_conclusion(self, fuzzed_systems):
         for system in fuzzed_systems:
@@ -167,7 +184,7 @@ class TestArgumentRelations:
         for system in fuzzed_systems:
             args = ar.build_arguments(system).arguments
             pairs = [
-                (a, b) for a in args for b in args if ar.gen_rebuts(a, b)
+                (a, b) for a in args for b in args if naive.gen_rebuts(a, b)
             ][:3]
             for a, b in pairs:
                 target = Not(fm.conj_of_set(x.conclusion for x in ar.ad_sub(b)))
@@ -185,9 +202,40 @@ class TestArgumentRelations:
                     for x in rebuilt.arguments
                     if x.rule_id == "onestep" and x.subs[0].key == a.key
                 )
-                assert ar.gen_rebuts(prime, b)
+                assert naive.gen_rebuts(prime, b)
                 checked += 1
         assert checked
+
+
+class TestIndexedAttacks:
+    """The indexed attacks of the translation equal the pairwise naive
+    defeats on the acceptance corpora and the benchmark's translate corpus."""
+
+    def test_criterion_6_corpus(self):
+        assert sum(assert_attacks_are_naive_defeats(system) for system in corpus6())
+
+    def test_criterion_7_corpus(self):
+        budget = po.NonInterferenceBudget()
+        found = 0
+        for index, (s1, s2) in enumerate(corpus7()):
+            merge = "raw" if index % 2 == 0 else "interleave"
+            union = union_systems(s1, s2, merge=merge, cross_rules=gen.cross_closure_rules(s1, s2))
+            for system in (s1, s2, union):
+                build = ar.build_arguments(system, max_args=budget.max_args, max_depth=budget.max_depth)
+                found += assert_attacks_are_naive_defeats(system, build)
+        assert found
+
+    def test_translate_corpus(self):
+        workloads = _load("workloads")
+        texts = workloads.translate_corpus("1", workloads.WORKLOADS["translate"].size)
+        assert len(texts) == 147
+        sizes = []
+        for text in texts:
+            system = textio.parse_system_text(text)
+            build = ar.build_arguments(system)
+            assert_attacks_are_naive_defeats(system, build)
+            sizes.append(len(build.arguments))
+        assert 200 <= max(sizes) <= 330  # the top stratum of the corpus
 
 
 def _random_acyclic_framework(rng, max_args):

@@ -219,7 +219,7 @@ def framework_from_system(system: ArgumentationSystem, build: BuildResult | None
     # undercuts, and of the non-strict arguments with a sub-conclusion of it
     complements = {}
     for rule in system.defeasible_rules:
-        name = system.name_of(rule.id)
+        name = rule.name
         if name is not None:
             complements[rule.id] = (Not(name), name.sub) if isinstance(name, Not) else (Not(name),)
     undercut_pool: dict[Formula, int] = {}

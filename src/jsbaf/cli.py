@@ -27,7 +27,7 @@ from . import grounded as gr
 from . import naive, postulates, textio
 from .errors import InstanceError, JsbafError, ParseError, ResourceLimitError
 from .formulas import DEFAULT_ATOM_BOUND
-from .system import ArgumentationSystem, validate_system
+from .system import MERGE_POLICIES, ArgumentationSystem, validate_system
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -81,12 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="postulate checks on one instance or a disjoint pair")
     p.add_argument("path")
     p.add_argument("--against", help="second system for non-interference")
-    p.add_argument("--merge-policy", choices=("raw", "interleave"), default="raw")
+    p.add_argument("--merge-policy", choices=MERGE_POLICIES, default="raw")
     p.set_defaults(run=_cmd_postulates)
 
     p = sub.add_parser("fuzz", parents=[fmt, bounds, enum], help="randomised postulate checking")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--merge-policy", choices=("raw", "interleave"), default="raw")
+    p.add_argument("--merge-policy", choices=MERGE_POLICIES, default="raw")
     p.add_argument("--checks", default="closure,consistency",
                    help="comma list of closure,consistency,non-interference")
     p.add_argument("--repro-dir", default=".")

@@ -40,9 +40,10 @@ support.  A branch ends as soon as its IN-set attacks itself, since
 every superset does too, and a head whose supporting set is all IN is
 only tried IN, as closure demands; so the search visits far fewer than
 the 2**k subsets of the k non-strict arguments.  Every IN-set it
-reaches is verified against the legality predicates above.  A framework with a cyclic support chain has no such order: the
-engine refuses it with an :class:`InstanceError` naming the cycle,
-which :func:`validate_structure` reports instead.
+reaches is verified against the legality predicates above.  A
+framework with a cyclic support chain has no such order: the engine
+refuses it with an :class:`InstanceError` naming the cycle, which
+:func:`validate_structure` reports instead.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import InstanceError, ResourceLimitError
-from .system import ValidationReport
+from .system import ValidationReport, _cached
 
 IN = "IN"
 OUT = "OUT"
@@ -150,15 +151,6 @@ class Jsbaf:
 
     def attackers_of(self, arg: str) -> frozenset[str]:
         return frozenset(a for a, b in self.attacks if b == arg)
-
-
-def _cached(framework: Jsbaf, name: str, build):
-    """A value computed once per framework and kept on it."""
-    value = framework.__dict__.get(name)
-    if value is None:
-        value = build()
-        object.__setattr__(framework, name, value)
-    return value
 
 
 def strict_args(framework: Jsbaf) -> frozenset[str]:
@@ -448,13 +440,17 @@ def sim_labeling(framework: Jsbaf) -> Labeling:
     return eng.labeling(eng.strict_mask, eng.legal_out(eng.strict_mask))
 
 
-def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
+def _check_enum_bound(framework: Jsbaf, max_args: int) -> None:
     if len(framework.args) > max_args:
         raise ResourceLimitError(
             f"{len(framework.args)} arguments exceed the enumeration bound of {max_args}",
             bound_name="max_enum_args",
             bound_value=max_args,
         )
+
+
+def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
+    _check_enum_bound(framework, max_args)
     eng = _engine(framework)
     found = [eng.labeling(im, om) for im, om in eng.enumerate_admissible_masks()]
     return sorted(found, key=Labeling.vector)

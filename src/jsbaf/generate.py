@@ -24,7 +24,7 @@ output.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import formulas as fm
 from .arguments import build_arguments
@@ -39,6 +39,10 @@ from .system import (
     validate_system,
 )
 
+RANK_RANGE = (0, 2)  # ranks of the defeasible rules, drawn uniformly
+MAX_REGENERATE = 50  # draws before generate_system gives up
+BUILD_DEPTH = 8  # construction depth a generated system must not hit
+
 
 @dataclass
 class FuzzProfile:
@@ -49,13 +53,10 @@ class FuzzProfile:
     naming_probability: float = 0.2
     undercutter_probability: float = 0.7  # given a named rule, add a rule for the complement
     conjunction_probability: float = 0.25  # chance of a conjunctive defeasible consequent
-    rank_range: tuple[int, int] = (0, 2)
     conjunction_intro: bool = False  # same-side conjunction introductions
     atom_prefix: str = "p"
     rule_prefix: str = ""
-    max_regenerate: int = 50
     build_args: int = 300  # discard systems whose own construction truncates
-    build_depth: int = 8
 
 
 def _literal(rng: random.Random, atom_names) -> Formula:
@@ -106,11 +107,11 @@ def cross_closure_rules(s1: ArgumentationSystem, s2: ArgumentationSystem) -> tup
 def generate_system(profile: FuzzProfile, seed=None, rng: random.Random | None = None) -> ArgumentationSystem:
     """Deterministic per (profile, seed): a validated, saturated system."""
     rng = rng or random.Random(seed)
-    for _ in range(profile.max_regenerate):
+    for _ in range(MAX_REGENERATE):
         system = _generate_once(profile, rng)
         if not validate_system(system).ok:
             continue
-        build = build_arguments(system, max_args=profile.build_args, max_depth=profile.build_depth)
+        build = build_arguments(system, max_args=profile.build_args, max_depth=BUILD_DEPTH)
         if not build.truncated:
             return system
     raise InstanceError("could not generate a valid system within the retry budget")
@@ -145,7 +146,7 @@ def _generate_once(profile: FuzzProfile, rng: random.Random) -> ArgumentationSys
             name = Var(rng.choice(atom_names))
             names[i] = name
         defeasible.append(DefeasibleRule(rule_id, antecedents, consequent, name))
-        rank[rule_id] = rng.randint(*p.rank_range)
+        rank[rule_id] = rng.randint(*RANK_RANGE)
 
     axioms = {
         _literal(rng, atom_names)
@@ -160,7 +161,7 @@ def _generate_once(profile: FuzzProfile, rng: random.Random) -> ArgumentationSys
         if rng.random() < p.undercutter_probability:
             rule_id = f"{p.rule_prefix}d{extra}"
             defeasible.append(DefeasibleRule(rule_id, (), Not(name)))
-            rank[rule_id] = rng.randint(*p.rank_range)
+            rank[rule_id] = rng.randint(*RANK_RANGE)
             extra += 1
 
     base = {r.consequent for r in defeasible}
@@ -189,8 +190,8 @@ def generate_disjoint_pair(
 ) -> tuple[ArgumentationSystem, ArgumentationSystem]:
     """Two syntactically disjoint systems drawn from the same profile."""
     rng = rng or random.Random(seed)
-    left = FuzzProfile(**{**profile.__dict__, "atom_prefix": "p", "rule_prefix": "l_"})
-    right = FuzzProfile(**{**profile.__dict__, "atom_prefix": "q", "rule_prefix": "r_"})
+    left = replace(profile, atom_prefix="p", rule_prefix="l_")
+    right = replace(profile, atom_prefix="q", rule_prefix="r_")
     return generate_system(left, rng=rng), generate_system(right, rng=rng)
 
 

@@ -37,7 +37,7 @@ from .framework import (  # legality, admissibility and SIM are the framework's,
     UNDEC,
     Jsbaf,
     Labeling,
-    _cached,
+    _check_enum_bound,
     _engine,
     _locate,
     enumerate_admissible,
@@ -46,6 +46,7 @@ from .framework import (  # legality, admissibility and SIM are the framework's,
     legally_out,
     sim_labeling,
 )
+from .system import _cached
 
 
 def from_jsbaf(framework: Jsbaf) -> Jsbaf:
@@ -94,8 +95,10 @@ def more_informative(label: str, than: str) -> bool:
 
 
 def admissible_catalogue(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
-    """All admissible labelings of the preference-free view, cached on it."""
+    """All admissible labelings of the preference-free view, cached on it;
+    the bound holds whether or not the catalogue is cached already."""
     g = from_jsbaf(g)
+    _check_enum_bound(g, max_args)
     return _cached(g, "_catalogue_cache", lambda: enumerate_admissible(g, max_args=max_args))
 
 

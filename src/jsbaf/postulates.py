@@ -23,10 +23,10 @@ from .system import (
     ArgumentationSystem,
     DefeasibleRule,
     StrictRule,
+    _cached,
     atoms_of_system,
     cl_closure,
     make_system,
-    systems_syn_disjoint,
     union_systems,
 )
 from .textio import format_system, instance_digest
@@ -50,15 +50,9 @@ class PostulateReport:
         return self.verdict == PASS
 
     def to_json(self) -> str:
-        payload = {
-            "postulate": self.postulate,
-            "instance_digest": self.instance_digest,
-            "verdict": self.verdict,
-            "rule_universe": self.rule_universe,
-            "budget": self.budget,
-        }
-        if self.witness is not None:
-            payload["witness"] = self.witness
+        payload = asdict(self)
+        if self.witness is None:
+            del payload["witness"]
         return json.dumps(payload, sort_keys=True)
 
 
@@ -71,24 +65,20 @@ def _universe_of(system: ArgumentationSystem) -> dict:
 
 
 def system_digest(system: ArgumentationSystem) -> str:
-    return instance_digest(format_system(system))
+    """The digest of the system's text, computed once per system."""
+    return _cached(system, "_digest_cache", lambda: instance_digest(format_system(system)))
 
 
-def check_closure(
-    system: ArgumentationSystem, extension_conclusions, instance_digest: str | None = None
-) -> PostulateReport:
+def check_closure(system: ArgumentationSystem, extension_conclusions) -> PostulateReport:
     conclusions = frozenset(extension_conclusions)
-    closed = cl_closure(system.strict_rules, conclusions)
-    report = PostulateReport(
+    missing = sorted(cl_closure(system.strict_rules, conclusions) - conclusions, key=fm.formula_key)
+    return PostulateReport(
         postulate="closure",
-        instance_digest=system_digest(system) if instance_digest is None else instance_digest,
-        verdict=PASS if closed == conclusions else FAIL,
+        instance_digest=system_digest(system),
+        verdict=FAIL if missing else PASS,
+        witness={"missing": [str(f) for f in missing]} if missing else None,
         rule_universe=_universe_of(system),
     )
-    if not report.passed:
-        missing = sorted(closed - conclusions, key=fm.formula_key)
-        report.witness = {"missing": [str(f) for f in missing]}
-    return report
 
 
 def check_direct_consistency(conclusions, instance_digest: str = "") -> PostulateReport:
@@ -102,18 +92,12 @@ def check_direct_consistency(conclusions, instance_digest: str = "") -> Postulat
     )
 
 
-def check_indirect_consistency(
-    system: ArgumentationSystem, extension_conclusions, instance_digest: str | None = None
-) -> PostulateReport:
-    closed = cl_closure(system.strict_rules, frozenset(extension_conclusions))
-    if instance_digest is None:
-        instance_digest = system_digest(system)
-    inner = check_direct_consistency(closed, instance_digest=instance_digest)
-    return PostulateReport(
+def check_indirect_consistency(system: ArgumentationSystem, extension_conclusions) -> PostulateReport:
+    """Direct consistency of the closure of the conclusions under the strict rules."""
+    closed = cl_closure(system.strict_rules, extension_conclusions)
+    return replace(
+        check_direct_consistency(closed, instance_digest=system_digest(system)),
         postulate="indirect_consistency",
-        instance_digest=inner.instance_digest,
-        verdict=inner.verdict,
-        witness=inner.witness,
         rule_universe=_universe_of(system),
     )
 
@@ -138,10 +122,10 @@ def conclusion_reports(system: ArgumentationSystem, checks=("closure", "consiste
     reports = []
     for family in families:
         if "closure" in checks:
-            reports.append(check_closure(system, family, instance_digest=digest))
+            reports.append(check_closure(system, family))
         if "consistency" in checks:
             reports.append(check_direct_consistency(family, instance_digest=digest))
-            reports.append(check_indirect_consistency(system, family, instance_digest=digest))
+            reports.append(check_indirect_consistency(system, family))
     return reports
 
 
@@ -176,13 +160,10 @@ def check_non_interference(
 ) -> PostulateReport:
     """Compare each side's restricted preferred conclusions with the union's."""
     bounds = asdict(budget or NonInterferenceBudget())
-    if not systems_syn_disjoint(s1, s2):
-        raise InstanceError("systems are not syntactically disjoint")
     union = union_systems(s1, s2, merge=merge, cross_rules=cross_rules)
-    digest = system_digest(union)
     report = PostulateReport(
         postulate="non_interference",
-        instance_digest=digest,
+        instance_digest=system_digest(union),
         verdict=PASS,
         rule_universe={"union": _universe_of(union), "merge_policy": merge},
         budget=bounds,
@@ -221,12 +202,10 @@ def shrink_failing_system(system: ArgumentationSystem, still_fails) -> Argumenta
     while progress:
         progress = False
         candidates = [
-            replace(current, defeasible_rules=tuple(r for r in current.defeasible_rules if r.id != rule.id),
-                    rank={k: v for k, v in current.rank.items() if k != rule.id})
+            replace(current, defeasible_rules=tuple(r for r in current.defeasible_rules if r.id != rule.id))
             for rule in current.defeasible_rules
         ] + [
-            replace(current, strict_rules=tuple(r for r in current.strict_rules if r.id != rule.id),
-                    rank=dict(current.rank))
+            replace(current, strict_rules=tuple(r for r in current.strict_rules if r.id != rule.id))
             for rule in current.strict_rules
         ]
         for candidate in candidates:

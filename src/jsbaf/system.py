@@ -13,7 +13,9 @@ set, in which case validation records the waiver instead of checking.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import formulas as fm
 from .errors import InstanceError
@@ -54,36 +56,49 @@ class DefeasibleRule:
         return self.antecedents + (self.consequent,)
 
 
-@dataclass
+def _cached(owner, name: str, build):
+    """A value computed once per immutable system or framework and kept on it."""
+    value = owner.__dict__.get(name)
+    if value is None:
+        value = build()
+        object.__setattr__(owner, name, value)
+    return value
+
+
+@dataclass(frozen=True)
 class ArgumentationSystem:
     """Rules plus the defeasible-rule preference preorder.
 
     ``rank`` maps every defeasible rule id to a non-negative integer;
-    rule r is at most as preferred as r' iff rank(r) <= rank(r').
+    rule r is at most as preferred as r' iff rank(r) <= rank(r'); rules
+    it leaves out get rank 0, and ids of no defeasible rule are dropped.
+
+    Systems are immutable, like frameworks (the rule tuples are sorted,
+    ``rank`` is a read-only copy), so what is cached on them (the digest)
+    never goes stale.
     """
 
     atoms: frozenset[str]
     strict_rules: tuple[StrictRule, ...]
     defeasible_rules: tuple[DefeasibleRule, ...]
-    rank: dict[str, int] = field(default_factory=dict)
+    rank: Mapping[str, int] = field(default_factory=dict)
     assume_consequences: bool = False
 
     def __post_init__(self):
-        self.atoms = frozenset(self.atoms)
-        self.strict_rules = tuple(sorted(self.strict_rules, key=lambda r: r.id))
-        self.defeasible_rules = tuple(sorted(self.defeasible_rules, key=lambda r: r.id))
-        for rule in self.defeasible_rules:
-            self.rank.setdefault(rule.id, 0)
-        self.rule_by_id = {r.id: r for r in self.strict_rules}
-        self.rule_by_id.update({r.id: r for r in self.defeasible_rules})
+        defeasible = tuple(sorted(self.defeasible_rules, key=lambda r: r.id))
+        rank = {r.id: self.rank.get(r.id, 0) for r in defeasible}
+        object.__setattr__(self, "atoms", frozenset(self.atoms))
+        object.__setattr__(self, "strict_rules", tuple(sorted(self.strict_rules, key=lambda r: r.id)))
+        object.__setattr__(self, "defeasible_rules", defeasible)
+        object.__setattr__(self, "rank", MappingProxyType(rank))
 
     @property
     def axioms(self) -> tuple[Formula, ...]:
         return tuple(r.consequent for r in self.strict_rules if r.axiomatic)
 
     def name_of(self, rule_id: str) -> Formula | None:
-        rule = self.rule_by_id.get(rule_id)
-        return rule.name if isinstance(rule, DefeasibleRule) else None
+        names = _cached(self, "_names_cache", lambda: {r.id: r.name for r in self.defeasible_rules})
+        return names.get(rule_id)
 
 
 def make_system(
@@ -103,7 +118,7 @@ def make_system(
         atoms=frozenset(atoms),
         strict_rules=axiom_rules + tuple(strict),
         defeasible_rules=tuple(defeasible),
-        rank=dict(rank or {}),
+        rank=rank or {},
         assume_consequences=assume_consequences,
     )
 
@@ -161,7 +176,7 @@ def validate_system(
     for rule in system.defeasible_rules:
         if rule.name is not None and rule.name.atom_set - system.atoms:
             report.failures.append(f"name of rule {rule.id} uses undeclared atoms")
-        if system.rank.get(rule.id, 0) < 0:
+        if system.rank[rule.id] < 0:
             report.failures.append(f"rule {rule.id} has a negative rank")
 
     axioms = system.axioms
@@ -234,7 +249,7 @@ def union_systems(
         raise InstanceError(f"rule id collision in union: {sorted(clash)}")
 
     if merge == "raw":
-        rank = dict(s1.rank) | dict(s2.rank)
+        rank = s1.rank | s2.rank
     else:
         rank = {rid: 2 * r for rid, r in s1.rank.items()}
         rank |= {rid: 2 * r + 1 for rid, r in s2.rank.items()}

@@ -5,7 +5,7 @@ import pytest
 import jsbaf.framework as fw
 import jsbaf.generate as gen
 import jsbaf.grounded as gr
-from jsbaf.errors import InstanceError
+from jsbaf.errors import InstanceError, ResourceLimitError
 from jsbaf.framework import IN, OUT, UNDEC, Jsbaf, Labeling
 
 from conftest import labeling_of
@@ -178,6 +178,12 @@ class TestGroundedOracle:
     def test_uniqueness_oracle_passes(self, g2, g3):
         gr.grounded_labeling(g2, oracle=True)
         gr.grounded_labeling(g3, oracle=True)
+
+    def test_enumeration_bound_holds_once_the_catalogue_is_cached(self):
+        g = Jsbaf(args=tuple("abcde"), attacks=frozenset())
+        gr.admissible_catalogue(g, max_args=10)
+        with pytest.raises(ResourceLimitError, match="5 arguments exceed the enumeration bound of 3"):
+            gr.grounded_labeling(g, oracle=True, max_args=3)
 
     def test_trace_intermediates_are_admissible(self, g3):
         trace = []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from jsbaf import arguments as ar
@@ -244,6 +246,25 @@ class TestReports:
         assert "rule_universe" in payload
 
 
+class TestDigest:
+    def test_checks_format_the_system_once(self, monkeypatch):
+        system = make_system(atoms=["p"], defeasible=[DefeasibleRule("d", (), f("p"))])
+        formatted = []
+        original = po.format_system
+        monkeypatch.setattr(po, "format_system", lambda s: formatted.append(s) or original(s))
+        reports = [
+            check(system, {f("p")})
+            for check in (po.check_closure, po.check_indirect_consistency) * 2
+        ]
+        assert formatted == [system]
+        assert {r.instance_digest for r in reports} == {po.instance_digest(original(system))}
+
+    def test_a_replaced_system_has_its_own_digest(self):
+        system = make_system(atoms=["p"], defeasible=[DefeasibleRule("d", (), f("p"))])
+        digest = po.system_digest(system)
+        assert po.system_digest(replace(system, defeasible_rules=())) != digest
+
+
 class TestReproShrinking:
     def test_shrinker_drops_irrelevant_rules(self):
         from jsbaf.cli import postulate_fails_on
@@ -266,6 +287,7 @@ class TestReproShrinking:
         )
         assert postulate_fails_on(shrunk, "direct_consistency")
         assert all(r.id != "noise" for r in shrunk.defeasible_rules)
+        assert "noise" not in shrunk.rank
 
     def test_replayed_repro_retriggers_the_verdict(self, tmp_path):
         from jsbaf import textio

@@ -1,9 +1,12 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from jsbaf.arguments import build_arguments
 from jsbaf.errors import InstanceError
 from jsbaf.formulas import Not, Var, parse_formula as f
 from jsbaf.system import (
+    ArgumentationSystem,
     DefeasibleRule,
     StrictRule,
     atoms_of_system,
@@ -12,6 +15,27 @@ from jsbaf.system import (
     union_systems,
     validate_system,
 )
+
+
+class TestImmutability:
+    def test_rank_is_a_read_only_copy(self):
+        rank = {"c": 2}
+        system = ArgumentationSystem(
+            atoms=frozenset({"p"}),
+            strict_rules=(),
+            defeasible_rules=(DefeasibleRule("d", (), f("p")), DefeasibleRule("c", (), f("!p"))),
+            rank=rank,
+        )
+        assert rank == {"c": 2}
+        assert dict(system.rank) == {"c": 2, "d": 0}
+        assert [r.id for r in system.defeasible_rules] == ["c", "d"]
+        with pytest.raises(TypeError):
+            system.rank["d"] = 1
+
+    def test_fields_cannot_be_assigned(self):
+        system = make_system(atoms=["p"], defeasible=[DefeasibleRule("d", (), f("p"))])
+        with pytest.raises(FrozenInstanceError):
+            system.assume_consequences = True
 
 
 class TestValidate:

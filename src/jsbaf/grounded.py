@@ -26,6 +26,13 @@ else UNDEC) and repeatedly accept one forced-IN argument together with
 everything downstream of its safe supports, recomputing the rejected set
 after each step.  The result does not depend on the order in which
 forced-IN arguments are picked.
+
+Whether a base labeling extends so depends only on the argument, the
+head and the base, never on the labeling asked about.  So each
+(argument, head) pair is answered once per framework, at its first
+lookup, by the head labels of the catalogue bases that do not extend,
+and forced-IN reads that table: an UNDEC head fails the argument when
+the entry is non-empty, an OUT head when it holds OUT.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .errors import InstanceError
 from .framework import (  # legality, admissibility and SIM are the framework's, re-exported
     DEFAULT_MAX_ENUM_ARGS,
     IN,
+    OUT,
     UNDEC,
     Jsbaf,
     Labeling,
@@ -60,33 +68,73 @@ def from_jsbaf(framework: Jsbaf) -> Jsbaf:
     )
 
 
+class _Table:
+    """What forced-IN reads of one view, cached on it.  It keeps no
+    reference to the view: the cycle would hold both until a collection.
+
+    Per argument, from the engine's support lists: ``down``, the mask of
+    the argument and its support children, and ``reach``, their
+    attackers; a support with head h is safe when ``reach[h]`` is all
+    OUT.  Per (argument i, head h), filled at its first lookup: the labels
+    of h in the catalogue bases that no catalogue labeling extends with
+    h's label kept and i legally IN."""
+
+    def __init__(self, g: Jsbaf):
+        self.eng = _engine(g)
+        self.down, self.reach = [0] * self.eng.n, [0] * self.eng.n
+        for i in self.eng.order:  # heads before their supporters
+            self.down[i], self.reach[i] = 1 << i, self.eng.attackers[i]
+            for h, _, _ in self.eng.member_of[i]:
+                self.down[i] |= self.down[h]
+                self.reach[i] |= self.reach[h]
+        self.catalogue = self.extended = None  # catalogue masks; per base, the labelings extending it
+        self.entries: dict[tuple[int, int], set[str]] = {}
+
+    def unextendable(self, g: Jsbaf, i: int, h: int, max_args: int) -> set[str]:
+        _check_enum_bound(g, max_args)
+        entry = self.entries.get((i, h))
+        if entry is None:
+            if self.catalogue is None:
+                cat = [self.eng.masks_of(lab) for lab in admissible_catalogue(g, max_args)]
+                self.extended = [
+                    sum(1 << c for c, (ci, co) in enumerate(cat) if not bi & ~ci and not bo & ~co)
+                    for bi, bo in cat
+                ]
+                self.catalogue = cat
+            cat, bit = self.catalogue, 1 << h
+            # i is legally IN where an admissible labeling has it IN; an extension
+            # keeps an IN or OUT head as it is, and an UNDEC one must stay UNDEC
+            legal = sum(
+                1 << c for c, (ci, co) in enumerate(cat) if ci >> i & 1 or self.eng.legally_in(i, ci, co)
+            )
+            undec = sum(1 << c for c, (ci, co) in enumerate(cat) if not (ci | co) & bit)
+            entry = self.entries[i, h] = {
+                IN if bi & bit else OUT if bo & bit else UNDEC
+                for b, (bi, bo) in enumerate(cat)
+                if not self.extended[b] & legal & (undec if undec >> b & 1 else -1)
+            }
+        return entry
+
+
+def _table(g: Jsbaf) -> tuple[Jsbaf, _Table]:
+    g = from_jsbaf(g)
+    return g, _cached(g, "_table_cache", lambda: _Table(g))
+
+
 def support_children(g: Jsbaf, arg: str) -> frozenset[str]:
     """Arguments reachable from ``arg`` along support paths."""
-    forward: dict[str, set[str]] = {}
-    for head, tail in g.supports.items():
-        for t in tail:
-            forward.setdefault(t, set()).add(head)
-    out: set[str] = set()
-    frontier = set(forward.get(arg, ()))
-    while frontier:
-        out |= frontier
-        frontier = {x for f in frontier for x in forward.get(f, ())} - out
-    return frozenset(out)
+    _, table = _table(g)
+    i = table.eng.index[arg]
+    return frozenset(a for j, a in enumerate(table.eng.ids) if (table.down[i] ^ 1 << i) >> j & 1)
 
 
 def safe_supports(g: Jsbaf, labeling: Labeling, arg: str) -> list[tuple[frozenset[str], str]]:
     """Supports (S, b) with ``arg`` in S such that every argument on every
     chain starting at (S, b) has all its attackers OUT."""
-    out_set = labeling.out_set
-    result = []
-    for head in sorted(g.supports):
-        tail = g.supports[head]
-        if arg not in tail:
-            continue
-        reach = {head} | support_children(g, head)
-        if all(attacker in out_set for h in reach for attacker, tgt in g.attacks if tgt == h):
-            result.append((tail, head))
-    return result
+    g, table = _table(g)
+    eng, i, _, out_mask = _locate(g, labeling, arg)
+    heads = (eng.ids[h] for h, _, _ in eng.member_of[i] if not table.reach[h] & ~out_mask)
+    return [(g.supports[head], head) for head in heads]
 
 
 def more_informative(label: str, than: str) -> bool:
@@ -102,62 +150,36 @@ def admissible_catalogue(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> lis
     return _cached(g, "_catalogue_cache", lambda: enumerate_admissible(g, max_args=max_args))
 
 
-def _extends(base: Labeling, candidate: Labeling) -> bool:
-    return base.in_set <= candidate.in_set and base.out_set <= candidate.out_set
-
-
-def forced_in(
-    g: Jsbaf,
-    labeling: Labeling,
-    arg: str,
-    max_args: int = DEFAULT_MAX_ENUM_ARGS,
-) -> bool:
-    g = from_jsbaf(g)
-    eng, i, in_mask, out_mask = _locate(g, labeling, arg)
-    if eng.attackers[i] & ~out_mask:
+def _forced(g: Jsbaf, table: _Table, i: int, in_mask: int, out_mask: int, max_args: int) -> bool:
+    """Argument i is forced IN: its attackers are OUT, and each support it
+    is in has its head IN, is safe, or has no base the table marks for the
+    head's label (any base for an UNDEC head, an OUT base for an OUT head)."""
+    if table.eng.attackers[i] & ~out_mask:
         return False
-    safe = {head for _, head in safe_supports(g, labeling, arg)}
-    catalogue = None
-    for head in sorted(g.supports):
-        tail = g.supports[head]
-        if arg not in tail or labeling.label(head) == IN or head in safe:
+    for h, _, _ in table.eng.member_of[i]:
+        if in_mask >> h & 1 or not table.reach[h] & ~out_mask:
             continue
-        if catalogue is None:
-            catalogue = admissible_catalogue(g, max_args=max_args)
-        here = labeling.label(head)
-        for base in catalogue:
-            if not more_informative(base.label(head), here):
-                continue
-            target = base.label(head)
-            if not any(
-                _extends(base, cand) and cand.label(head) == target and legally_in(g, cand, arg)
-                for cand in catalogue
-            ):
-                return False
+        unextendable = table.unextendable(g, i, h, max_args)
+        if OUT in unextendable if out_mask >> h & 1 else unextendable:
+            return False
     return True
 
 
+def forced_in(g: Jsbaf, labeling: Labeling, arg: str, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> bool:
+    g, table = _table(g)
+    _, i, in_mask, out_mask = _locate(g, labeling, arg)
+    return _forced(g, table, i, in_mask, out_mask, max_args)
+
+
 def fi_set(g: Jsbaf, labeling: Labeling, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> frozenset[str]:
-    return frozenset(a for a in g.args if forced_in(g, labeling, a, max_args=max_args))
+    g, table = _table(g)
+    masks = table.eng.masks_of(labeling)  # once per labeling, not once per argument
+    return frozenset(a for i, a in enumerate(table.eng.ids) if _forced(g, table, i, *masks, max_args))
 
 
-def is_ground_complete(
-    g: Jsbaf, labeling: Labeling, max_args: int = DEFAULT_MAX_ENUM_ARGS
-) -> bool:
-    g = from_jsbaf(g)
-    if not is_admissible(g, labeling):
-        return False
-    return fi_set(g, labeling, max_args=max_args) <= labeling.in_set
-
-
-def enumerate_ground_complete(
-    g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS
-) -> list[Labeling]:
-    return [
-        lab
-        for lab in admissible_catalogue(g, max_args=max_args)
-        if fi_set(g, lab, max_args=max_args) <= lab.in_set
-    ]
+def enumerate_ground_complete(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
+    catalogue = admissible_catalogue(g, max_args=max_args)
+    return [lab for lab in catalogue if fi_set(g, lab, max_args=max_args) <= lab.in_set]
 
 
 def grounded_construction(
@@ -175,9 +197,10 @@ def grounded_construction(
     the canonically smallest.  The final labeling is the same for every
     choice function.
     """
-    g = from_jsbaf(g)
-    eng = _engine(g)
+    g, table = _table(g)
+    eng = table.eng
     labeling = sim_labeling(g)
+    in_mask, out_mask = eng.masks_of(labeling)
     if trace is not None:
         trace.append(labeling)
     while True:
@@ -187,22 +210,18 @@ def grounded_construction(
         chosen = candidates[0] if pick is None else pick(candidates)
         if chosen not in candidates:
             raise InstanceError("pick function returned a non-candidate")
-        new_in = set(labeling.in_set) | {chosen}
-        for _, head in safe_supports(g, labeling, chosen):
-            new_in.add(head)
-            new_in |= support_children(g, head)
-        in_mask = eng.mask(new_in)
+        i = eng.index[chosen]
+        in_mask |= 1 << i
+        for h, _, _ in eng.member_of[i]:
+            if not table.reach[h] & ~out_mask:  # a safe support: its head and children join
+                in_mask |= table.down[h]
         out_mask = eng.legal_out(in_mask)
         labeling = eng.labeling(in_mask, out_mask)
         if trace is not None:
             trace.append(labeling)
 
 
-def grounded_labeling(
-    g: Jsbaf,
-    oracle: bool = False,
-    max_args: int = DEFAULT_MAX_ENUM_ARGS,
-) -> Labeling:
+def grounded_labeling(g: Jsbaf, oracle: bool = False, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> Labeling:
     """The unique grounded labeling.
 
     With ``oracle`` set, additionally enumerates every ground-complete
@@ -212,11 +231,7 @@ def grounded_labeling(
     result = grounded_construction(g, max_args=max_args)
     if oracle:
         complete = enumerate_ground_complete(g, max_args=max_args)
-        minimal = [
-            lab
-            for lab in complete
-            if not any(other.in_set < lab.in_set for other in complete)
-        ]
+        minimal = [lab for lab in complete if not any(other.in_set < lab.in_set for other in complete)]
         if len(minimal) != 1 or minimal[0] != result:
             raise InstanceError(
                 "grounded construction does not match the unique minimal "

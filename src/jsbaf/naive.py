@@ -21,6 +21,10 @@ most as highly ranked as every defeasible rule of the other, which for
 integer ranks reduces to comparing minimum ranks (strict arguments
 count as maximal).  A defeat is an undercut, or a gen-rebut not coming
 from a strictly weaker argument.
+
+Forced-IN and ground-complete labelings of the preference-free grounded
+semantics are here as defined too: each support is checked by scanning
+the admissible catalogue against itself for an extension of every base.
 """
 
 from __future__ import annotations
@@ -159,6 +163,60 @@ def naive_enumerate_preferred(
         for lab in admissible
         if not any(lab.in_set < other.in_set for other in admissible)
     ]
+
+
+# --- forced-IN and ground-complete labelings, on the preference-free view --
+
+
+def naive_forced_in(
+    framework: Jsbaf, labeling: Labeling, arg: str, catalogue: list[Labeling] | None = None
+) -> bool:
+    """All attackers of ``arg`` are OUT, and every support (S, h) with
+    ``arg`` in S and h not IN is safe (every head on every chain from it
+    has all its attackers OUT), or every admissible base that gives h a
+    label at least as informative as ``labeling`` does extends to an
+    admissible labeling that keeps h's label and has ``arg`` legally IN.
+    Ranks are ignored; ``catalogue`` defaults to the naive admissible
+    labelings."""
+    lab = labeling.as_dict()
+    if any(lab[a] != OUT for a in framework.attackers_of(arg)):
+        return False
+    for tail, head in _supports_list(framework.supports):
+        if arg not in tail or lab[head] == IN:
+            continue
+        reach = {h for chain in _chains_from(framework.supports, (tail, head)) for _, h in chain}
+        if all(lab[a] == OUT for h in reach for a in framework.attackers_of(h)):
+            continue
+        if catalogue is None:
+            catalogue = naive_enumerate_admissible(framework, use_ranks=False)
+        for base in catalogue:
+            target = base.label(head)
+            if lab[head] == OUT and target != OUT:
+                continue  # not at least as informative about the head
+            if not any(
+                base.in_set <= cand.in_set
+                and base.out_set <= cand.out_set
+                and cand.label(head) == target
+                and naive_legally_in(framework, cand, arg, use_ranks=False)
+                for cand in catalogue
+            ):
+                return False
+    return True
+
+
+def naive_is_ground_complete(
+    framework: Jsbaf, labeling: Labeling, catalogue: list[Labeling] | None = None
+) -> bool:
+    """Admissible without ranks, with every forced-IN argument IN."""
+    if not naive_is_admissible(framework, labeling, use_ranks=False):
+        return False
+    if catalogue is None:
+        catalogue = naive_enumerate_admissible(framework, use_ranks=False)
+    return all(
+        labeling.label(a) == IN
+        for a in framework.args
+        if naive_forced_in(framework, labeling, a, catalogue)
+    )
 
 
 # --- attacks between the arguments of a rule system, pair by pair ---------

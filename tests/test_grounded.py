@@ -5,6 +5,7 @@ import pytest
 import jsbaf.framework as fw
 import jsbaf.generate as gen
 import jsbaf.grounded as gr
+import jsbaf.naive as naive
 from jsbaf.errors import InstanceError, ResourceLimitError
 from jsbaf.framework import IN, OUT, UNDEC, Jsbaf, Labeling
 
@@ -139,13 +140,13 @@ class TestForcedIn:
 
 class TestGroundComplete:
     def test_grounded_labeling_is_ground_complete(self, g3):
-        assert gr.is_ground_complete(g3, gr.grounded_labeling(g3))
+        assert naive.naive_is_ground_complete(g3, gr.grounded_labeling(g3))
 
     def test_sim_j3_not_ground_complete(self, g3):
-        assert not gr.is_ground_complete(g3, gr.sim_labeling(g3))
+        assert not naive.naive_is_ground_complete(g3, gr.sim_labeling(g3))
 
     def test_all_undec_ground_complete_on_j2(self, g2):
-        assert gr.is_ground_complete(g2, glabeling(g2))
+        assert naive.naive_is_ground_complete(g2, glabeling(g2))
 
 
 class TestGroundedConstruction:
@@ -185,9 +186,66 @@ class TestGroundedOracle:
         with pytest.raises(ResourceLimitError, match="5 arguments exceed the enumeration bound of 3"):
             gr.grounded_labeling(g, oracle=True, max_args=3)
 
+    def test_enumeration_bound_holds_once_the_table_is_filled(self):
+        # j3: A2 is forced IN only by the table entry of its support with head B
+        g = Jsbaf(
+            args=("A1", "A2", "B", "Bbar"),
+            attacks=frozenset({("A1", "A1"), ("Bbar", "B")}),
+            supports={"B": frozenset({"A1", "A2"}), "Bbar": frozenset()},
+        )
+        gr.grounded_labeling(g, oracle=True)
+        assert gr._table(g)[1].entries
+        for oracle in (True, False):
+            with pytest.raises(ResourceLimitError, match="4 arguments exceed") as caught:
+                gr.grounded_labeling(g, oracle=oracle, max_args=3)
+            assert caught.value.bound_name == "max_enum_args"
+
     def test_trace_intermediates_are_admissible(self, g3):
         trace = []
         gr.grounded_construction(g3, trace=trace)
         assert len(trace) >= 2
         for lab in trace:
             assert gr.is_admissible(g3, lab)
+
+
+class TestForcedInTable:
+    def test_fi_set_matches_the_definition(self):
+        # every catalogue labeling of 300 random frameworks: the table
+        # lookups against the catalogue-squared scan of the naive oracle
+        rng = random.Random(1111)
+        labelings = tabled = rejecting = 0
+        for _ in range(300):
+            g = gen.generate_ground_framework(rng=rng, max_args=8)
+            catalogue = naive.naive_enumerate_admissible(g, use_ranks=False)
+            assert gr.admissible_catalogue(g) == catalogue
+            for lab in catalogue:
+                expected = {a for a in g.args if naive.naive_forced_in(g, lab, a, catalogue)}
+                assert gr.fi_set(g, lab) == expected
+                labelings += 1
+            complete = [lab for lab in catalogue if naive.naive_is_ground_complete(g, lab, catalogue)]
+            assert gr.enumerate_ground_complete(g) == complete
+            entries = gr._table(g)[1].entries.values()
+            tabled += bool(entries)
+            rejecting += sum(1 for labels in entries if labels)
+        # 1,744 labelings; the table was read on 104 frameworks
+        assert labelings > 1_500 and tabled > 80 and rejecting > 80
+
+
+class TestForcedInWork:
+    def test_legality_tests_on_criterion_5(self, monkeypatch):
+        # the catalogue-squared scan made 7,417 legally-IN tests here; each
+        # table entry tests the catalogue labelings where its argument is not IN
+        from test_acceptance import corpus5, run_criterion_5
+
+        calls = [0]
+        legally_in = fw._Engine.legally_in
+
+        def counted(engine, i, in_mask, out_mask):
+            calls[0] += 1
+            return legally_in(engine, i, in_mask, out_mask)
+
+        monkeypatch.setattr(fw._Engine, "legally_in", counted)
+        corpus5.cache_clear()  # fresh frameworks, with nothing cached on them
+        ok, _ = run_criterion_5()
+        assert ok
+        assert calls[0] <= 2_743

@@ -40,7 +40,12 @@ support.  A branch ends as soon as its IN-set attacks itself, since
 every superset does too, and a head whose supporting set is all IN is
 only tried IN, as closure demands; so the search visits far fewer than
 the 2**k subsets of the k non-strict arguments.  Every IN-set it
-reaches is verified against the legality predicates above.  A
+reaches is tested against exactly the admissibility definition: strict
+arguments IN, the legally-OUT fixpoint disjoint from the IN-set, every
+IN argument legally IN.  Conflict-freeness needs no test of its own, as
+an IN argument with an IN attacker is legally OUT; nor does closure, as
+a fully IN supporting set whose head is not IN has a least-preferred
+member not legally IN (or is empty, and the head is strict).  A
 framework with a cyclic support chain has no such order: the engine
 refuses it with an :class:`InstanceError` naming the cycle, which
 :func:`validate_structure` reports instead.
@@ -274,19 +279,13 @@ class _Engine:
         return out
 
     def admissible_out_for(self, in_mask: int) -> int | None:
-        """OUT mask completing ``in_mask`` to an admissible labeling, or None."""
+        """OUT mask completing ``in_mask`` to an admissible labeling, or
+        None, by the admissibility definition alone.  Conflict-freeness
+        needs no test: an IN argument with an IN attacker is legally OUT.
+        Nor does closure: a fully IN supporting set with a head not IN has
+        a least-preferred member not legally IN, or is empty (strict head)."""
         if self.strict_mask & ~in_mask:
             return None
-        m = in_mask
-        while m:
-            low = m & -m
-            if self.attackers[low.bit_length() - 1] & in_mask:
-                return None  # an IN argument can never have an IN attacker
-            m ^= low
-        for head, tmask in self.supports.items():
-            # closure: a fully IN supporting set forces its head IN
-            if tmask & ~in_mask == 0 and not in_mask >> head & 1:
-                return None
         out = self.legal_out(in_mask)
         if out & in_mask:
             return None
@@ -299,7 +298,7 @@ class _Engine:
         return out
 
     def enumerate_admissible_masks(self):
-        """Every admissible (IN mask, OUT mask), by a depth-first search
+        """Yield every admissible (IN mask, OUT mask), by a depth-first search
         from the strict mask that decides each non-strict argument IN or
         not, supporters before the heads they support.  A branch ends once
         its IN-set attacks itself, as every superset does too; a head whose
@@ -458,13 +457,13 @@ def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS
 
 def enumerate_preferred(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     """The admissible labelings with subset-maximal IN-sets, in the order
-    of :func:`enumerate_admissible`.  Taken largest first, an IN-set is
-    maximal unless a maximal one kept before contains it: every strictly
-    larger IN-set has been visited already."""
-    admissible = enumerate_admissible(framework, max_args=max_args)
-    in_sets = [lab.in_set for lab in admissible]
-    maximal: list[frozenset[str]] = []
-    for in_set in sorted(in_sets, key=len, reverse=True):
-        if not any(in_set < kept for kept in maximal):
-            maximal.append(in_set)
-    return [lab for lab, in_set in zip(admissible, in_sets) if in_set in maximal]
+    of :func:`enumerate_admissible`.  The filter runs on IN masks, largest
+    first: one is maximal unless a kept one contains it, as every larger
+    one came before, and only a maximal one is built into a Labeling."""
+    _check_enum_bound(framework, max_args)
+    eng = _engine(framework)
+    kept: list[tuple[int, int]] = []
+    for in_mask, out_mask in sorted(eng.enumerate_admissible_masks(), key=lambda m: -m[0].bit_count()):
+        if all(in_mask & k != in_mask for k, _ in kept):
+            kept.append((in_mask, out_mask))
+    return sorted((eng.labeling(im, om) for im, om in kept), key=Labeling.vector)

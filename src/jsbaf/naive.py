@@ -41,8 +41,13 @@ from .system import ArgumentationSystem
 NAIVE_MAX_ARGS = 12
 
 
-def _supports_list(supports) -> list[tuple[frozenset[str], str]]:
-    return [(tail, head) for head, tail in sorted(supports.items())]
+def _relations(framework: Jsbaf):
+    """Supports as (tail, head) in head order, attackers, strict arguments."""
+    attackers: dict[str, list[str]] = {a: [] for a in framework.args}
+    for a, b in sorted(framework.attacks):
+        attackers[b].append(a)
+    supports = [(tail, head) for head, tail in sorted(framework.supports.items())]
+    return supports, attackers, naive_strict_args(framework)
 
 
 def _chains_from(supports, first):
@@ -53,42 +58,35 @@ def _chains_from(supports, first):
         chain = stack.pop()
         yield chain
         _, head = chain[-1]
-        for tail, nxt in _supports_list(supports):
+        for tail, nxt in supports:
             if head in tail and (tail, nxt) not in chain:
                 stack.append(chain + [(tail, nxt)])
 
 
-def naive_legally_in(framework: Jsbaf, labeling: Labeling, arg: str, use_ranks: bool = True) -> bool:
-    lab = labeling.as_dict()
-    for attacker in framework.attackers_of(arg):
-        if lab[attacker] != OUT:
-            return False
-    for tail, head in _supports_list(framework.supports):
+def _legally_in(framework, relations, lab, arg, use_ranks) -> bool:
+    supports, attackers, _ = relations
+    if any(lab[a] != OUT for a in attackers[arg]):
+        return False
+    for tail, head in supports:
         if arg not in tail:
             continue
         others = tail - {arg}
         if use_ranks and any(framework.rank_of(arg) > framework.rank_of(b) for b in others):
             continue
-        if lab[head] == IN:
-            continue
-        if lab[head] == UNDEC:
-            if any(lab[b] in (OUT, UNDEC) for b in others):
-                continue
+        # an UNDEC head needs a co-supporter not IN, an OUT head an OUT one or two UNDEC ones
+        if lab[head] == UNDEC and all(lab[b] == IN for b in others):
             return False
-        if any(lab[b] == OUT for b in others):
-            continue
-        if sum(1 for b in others if lab[b] == UNDEC) >= 2:
-            continue
-        return False
+        undec = sum(1 for b in others if lab[b] == UNDEC)
+        if lab[head] == OUT and not any(lab[b] == OUT for b in others) and undec < 2:
+            return False
     return True
 
 
-def naive_legally_out(framework: Jsbaf, labeling: Labeling, arg: str, use_ranks: bool = True) -> bool:
-    lab = labeling.as_dict()
-    for attacker in framework.attackers_of(arg):
-        if lab[attacker] == IN:
-            return True
-    for tail, head in _supports_list(framework.supports):
+def _legally_out(framework, relations, lab, arg, use_ranks) -> bool:
+    supports, attackers, _ = relations
+    if any(lab[a] == IN for a in attackers[arg]):
+        return True
+    for tail, head in supports:
         if arg not in tail:
             continue
         others = tail - {arg}
@@ -96,44 +94,45 @@ def naive_legally_out(framework: Jsbaf, labeling: Labeling, arg: str, use_ranks:
             continue
         if any(lab[b] != IN for b in others):
             continue
-        for chain in _chains_from(framework.supports, (tail, head)):
+        for chain in _chains_from(supports, (tail, head)):
             if any(lab[h] != OUT for _, h in chain):
                 continue
-            ok = True
-            for i in range(1, len(chain)):
-                prev_head = chain[i - 1][1]
-                if any(lab[b] != IN for b in chain[i][0] - {prev_head}):
-                    ok = False
-                    break
-            if not ok:
+            # every later tail, less the head before it, all IN
+            if any(lab[b] != IN for (_, prev), (t, _) in zip(chain, chain[1:]) for b in t - {prev}):
                 continue
-            last_head = chain[-1][1]
-            if any(lab[c] == IN for c in framework.attackers_of(last_head)):
+            if any(lab[c] == IN for c in attackers[chain[-1][1]]):
                 return True
     return False
 
 
+def _is_admissible(framework, relations, lab, use_ranks) -> bool:
+    if any(lab[a] != IN for a in relations[2]):
+        return False
+    for arg in framework.args:
+        if lab[arg] == IN and not _legally_in(framework, relations, lab, arg, use_ranks):
+            return False
+        if (lab[arg] == OUT) != _legally_out(framework, relations, lab, arg, use_ranks):
+            return False
+    return True
+
+
+def naive_legally_in(framework: Jsbaf, labeling: Labeling, arg: str, use_ranks: bool = True) -> bool:
+    return _legally_in(framework, _relations(framework), labeling.as_dict(), arg, use_ranks)
+
+
+def naive_legally_out(framework: Jsbaf, labeling: Labeling, arg: str, use_ranks: bool = True) -> bool:
+    return _legally_out(framework, _relations(framework), labeling.as_dict(), arg, use_ranks)
+
+
 def naive_strict_args(framework: Jsbaf) -> frozenset[str]:
     strict: set[str] = set()
-    while True:
-        new = {
-            head
-            for head, tail in framework.supports.items()
-            if head not in strict and all(t in strict for t in tail)
-        }
-        if not new:
-            return frozenset(strict)
+    while new := {h for h, tail in framework.supports.items() if h not in strict and tail <= strict}:
         strict |= new
+    return frozenset(strict)
 
 
 def naive_is_admissible(framework: Jsbaf, labeling: Labeling, use_ranks: bool = True) -> bool:
-    lab = labeling.as_dict()
-    for arg in framework.args:
-        if lab[arg] == IN and not naive_legally_in(framework, labeling, arg, use_ranks):
-            return False
-        if (lab[arg] == OUT) != naive_legally_out(framework, labeling, arg, use_ranks):
-            return False
-    return all(lab[a] == IN for a in naive_strict_args(framework))
+    return _is_admissible(framework, _relations(framework), labeling.as_dict(), use_ranks)
 
 
 def naive_enumerate_admissible(
@@ -146,11 +145,11 @@ def naive_enumerate_admissible(
             bound_name="naive_max_args",
             bound_value=max_args,
         )
+    relations = _relations(framework)
     found = []
     for assignment in product((IN, OUT, UNDEC), repeat=len(framework.args)):
-        labeling = Labeling(tuple(zip(framework.args, assignment)))
-        if naive_is_admissible(framework, labeling, use_ranks):
-            found.append(labeling)
+        if _is_admissible(framework, relations, dict(zip(framework.args, assignment)), use_ranks):
+            found.append(Labeling(tuple(zip(framework.args, assignment))))
     return sorted(found, key=Labeling.vector)
 
 
@@ -178,14 +177,15 @@ def naive_forced_in(
     admissible labeling that keeps h's label and has ``arg`` legally IN.
     Ranks are ignored; ``catalogue`` defaults to the naive admissible
     labelings."""
+    supports, attackers, _ = relations = _relations(framework)
     lab = labeling.as_dict()
-    if any(lab[a] != OUT for a in framework.attackers_of(arg)):
+    if any(lab[a] != OUT for a in attackers[arg]):
         return False
-    for tail, head in _supports_list(framework.supports):
+    for tail, head in supports:
         if arg not in tail or lab[head] == IN:
             continue
-        reach = {h for chain in _chains_from(framework.supports, (tail, head)) for _, h in chain}
-        if all(lab[a] == OUT for h in reach for a in framework.attackers_of(h)):
+        reach = {h for chain in _chains_from(supports, (tail, head)) for _, h in chain}
+        if all(lab[a] == OUT for h in reach for a in attackers[h]):
             continue
         if catalogue is None:
             catalogue = naive_enumerate_admissible(framework, use_ranks=False)
@@ -197,7 +197,7 @@ def naive_forced_in(
                 base.in_set <= cand.in_set
                 and base.out_set <= cand.out_set
                 and cand.label(head) == target
-                and naive_legally_in(framework, cand, arg, use_ranks=False)
+                and _legally_in(framework, relations, cand.as_dict(), arg, use_ranks=False)
                 for cand in catalogue
             ):
                 return False

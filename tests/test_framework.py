@@ -216,6 +216,24 @@ class TestEnumeration:
         assert fw.sim_labeling(j1) in fw.enumerate_admissible(j1)
 
 
+def _check_first_criterion_7_pairs():
+    profile = gen.FuzzProfile(
+        atom_count=(1, 3),
+        defeasible_count=(1, 2),
+        axiom_count=(0, 1),
+        conjunction_probability=0.0,
+    )
+    for i in range(10):
+        rng = random.Random(f"acceptance-non-interference-{i}")
+        s1, s2 = gen.generate_disjoint_pair(profile, rng=rng)
+        po.check_non_interference(
+            s1,
+            s2,
+            merge="raw" if i % 2 == 0 else "interleave",
+            cross_rules=gen.cross_closure_rules(s1, s2),
+        )
+
+
 class TestSearchWork:
     def test_leaves_on_criterion_7_pairs(self, monkeypatch):
         # the first ten criterion-7 pairs: 107,243 candidate IN-sets for the
@@ -235,23 +253,32 @@ class TestSearchWork:
 
         monkeypatch.setattr(fw._Engine, "admissible_out_for", counted_verify)
         monkeypatch.setattr(fw._Engine, "enumerate_admissible_masks", counted_search)
-        profile = gen.FuzzProfile(
-            atom_count=(1, 3),
-            defeasible_count=(1, 2),
-            axiom_count=(0, 1),
-            conjunction_probability=0.0,
-        )
-        for i in range(10):
-            rng = random.Random(f"acceptance-non-interference-{i}")
-            s1, s2 = gen.generate_disjoint_pair(profile, rng=rng)
-            po.check_non_interference(
-                s1,
-                s2,
-                merge="raw" if i % 2 == 0 else "interleave",
-                cross_rules=gen.cross_closure_rules(s1, s2),
-            )
+        _check_first_criterion_7_pairs()
         assert nominal[0] == 107_243
         assert calls[0] <= 3_100
+
+    def test_labelings_built_on_criterion_7_pairs(self, monkeypatch):
+        # the preferred filter builds a Labeling only for a maximal IN mask:
+        # 30 on the first ten criterion-7 pairs, against 1,521 when every
+        # admissible IN mask was built into one
+        built = [0]
+        returned = [0]
+        labeling = fw._Engine.labeling
+        preferred = ar.enumerate_preferred
+
+        def counted_labeling(engine, in_mask, out_mask):
+            built[0] += 1
+            return labeling(engine, in_mask, out_mask)
+
+        def counted_preferred(framework, **kwargs):
+            found = preferred(framework, **kwargs)
+            returned[0] += len(found)
+            return found
+
+        monkeypatch.setattr(fw._Engine, "labeling", counted_labeling)
+        monkeypatch.setattr(ar, "enumerate_preferred", counted_preferred)
+        _check_first_criterion_7_pairs()
+        assert built[0] == returned[0] == 30
 
 
 class TestTranslation:

@@ -252,6 +252,13 @@ def _random_acyclic_framework(rng, max_args):
     return fw.Jsbaf(args=tuple(ids), attacks=frozenset(attacks), supports=supports, rank=rank)
 
 
+def _frameworks_outside_the_domain():
+    # random acyclic frameworks the translation never produces: attacked
+    # strict arguments, self-attacks, and ranks absent, valid or invalid
+    rng = random.Random(4242)
+    return [_random_acyclic_framework(rng, max_args=7) for _ in range(200)]
+
+
 class TestEngineAgainstNaive:
     def test_legality_on_random_labelings(self, fuzzed_systems):
         rng = random.Random(77)
@@ -276,16 +283,12 @@ class TestEngineAgainstNaive:
             framework = ar.framework_from_system(system).framework
             if len(framework.args) > 9:
                 continue
-            fast = fw.enumerate_admissible(framework)
-            assert fast == naive.naive_enumerate_admissible(framework)
+            assert fw.enumerate_admissible(framework) == naive.naive_enumerate_admissible(framework)
+            assert fw.enumerate_preferred(framework) == naive.naive_enumerate_preferred(framework)
 
     def test_enumeration_matches_naive_outside_the_domain(self):
-        # random acyclic frameworks the translation never produces: attacked
-        # strict arguments, self-attacks, and ranks absent, valid or invalid
-        rng = random.Random(4242)
         seen = {"attacked strict": 0, "self-attack": 0, "rank-free": 0, "invalid ranks": 0}
-        for _ in range(200):
-            framework = _random_acyclic_framework(rng, max_args=7)
+        for framework in _frameworks_outside_the_domain():
             strict = fw.strict_args(framework)
             seen["attacked strict"] += any(b in strict for _, b in framework.attacks)
             seen["self-attack"] += any(a == b for a, b in framework.attacks)
@@ -318,6 +321,26 @@ class TestEngineAgainstNaive:
                     assert gr.legally_out(g, labeling, arg) == naive.naive_legally_out(
                         plain, labeling, arg, use_ranks=False
                     )
+
+
+class TestLeafCheck:
+    def test_every_in_mask_against_the_definition(self):
+        # the leaf check tests only the admissibility definition: every IN
+        # mask, conflicting and unclosed ones included, gets the OUT mask of
+        # the naive admissible labeling with that IN-set, or None
+        conflicting = unclosed = 0
+        for framework in _frameworks_outside_the_domain():
+            eng = fw._engine(framework)
+            admissible = naive.naive_enumerate_admissible(framework)
+            expected = {eng.mask(lab.in_set): eng.mask(lab.out_set) for lab in admissible}
+            assert len(expected) == len(admissible)
+            for in_mask in range(1 << eng.n):
+                assert eng.admissible_out_for(in_mask) == expected.get(in_mask)
+                conflicting += any(eng.attackers[i] & in_mask for i in range(eng.n) if in_mask >> i & 1)
+                unclosed += any(
+                    not tail & ~in_mask and not in_mask >> head & 1 for head, tail in eng.supports.items()
+                )
+        assert conflicting > 1_000 and unclosed > 1_000, (conflicting, unclosed)
 
 
 def _strict_conclusions_match_closure(system):

@@ -78,28 +78,6 @@ def is_strict(argument: Argument) -> bool:
     return not argument.defeasible_rules
 
 
-def ad_sub(argument: Argument) -> frozenset[Argument]:
-    """Sub-arguments whose top rule is axiomatic or defeasible."""
-    return frozenset(a for a in sub_args(argument) if a.top_kind != TOP_CONSEQUENCE)
-
-
-def c_sub(argument: Argument) -> frozenset[Argument]:
-    """Crucial sub-arguments: the frontier of axiomatic/defeasible
-    sub-arguments reached by walking consequence-rule applications
-    backwards as far as possible."""
-    if argument.top_kind != TOP_CONSEQUENCE:
-        return frozenset((argument,))
-    out: set[Argument] = set()
-    stack = list(argument.subs)
-    while stack:
-        a = stack.pop()
-        if a.top_kind != TOP_CONSEQUENCE:
-            out.add(a)
-        else:
-            stack.extend(a.subs)
-    return frozenset(out)
-
-
 @dataclass
 class BuildResult:
     """The arguments built, canonically ordered, and the bound that stopped

@@ -194,11 +194,6 @@ def conjunction_peels(formula: Formula):
             yield candidate
 
 
-def syn_disjoint(gamma: Iterable[Formula], delta: Iterable[Formula]) -> bool:
-    """No shared atoms between the two formula sets."""
-    return not (atoms_of(gamma) & atoms_of(delta))
-
-
 # --- text syntax ---------------------------------------------------------
 #
 # atoms       identifiers [A-Za-z_][A-Za-z0-9_]*

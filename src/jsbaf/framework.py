@@ -9,9 +9,10 @@ arguments only.  Well-formed frameworks keep strict arguments unattacked
 and in a single topmost preference class, and have no cyclic support
 chains.
 
-Semantics are labeling-based.  A labeling maps every argument to IN,
-OUT or UNDEC.  Whether a label is *legal* for an argument depends on its
-attackers and on every support whose supporting set contains it:
+Semantics are labeling-based.  A :class:`Labeling` labels every argument
+IN, OUT or UNDEC, as the engine's masks over the framework's sorted ids.
+Whether a label is *legal* for an argument depends on its attackers and
+on every support whose supporting set contains it:
 
 * legally IN: all attackers are OUT, and for every support (S, c) with
   the argument a in S and a at most as preferred as each member of
@@ -53,6 +54,7 @@ refuses it with an :class:`InstanceError` naming the cycle, which
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -68,45 +70,60 @@ LABELS = (IN, OUT, UNDEC)
 DEFAULT_MAX_ENUM_ARGS = 13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Labeling:
-    """Total assignment of IN/OUT/UNDEC to the arguments of one framework."""
+    """Labels of a framework's sorted ``ids``: bit i of ``in_mask`` or ``out_mask``
+    is ``ids[i]``, the rest are UNDEC.  :meth:`from_sets` checks its input."""
 
-    labels: tuple[tuple[str, str], ...]
+    ids: tuple[str, ...]
+    in_mask: int
+    out_mask: int
 
     @staticmethod
     def from_sets(args, in_set=(), out_set=()) -> "Labeling":
+        ids = tuple(sorted(set(args)))
         in_set, out_set = set(in_set), set(out_set)
-        if in_set & out_set or not (in_set | out_set) <= set(args):
+        if in_set & out_set or not (in_set | out_set) <= set(ids):
             raise InstanceError("label sets must be disjoint subsets of the arguments")
-        return Labeling(
-            tuple((a, IN if a in in_set else OUT if a in out_set else UNDEC) for a in sorted(set(args)))
-        )
+        return Labeling(ids, *(sum(1 << i for i, a in enumerate(ids) if a in s) for s in (in_set, out_set)))
+
+    def _label_at(self, i: int) -> str:
+        return IN if self.in_mask >> i & 1 else OUT if self.out_mask >> i & 1 else UNDEC
+
+    @property
+    def labels(self) -> tuple[tuple[str, str], ...]:
+        return tuple((a, self._label_at(i)) for i, a in enumerate(self.ids))
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.labels)
 
     def label(self, arg: str) -> str:
-        value = self.as_dict().get(arg)
-        if value is None:
+        i = bisect_left(self.ids, arg)
+        if i == len(self.ids) or self.ids[i] != arg:
             raise InstanceError(f"unknown argument {arg!r}")
-        return value
+        return self._label_at(i)
+
+    def _names(self, mask: int) -> frozenset[str]:
+        return frozenset(a for i, a in enumerate(self.ids) if mask >> i & 1)
 
     @property
     def in_set(self) -> frozenset[str]:
-        return frozenset(a for a, l in self.labels if l == IN)
+        return self._names(self.in_mask)
 
     @property
     def out_set(self) -> frozenset[str]:
-        return frozenset(a for a, l in self.labels if l == OUT)
+        return self._names(self.out_mask)
 
     @property
     def undec_set(self) -> frozenset[str]:
-        return frozenset(a for a, l in self.labels if l == UNDEC)
+        return self._names(~(self.in_mask | self.out_mask))
 
     def vector(self) -> str:
         """Serialised label vector in argument-id order; the canonical sort key."""
-        return "".join(l[0] for _, l in self.labels)
+        in_mask, out_mask = self.in_mask, self.out_mask
+        return "".join(
+            ["I" if in_mask >> i & 1 else "O" if out_mask >> i & 1 else "U" for i in range(len(self.ids))]
+        )
 
     def __repr__(self):
         return "Labeling(" + ", ".join(f"{a}={l}" for a, l in self.labels) + ")"
@@ -153,9 +170,6 @@ class Jsbaf:
 
     def rank_of(self, arg: str) -> int:
         return 0 if self.rank is None else self.rank[arg]
-
-    def attackers_of(self, arg: str) -> frozenset[str]:
-        return frozenset(a for a, b in self.attacks if b == arg)
 
 
 def strict_args(framework: Jsbaf) -> frozenset[str]:
@@ -219,19 +233,6 @@ class _Engine:
 
     def mask(self, ids) -> int:
         return sum(1 << self.index[a] for a in ids)
-
-    def masks_of(self, labeling: Labeling) -> tuple[int, int]:
-        if tuple(a for a, _ in labeling.labels) != self.ids:
-            raise InstanceError("labeling does not cover exactly the framework's arguments")
-        return self.mask(labeling.in_set), self.mask(labeling.out_set)
-
-    def labeling(self, in_mask: int, out_mask: int) -> Labeling:
-        return Labeling(
-            tuple(
-                (a, IN if in_mask >> i & 1 else OUT if out_mask >> i & 1 else UNDEC)
-                for i, a in enumerate(self.ids)
-            )
-        )
 
     def legally_in(self, i: int, in_mask: int, out_mask: int) -> bool:
         if self.attackers[i] & ~out_mask:
@@ -404,39 +405,40 @@ def _support_order(framework: Jsbaf):
     return order, None
 
 
-def _locate(framework: Jsbaf, labeling: Labeling, arg: str):
+def _covering(framework: Jsbaf, labeling: Labeling) -> _Engine:
+    """The framework's engine, once ``labeling`` is known to share its ids."""
     eng = _engine(framework)
+    if labeling.ids != eng.ids:
+        raise InstanceError("labeling does not cover exactly the framework's arguments")
+    return eng
+
+
+def _locate(framework: Jsbaf, labeling: Labeling, arg: str) -> tuple[_Engine, int]:
+    eng = _covering(framework, labeling)
     if arg not in eng.index:
         raise InstanceError(f"unknown argument {arg!r}")
-    in_mask, out_mask = eng.masks_of(labeling)
-    return eng, eng.index[arg], in_mask, out_mask
+    return eng, eng.index[arg]
 
 
 def legally_in(framework: Jsbaf, labeling: Labeling, arg: str) -> bool:
-    eng, i, in_mask, out_mask = _locate(framework, labeling, arg)
-    return eng.legally_in(i, in_mask, out_mask)
+    eng, i = _locate(framework, labeling, arg)
+    return eng.legally_in(i, labeling.in_mask, labeling.out_mask)
 
 
 def legally_out(framework: Jsbaf, labeling: Labeling, arg: str) -> bool:
-    eng, i, in_mask, out_mask = _locate(framework, labeling, arg)
-    return bool(eng.legal_out(in_mask, out_mask) >> i & 1)
-
-
-def legally_undec(framework: Jsbaf, labeling: Labeling, arg: str) -> bool:
-    return not legally_in(framework, labeling, arg) and not legally_out(framework, labeling, arg)
+    eng, i = _locate(framework, labeling, arg)
+    return bool(eng.legal_out(labeling.in_mask, labeling.out_mask) >> i & 1)
 
 
 def is_admissible(framework: Jsbaf, labeling: Labeling) -> bool:
-    eng = _engine(framework)
-    in_mask, out_mask = eng.masks_of(labeling)
-    return eng.admissible_out_for(in_mask) == out_mask
+    return _covering(framework, labeling).admissible_out_for(labeling.in_mask) == labeling.out_mask
 
 
 def sim_labeling(framework: Jsbaf) -> Labeling:
     """Strict-including-minimal labeling: strict arguments IN, rejections
     propagated from them OUT, everything else UNDEC."""
     eng = _engine(framework)
-    return eng.labeling(eng.strict_mask, eng.legal_out(eng.strict_mask))
+    return Labeling(eng.ids, eng.strict_mask, eng.legal_out(eng.strict_mask))
 
 
 def _check_enum_bound(framework: Jsbaf, max_args: int) -> None:
@@ -451,7 +453,7 @@ def _check_enum_bound(framework: Jsbaf, max_args: int) -> None:
 def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     _check_enum_bound(framework, max_args)
     eng = _engine(framework)
-    found = [eng.labeling(im, om) for im, om in eng.enumerate_admissible_masks()]
+    found = [Labeling(eng.ids, im, om) for im, om in eng.enumerate_admissible_masks()]
     return sorted(found, key=Labeling.vector)
 
 
@@ -466,4 +468,4 @@ def enumerate_preferred(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS)
     for in_mask, out_mask in sorted(eng.enumerate_admissible_masks(), key=lambda m: -m[0].bit_count()):
         if all(in_mask & k != in_mask for k, _ in kept):
             kept.append((in_mask, out_mask))
-    return sorted((eng.labeling(im, om) for im, om in kept), key=Labeling.vector)
+    return sorted((Labeling(eng.ids, im, om) for im, om in kept), key=Labeling.vector)

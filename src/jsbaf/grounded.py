@@ -46,6 +46,7 @@ from .framework import (  # legality, admissibility and SIM are the framework's,
     Jsbaf,
     Labeling,
     _check_enum_bound,
+    _covering,
     _engine,
     _locate,
     enumerate_admissible,
@@ -95,7 +96,7 @@ class _Table:
         entry = self.entries.get((i, h))
         if entry is None:
             if self.catalogue is None:
-                cat = [self.eng.masks_of(lab) for lab in admissible_catalogue(g, max_args)]
+                cat = [(lab.in_mask, lab.out_mask) for lab in admissible_catalogue(g, max_args)]
                 self.extended = [
                     sum(1 << c for c, (ci, co) in enumerate(cat) if not bi & ~ci and not bo & ~co)
                     for bi, bo in cat
@@ -132,8 +133,8 @@ def safe_supports(g: Jsbaf, labeling: Labeling, arg: str) -> list[tuple[frozense
     """Supports (S, b) with ``arg`` in S such that every argument on every
     chain starting at (S, b) has all its attackers OUT."""
     g, table = _table(g)
-    eng, i, _, out_mask = _locate(g, labeling, arg)
-    heads = (eng.ids[h] for h, _, _ in eng.member_of[i] if not table.reach[h] & ~out_mask)
+    eng, i = _locate(g, labeling, arg)
+    heads = (eng.ids[h] for h, _, _ in eng.member_of[i] if not table.reach[h] & ~labeling.out_mask)
     return [(g.supports[head], head) for head in heads]
 
 
@@ -167,14 +168,14 @@ def _forced(g: Jsbaf, table: _Table, i: int, in_mask: int, out_mask: int, max_ar
 
 def forced_in(g: Jsbaf, labeling: Labeling, arg: str, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> bool:
     g, table = _table(g)
-    _, i, in_mask, out_mask = _locate(g, labeling, arg)
-    return _forced(g, table, i, in_mask, out_mask, max_args)
+    _, i = _locate(g, labeling, arg)
+    return _forced(g, table, i, labeling.in_mask, labeling.out_mask, max_args)
 
 
 def fi_set(g: Jsbaf, labeling: Labeling, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> frozenset[str]:
     g, table = _table(g)
-    masks = table.eng.masks_of(labeling)  # once per labeling, not once per argument
-    return frozenset(a for i, a in enumerate(table.eng.ids) if _forced(g, table, i, *masks, max_args))
+    ids, in_mask, out_mask = _covering(g, labeling).ids, labeling.in_mask, labeling.out_mask
+    return frozenset(a for i, a in enumerate(ids) if _forced(g, table, i, in_mask, out_mask, max_args))
 
 
 def enumerate_ground_complete(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
@@ -200,7 +201,6 @@ def grounded_construction(
     g, table = _table(g)
     eng = table.eng
     labeling = sim_labeling(g)
-    in_mask, out_mask = eng.masks_of(labeling)
     if trace is not None:
         trace.append(labeling)
     while True:
@@ -211,12 +211,11 @@ def grounded_construction(
         if chosen not in candidates:
             raise InstanceError("pick function returned a non-candidate")
         i = eng.index[chosen]
-        in_mask |= 1 << i
+        in_mask = labeling.in_mask | 1 << i
         for h, _, _ in eng.member_of[i]:
-            if not table.reach[h] & ~out_mask:  # a safe support: its head and children join
+            if not table.reach[h] & ~labeling.out_mask:  # a safe support: its head and children join
                 in_mask |= table.down[h]
-        out_mask = eng.legal_out(in_mask)
-        labeling = eng.labeling(in_mask, out_mask)
+        labeling = Labeling(eng.ids, in_mask, eng.legal_out(in_mask))
         if trace is not None:
             trace.append(labeling)
 

@@ -25,6 +25,7 @@ from a strictly weaker argument.
 Forced-IN and ground-complete labelings of the preference-free grounded
 semantics are here as defined too: each support is checked by scanning
 the admissible catalogue against itself for an extension of every base.
+So are the ADSub and crucial (CSub) sub-argument sets of an argument.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from itertools import product
 
 from . import formulas as fm
-from .arguments import TOP_DEFEASIBLE, Argument, min_rank, sub_args
+from .arguments import TOP_CONSEQUENCE, TOP_DEFEASIBLE, Argument, min_rank, sub_args
 from .errors import ResourceLimitError
 from .formulas import Not
 from .framework import IN, OUT, UNDEC, Jsbaf, Labeling
@@ -148,8 +149,10 @@ def naive_enumerate_admissible(
     relations = _relations(framework)
     found = []
     for assignment in product((IN, OUT, UNDEC), repeat=len(framework.args)):
-        if _is_admissible(framework, relations, dict(zip(framework.args, assignment)), use_ranks):
-            found.append(Labeling(tuple(zip(framework.args, assignment))))
+        lab = dict(zip(framework.args, assignment))
+        if _is_admissible(framework, relations, lab, use_ranks):
+            in_set, out_set = ({a for a in lab if lab[a] == x} for x in (IN, OUT))
+            found.append(Labeling.from_sets(framework.args, in_set, out_set))
     return sorted(found, key=Labeling.vector)
 
 
@@ -219,7 +222,29 @@ def naive_is_ground_complete(
     )
 
 
-# --- attacks between the arguments of a rule system, pair by pair ---------
+# --- sub-argument sets and attacks of a rule system, pair by pair ---------
+
+
+def ad_sub(argument: Argument) -> frozenset[Argument]:
+    """Sub-arguments whose top rule is axiomatic or defeasible."""
+    return frozenset(a for a in sub_args(argument) if a.top_kind != TOP_CONSEQUENCE)
+
+
+def c_sub(argument: Argument) -> frozenset[Argument]:
+    """Crucial sub-arguments: the frontier of axiomatic/defeasible
+    sub-arguments reached by walking consequence-rule applications
+    backwards as far as possible."""
+    if argument.top_kind != TOP_CONSEQUENCE:
+        return frozenset((argument,))
+    out: set[Argument] = set()
+    stack = list(argument.subs)
+    while stack:
+        a = stack.pop()
+        if a.top_kind != TOP_CONSEQUENCE:
+            out.add(a)
+        else:
+            stack.extend(a.subs)
+    return frozenset(out)
 
 
 def undercuts(a: Argument, b: Argument, system: ArgumentationSystem) -> bool:

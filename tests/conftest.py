@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from jsbaf import textio
-from jsbaf.framework import Labeling
+from jsbaf.framework import IN, LABELS, OUT, Labeling
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -35,6 +35,12 @@ def as_u():
 
 def labeling_of(framework, in_set=(), out_set=()):
     return Labeling.from_sets(framework.args, in_set, out_set)
+
+
+def random_labeling(framework, rng):
+    """One label drawn per argument, in id order."""
+    drawn = dict(zip(framework.args, (rng.choice(LABELS) for _ in framework.args)))
+    return labeling_of(framework, *({a for a in drawn if drawn[a] == label} for label in (IN, OUT)))
 
 
 @pytest.fixture(scope="session")

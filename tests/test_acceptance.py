@@ -26,7 +26,7 @@ from jsbaf import postulates as po
 from jsbaf import textio
 from jsbaf.framework import Labeling
 
-from conftest import INSTANCES
+from conftest import INSTANCES, random_labeling
 
 SEED5 = "acceptance-grounded"
 SEED6 = "acceptance-postulates"
@@ -303,7 +303,7 @@ def test_criterion_9_property_suites():
             violations.append(f"corpus5[{index}]: SIM not admissible")
         plain = fw.Jsbaf(args=g.args, attacks=g.attacks, supports=dict(g.supports))
         for _ in range(4):
-            labeling = Labeling(tuple((a, rng.choice(fw.LABELS)) for a in g.args))
+            labeling = random_labeling(g, rng)
             for arg in g.args:
                 if gr.legally_in(g, labeling, arg) != naive.naive_legally_in(
                     plain, labeling, arg, use_ranks=False
@@ -338,18 +338,18 @@ def test_criterion_9_property_suites():
             if sum(map(len, parts)) != len(framework.args):
                 violations.append(f"system[{index}]: labeling does not partition")
         for argument in ar.build_arguments(system).arguments:
-            premises = [x.conclusion for x in ar.ad_sub(argument)]
+            premises = [x.conclusion for x in naive.ad_sub(argument)]
             if not all(
                 fm.entails(premises, psi)
                 for psi in {x.conclusion for x in ar.sub_args(argument)}
             ):
                 violations.append(f"system[{index}]: ADSub entailment broken")
             if not fm.entails(
-                [x.conclusion for x in ar.c_sub(argument)], argument.conclusion
+                [x.conclusion for x in naive.c_sub(argument)], argument.conclusion
             ):
                 violations.append(f"system[{index}]: CSub entailment broken")
         for _ in range(2):
-            labeling = Labeling(tuple((a, rng.choice(fw.LABELS)) for a in framework.args))
+            labeling = random_labeling(framework, rng)
             for arg in framework.args:
                 if fw.legally_in(framework, labeling, arg) != naive.naive_legally_in(
                     framework, labeling, arg

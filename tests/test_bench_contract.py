@@ -24,6 +24,7 @@ def _load(name):
 def test_span_recorders_install_and_restore():
     import jsbaf.framework
     import jsbaf.generate  # noqa: F401  (install wraps entry points of every module)
+    import jsbaf.postulates  # noqa: F401
     import jsbaf.textio  # noqa: F401
 
     spans = _load("spans")
@@ -41,3 +42,20 @@ def test_workloads_import():
     assert set(workloads.WORKLOADS) == {
         "non-interference", "grounded-oracle", "translate", "postulate-fuzz",
     }
+
+
+def test_grounded_workload_reads_labelings():
+    # the grounded-oracle corpus estimate reads catalogue labelings by name
+    # (in_set, out_set, label), and its check compares labelings (vector)
+    import random
+
+    from jsbaf import generate, textio
+
+    workloads = _load("workloads")
+    rng = random.Random("bench-contract-grounded")
+    for index in range(6):
+        g = generate.generate_ground_framework(rng=rng, max_args=9)
+        assert workloads._ground_work(g) > workloads.GROUND_WORK_WEIGHTS[0]
+        text = textio.format_framework(workloads._plain(g))
+        labeling = workloads.solve_grounded(text)
+        assert workloads.check_grounded("contract", index, text, labeling) is None

@@ -116,17 +116,6 @@ class TestConjunctionPeels:
         assert (f("b & (a & c)"),) in peels
 
 
-class TestSynDisjoint:
-    def test_disjoint(self):
-        assert fm.syn_disjoint([f("p")], [f("q")])
-
-    def test_shared_atom(self):
-        assert not fm.syn_disjoint([f("p & q")], [f("q")])
-
-    def test_vacuous(self):
-        assert fm.syn_disjoint([], [f("q")])
-
-
 class TestSyntax:
     def test_left_associative_conjunction(self):
         assert f("a & b & c") == And(And(Var("a"), Var("b")), Var("c"))

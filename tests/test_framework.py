@@ -7,10 +7,11 @@ import pytest
 from jsbaf import arguments as ar
 from jsbaf import framework as fw
 from jsbaf import generate as gen
+from jsbaf import grounded as gr
 from jsbaf import postulates as po
 from jsbaf.errors import InstanceError, ResourceLimitError
 from jsbaf.formulas import parse_formula as f
-from jsbaf.framework import Jsbaf, Labeling
+from jsbaf.framework import IN, OUT, UNDEC, Jsbaf, Labeling
 from jsbaf.system import DefeasibleRule, make_system
 from jsbaf.textio import parse_framework_text
 
@@ -92,6 +93,59 @@ class TestImmutability:
         assert fw.enumerate_admissible(framework) == before
 
 
+class TestLabeling:
+    def test_masks_and_names_agree(self):
+        # random masks over a few hundred frameworks: every name-based view
+        # reads the masks, and from_sets rebuilds the same value from names
+        rng = random.Random(2024)
+        for _ in range(300):
+            g = gen.generate_ground_framework(rng=rng, max_args=10)
+            n = len(g.args)
+            in_mask = rng.getrandbits(n)
+            lab = Labeling(g.args, in_mask, rng.getrandbits(n) & ~in_mask)
+            assert Labeling.from_sets(lab.ids, lab.in_set, lab.out_set) == lab
+            expected = [
+                IN if lab.in_mask >> i & 1 else OUT if lab.out_mask >> i & 1 else UNDEC
+                for i in range(n)
+            ]
+            assert lab.labels == tuple(zip(g.args, expected))
+            assert lab.as_dict() == dict(zip(g.args, expected))
+            assert [lab.label(a) for a in g.args] == expected
+            assert lab.vector() == "".join(label[0] for label in expected)
+            assert lab.undec_set == {a for a, label in zip(g.args, expected) if label == UNDEC}
+
+    def test_repr(self):
+        lab = Labeling.from_sets(("c", "a", "b"), {"a"}, {"b"})
+        assert lab.ids == ("a", "b", "c")
+        assert repr(lab) == "Labeling(a=IN, b=OUT, c=UNDEC)"
+
+    def test_from_sets_refuses_overlapping_or_unknown_sets(self):
+        with pytest.raises(InstanceError):
+            Labeling.from_sets(("a", "b"), {"a"}, {"a"})
+        with pytest.raises(InstanceError):
+            Labeling.from_sets(("a", "b"), {"z"})
+        with pytest.raises(InstanceError):
+            Labeling.from_sets(("a", "b"), (), {"z"})
+
+    def test_label_refuses_unknown_argument(self, l1):
+        for arg in ("", "aa", "zz", "0"):
+            with pytest.raises(InstanceError, match="unknown argument"):
+                l1.label(arg)
+
+    def test_labeling_of_another_framework_is_refused(self, j1, j2):
+        g1 = gr.from_jsbaf(j1)
+        for foreign in (labeling_of(j2), Labeling.from_sets(j1.args[:-1], {"a"})):
+            for check in (
+                lambda: fw.legally_in(j1, foreign, "a"),
+                lambda: fw.legally_out(j1, foreign, "a"),
+                lambda: fw.is_admissible(j1, foreign),
+                lambda: gr.fi_set(g1, foreign),
+                lambda: gr.safe_supports(g1, foreign, "a"),
+            ):
+                with pytest.raises(InstanceError, match="does not cover exactly"):
+                    check()
+
+
 class TestStrictArgs:
     def test_example(self, j1):
         assert fw.strict_args(j1) == {"a", "b", "d"}
@@ -139,9 +193,12 @@ class TestLegality:
         assert fw.legally_out(j1, l2, "bbar")
 
     def test_legally_undec(self, j1, l1, l2):
-        assert fw.legally_undec(j1, l1, "c")
-        assert not fw.legally_undec(j1, l2, "a")
-        assert not fw.legally_undec(j1, l2, "e")
+        def legally_undec(labeling, arg):  # neither legally IN nor legally OUT
+            return not fw.legally_in(j1, labeling, arg) and not fw.legally_out(j1, labeling, arg)
+
+        assert legally_undec(l1, "c")
+        assert not legally_undec(l2, "a")
+        assert not legally_undec(l2, "e")
 
     def test_unknown_argument(self, j1, l1):
         with pytest.raises(InstanceError):
@@ -192,8 +249,8 @@ class TestEnumeration:
 
     def test_empty_framework(self):
         framework = Jsbaf(args=(), attacks=frozenset())
-        assert fw.enumerate_admissible(framework) == [Labeling(())]
-        assert fw.enumerate_preferred(framework) == [Labeling(())]
+        assert fw.enumerate_admissible(framework) == [Labeling((), 0, 0)]
+        assert fw.enumerate_preferred(framework) == [Labeling((), 0, 0)]
 
     def test_self_attacker(self):
         framework = Jsbaf(args=("x",), attacks=frozenset({("x", "x")}))
@@ -263,19 +320,19 @@ class TestSearchWork:
         # admissible IN mask was built into one
         built = [0]
         returned = [0]
-        labeling = fw._Engine.labeling
+        init = fw.Labeling.__init__
         preferred = ar.enumerate_preferred
 
-        def counted_labeling(engine, in_mask, out_mask):
+        def counted_init(labeling, *fields):
             built[0] += 1
-            return labeling(engine, in_mask, out_mask)
+            init(labeling, *fields)
 
         def counted_preferred(framework, **kwargs):
             found = preferred(framework, **kwargs)
             returned[0] += len(found)
             return found
 
-        monkeypatch.setattr(fw._Engine, "labeling", counted_labeling)
+        monkeypatch.setattr(fw.Labeling, "__init__", counted_init)
         monkeypatch.setattr(ar, "enumerate_preferred", counted_preferred)
         _check_first_criterion_7_pairs()
         assert built[0] == returned[0] == 30

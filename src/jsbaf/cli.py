@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("as", "jsbaf"))
     p.add_argument("--semantics", choices=("admissible", "preferred", "grounded"), default="preferred")
     p.add_argument("--emit-jsbaf", action="store_true", help="also print the translated framework")
-    p.add_argument("--oracle", action="store_true", help="cross-check against the naive implementations")
+    p.add_argument("--oracle", action="store_true", help="cross-check admissible and preferred against the "
+                   "naive enumeration, grounded against the unique minimal ground-complete labeling")
     p.set_defaults(run=_cmd_solve)
 
     p = sub.add_parser("translate", parents=[fmt, bounds], help="translate a rule system into a framework")

@@ -46,9 +46,10 @@ arguments IN, the legally-OUT fixpoint disjoint from the IN-set, every
 IN argument legally IN.  Conflict-freeness needs no test of its own, as
 an IN argument with an IN attacker is legally OUT; nor does closure, as
 a fully IN supporting set whose head is not IN has a least-preferred
-member not legally IN (or is empty, and the head is strict).  A
-framework with a cyclic support chain has no such order: the engine
-refuses it with an :class:`InstanceError` naming the cycle, which
+member not legally IN (or is empty, and the head is strict).  One
+cached walk of the support graph yields the pass's order, the first
+support cycle as a witness path and the strict set; the engine refuses
+a framework with a cycle by an :class:`InstanceError` naming it, which
 :func:`validate_structure` reports instead.
 """
 
@@ -141,8 +142,8 @@ class Jsbaf:
     preference-free view, in which every rank condition is dropped.
 
     Frameworks are immutable (``supports`` and ``rank`` are read-only
-    copies), so what is cached on them (strict set, engine, admissible
-    catalogue) never goes stale.
+    copies), so what is cached on them (support walk with the strict set,
+    engine, admissible catalogue) never goes stale.
     """
 
     args: tuple[str, ...]
@@ -173,30 +174,54 @@ class Jsbaf:
 
 
 def strict_args(framework: Jsbaf) -> frozenset[str]:
-    """Least fixpoint: supported by the empty set, or by strict arguments
-    only.  A head whose supporting set has a member not yet strict waits
-    on that member and is checked again once it turns strict, so a long
-    support chain is settled in linear time in any order; arguments on a
-    support cycle stay non-strict.  Computed once per framework; the
-    engine reads it too."""
+    """Least fixpoint: supported by the empty set, or by strict arguments only."""
+    return _support_walk(framework)[2]
 
-    def fixpoint():
+
+def _support_walk(framework: Jsbaf):
+    """``(order, cycle, strict)`` from one depth-first walk of the
+    tail-to-head support graph, computed once per framework: a post-order
+    (each supported argument before its supporters, but for edges closing
+    a cycle), the first cycle met as a witness path or None, and the
+    strict set.  In the reversed order an argument on no cycle comes after
+    all its supporters, and the first member of a cycle reached has a
+    supporter still to come, so one pass over it is the least fixpoint."""
+
+    def walk():
         supports = framework.supports
+        edges: dict[str, list[str]] = {a: [] for a in framework.args}
+        for head in sorted(supports):
+            for t in sorted(supports[head]):
+                edges[t].append(head)
+        state: dict[str, int] = {}  # 1 on the current path, 2 finished
+        order: list[str] = []
+        cycle = None
+        for root in framework.args:
+            if root in state:
+                continue
+            state[root] = 1
+            path, pending = [root], [iter(edges[root])]
+            while pending:
+                w = next(pending[-1], None)
+                if w is None:
+                    pending.pop()
+                    done = path.pop()
+                    state[done] = 2
+                    order.append(done)
+                elif state.get(w) == 1:
+                    if cycle is None:
+                        cycle = path[path.index(w) :] + [w]
+                elif w not in state:
+                    state[w] = 1
+                    path.append(w)
+                    pending.append(iter(edges[w]))
         strict: set[str] = set()
-        waiting: dict[str, list[str]] = {}  # member not yet strict -> heads waiting on it
-        ready = list(supports)
-        while ready:
-            head = ready.pop()
-            for t in supports[head]:
-                if t not in strict:
-                    waiting.setdefault(t, []).append(head)
-                    break
-            else:
-                strict.add(head)
-                ready.extend(waiting.pop(head, ()))
-        return frozenset(strict)
+        for a in reversed(order):
+            if a in supports and supports[a] <= strict:
+                strict.add(a)
+        return order, cycle, frozenset(strict)
 
-    return _cached(framework, "_strict_cache", fixpoint)
+    return _cached(framework, "_walk_cache", walk)
 
 
 # --- the label-legality engine -------------------------------------------
@@ -207,7 +232,7 @@ class _Engine:
     every rank condition holds."""
 
     def __init__(self, framework: Jsbaf):
-        order, cycle = _support_order(framework)
+        order, cycle, strict = _support_walk(framework)
         if cycle:
             raise InstanceError("cyclic support chain through " + " -> ".join(cycle))
         self.ids = framework.args
@@ -224,12 +249,12 @@ class _Engine:
         for head in sorted(framework.supports):
             tail = framework.supports[head]
             self.supports[self.index[head]] = self.mask(tail)
+            least = min(map(framework.rank_of, tail), default=0)
             for t in tail:
-                holds = all(framework.rank_of(t) <= framework.rank_of(o) for o in tail)
                 self.member_of[self.index[t]].append(
-                    (self.index[head], self.mask(tail - {t}), holds)
+                    (self.index[head], self.mask(tail - {t}), framework.rank_of(t) <= least)
                 )
-        self.strict_mask = self.mask(strict_args(framework))
+        self.strict_mask = self.mask(strict)
 
     def mask(self, ids) -> int:
         return sum(1 << self.index[a] for a in ids)
@@ -344,10 +369,9 @@ def validate_structure(framework: Jsbaf):
     arguments unattacked (uniqueness and finiteness of supporting sets
     hold by representation)."""
     report = ValidationReport()
-    _, cycle = _support_order(framework)
+    _, cycle, strict = _support_walk(framework)
     if cycle:
         report.failures.append("cyclic support chain through " + " -> ".join(cycle))
-    strict = strict_args(framework)
     for a, b in sorted(framework.attacks):
         if b in strict:
             report.failures.append(f"strict argument {b} is attacked (by {a})")
@@ -372,37 +396,6 @@ def validate_jsbaf(framework: Jsbaf):
                         f"non-strict argument {a} is not strictly below the strict class"
                     )
     return report
-
-
-def _support_order(framework: Jsbaf):
-    """A post-order of the tail-to-head support graph (every supported
-    argument before its supporters) and a cycle of that graph as a
-    witness path, or None; the order is complete only without a cycle."""
-    edges: dict[str, list[str]] = {a: [] for a in framework.args}
-    for head in sorted(framework.supports):
-        for t in sorted(framework.supports[head]):
-            edges[t].append(head)
-    state: dict[str, int] = {}  # 1 on the current path, 2 finished
-    order: list[str] = []
-    for root in framework.args:
-        if root in state:
-            continue
-        state[root] = 1
-        path, pending = [root], [iter(edges[root])]
-        while pending:
-            w = next(pending[-1], None)
-            if w is None:
-                pending.pop()
-                done = path.pop()
-                state[done] = 2
-                order.append(done)
-            elif state.get(w) == 1:
-                return order, path[path.index(w) :] + [w]
-            elif w not in state:
-                state[w] = 1
-                path.append(w)
-                pending.append(iter(edges[w]))
-    return order, None
 
 
 def _covering(framework: Jsbaf, labeling: Labeling) -> _Engine:

@@ -93,6 +93,8 @@ def parse_system_text(text: str) -> ArgumentationSystem:
             rule_id = head.strip()
             rule_rank = 0
             if "[" in rule_id:
+                if keyword == "strict":
+                    raise ParseError("strict rules take no rank", line=lineno)
                 rule_id, _, bracket = rule_id.partition("[")
                 rule_id = rule_id.strip()
                 if not bracket.endswith("]"):
@@ -112,7 +114,10 @@ def parse_system_text(text: str) -> ArgumentationSystem:
             rule_id, _, formula = rest.partition("=")
             if not formula.strip():
                 raise ParseError("expected '=' and a formula", line=lineno)
-            names[rule_id.strip()] = (formula.strip(), lineno)
+            rule_id = rule_id.strip()
+            if rule_id in names:
+                raise ParseError(f"second name for rule {rule_id!r}", line=lineno)
+            names[rule_id] = (formula.strip(), lineno)
         else:
             raise ParseError(f"unknown directive {keyword!r}", line=lineno)
 

@@ -165,6 +165,20 @@ class TestExitCodes:
         bad.write_text("atom p\naxiom p &\n")
         assert main(["solve", str(bad)]) == 3
 
+    def test_directives_the_parser_would_drop_are_3(self, tmp_path, capsys):
+        """A second name for a rule, or a rank on a strict rule, is refused
+        rather than overwritten or ignored."""
+        twice = "atom p\natom n\natom m\ndefeasible d1[0]: => p\nname d1 = n\nname d1 = m\n"
+        for text, error in (
+            (twice + "defeasible d2[0]: => !n\n", "second name for rule 'd1' (line 6)"),
+            ("atom p\nstrict s1[5]: p -> !!p\n", "strict rules take no rank (line 2)"),
+        ):
+            path = tmp_path / "dropped.as"
+            path.write_text(text)
+            for command in ("validate", "solve", "translate"):
+                assert main([command, str(path)]) == 3
+                assert error in capsys.readouterr().err
+
     def test_resource_error_is_2(self, tmp_path, capsys):
         big = tmp_path / "big.jsbaf"
         big.write_text("".join(f"arg x{i}\n" for i in range(20)))

@@ -181,6 +181,25 @@ class TestStrictArgs:
         assert strict == set(ids)
 
 
+    def test_support_graph_walked_once(self, j1, l2, l3, monkeypatch):
+        """Validation and enumeration share one cached walk of the supports."""
+        framework = dataclasses.replace(j1)  # a copy with nothing cached yet
+        built = []
+        cached = fw._cached
+
+        def counting(owner, name, build):
+            def counted():
+                built.append(name)
+                return build()
+
+            return cached(owner, name, counted)
+
+        monkeypatch.setattr(fw, "_cached", counting)
+        assert fw.validate_jsbaf(framework).ok
+        assert fw.enumerate_preferred(framework) == sorted([l2, l3], key=Labeling.vector)
+        assert built.count("_walk_cache") == 1
+
+
 class TestLegality:
     def test_legally_in(self, j1, l1, l2):
         assert fw.legally_in(j1, l1, "d")

@@ -41,6 +41,18 @@ class TestSystemFormat:
         with pytest.raises(ParseError):
             textio.parse_system_text("atom p\nstrict ax_0: p -> p\n")
 
+    def test_second_name_for_a_rule(self):
+        text = "atom p\natom n\natom m\ndefeasible d1[0]: => p\nname d1 = n\nname d1 = m\n"
+        with pytest.raises(ParseError, match="second name for rule 'd1'") as excinfo:
+            textio.parse_system_text(text)
+        assert excinfo.value.line == 6
+
+    def test_rank_on_a_strict_rule(self):
+        for rank in ("5", "0"):
+            with pytest.raises(ParseError, match="strict rules take no rank") as excinfo:
+                textio.parse_system_text(f"atom p\nstrict s1[{rank}]: p -> !!p\n")
+            assert excinfo.value.line == 2
+
 
 class TestFrameworkFormat:
     def test_round_trip(self, j1):

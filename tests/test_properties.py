@@ -20,6 +20,7 @@ from jsbaf import framework as fw
 from jsbaf import generate as gen
 from jsbaf import naive, textio
 from jsbaf import postulates as po
+from jsbaf.errors import InstanceError
 from jsbaf.formulas import And, Not, Var, parse_formula
 from jsbaf.system import StrictRule, cl_closure, union_systems
 
@@ -257,6 +258,41 @@ def _frameworks_outside_the_domain():
     # strict arguments, self-attacks, and ranks absent, valid or invalid
     rng = random.Random(4242)
     return [_random_acyclic_framework(rng, max_args=7) for _ in range(200)]
+
+
+class TestSupportWalk:
+    """The one walk of the support graph on random frameworks whose
+    supports may form cycles (self-supports included): the strict set
+    against the naive fixpoint, the cycle verdict against a peel of
+    arguments whose supporters are all peeled, and the witness as a path."""
+
+    def test_random_frameworks_with_cycles(self):
+        rng = random.Random(1414)
+        seen = {"cyclic": 0, "acyclic": 0}
+        for _ in range(2000):
+            ids = [f"a{i}" for i in range(rng.randint(1, 9))]
+            supports = {
+                head: frozenset(rng.sample(ids, rng.randint(0, min(len(ids), 3))))
+                for head in ids
+                if rng.random() < 0.7
+            }
+            attacks = {(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, len(ids)))}
+            framework = fw.Jsbaf(args=tuple(ids), attacks=frozenset(attacks), supports=supports)
+            assert fw.strict_args(framework) == naive.naive_strict_args(framework)
+            peeled = set()
+            while ready := {h for h in ids if h not in peeled and supports.get(h, frozenset()) <= peeled}:
+                peeled |= ready
+            prefix = "cyclic support chain through "
+            cycles = [m for m in fw.validate_structure(framework).failures if m.startswith(prefix)]
+            assert len(cycles) == (peeled != set(ids))
+            seen["cyclic" if cycles else "acyclic"] += 1
+            if cycles:
+                path = cycles[0][len(prefix) :].split(" -> ")
+                assert len(path) >= 2 and path[0] == path[-1] and len(set(path)) == len(path) - 1
+                assert all(t in supports.get(h, ()) for t, h in zip(path, path[1:]))
+                with pytest.raises(InstanceError, match=f"^{cycles[0]}$"):
+                    fw.sim_labeling(framework)
+        assert min(seen.values()) >= 500, seen
 
 
 class TestEngineAgainstNaive:

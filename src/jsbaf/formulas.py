@@ -8,6 +8,14 @@ over the atoms occurring in the formulas involved, which keeps it
 decidable at the cost of a configurable bound on the number of distinct
 atoms (the table has 2**k rows).
 
+The table is evaluated a column at a time: each formula becomes one
+integer whose bit r is its truth value in row r.  Atom i's column has
+bit r set when bit i of r is set; negation flips every bit and
+conjunction is bitwise and.  Gamma entails psi when no bit is set in the
+conjunction of Gamma's columns and the negation of psi's, and Gamma is
+satisfiable when that conjunction is not zero.  The row-by-row
+evaluation of the definition is :func:`jsbaf.naive.satisfies`.
+
 Every formula carries a *key*: its serialisation in prefix notation.
 Lexicographic order on keys is the canonical total order used wherever a
 set of formulas has to be turned into a sequence deterministically (for
@@ -17,13 +25,13 @@ instance when a conjunction over a set is formed).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .errors import EvaluationError, ParseError, ResourceLimitError
+from .errors import ParseError, ResourceLimitError
 
 DEFAULT_ATOM_BOUND = 16
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class Formula:
@@ -51,7 +59,7 @@ class Var(Formula):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        if not _IDENT.fullmatch(name):
+        if not IDENT.fullmatch(name):
             raise ValueError(f"invalid atom name: {name!r}")
         self.name = name
         self.key = name
@@ -91,51 +99,48 @@ def formula_key(formula: Formula) -> str:
     return formula.key
 
 
-def satisfies(interpretation: Mapping[str, bool], formula: Formula) -> bool:
-    """Standard recursive evaluation under a total assignment."""
-    if isinstance(formula, Var):
-        try:
-            return interpretation[formula.name]
-        except KeyError:
-            raise EvaluationError(f"atom {formula.name!r} outside the interpretation universe") from None
-    if isinstance(formula, Not):
-        return not satisfies(interpretation, formula.sub)
-    if isinstance(formula, And):
-        return satisfies(interpretation, formula.left) and satisfies(interpretation, formula.right)
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-def _interpretations(names: tuple[str, ...]):
-    k = len(names)
-    for bits in range(1 << k):
-        yield {names[i]: bool(bits >> i & 1) for i in range(k)}
-
-
-def _check_atom_bound(names, atom_bound):
+def _atom_columns(formulas: tuple[Formula, ...], atom_bound: int):
+    """The column of each atom of ``formulas``, and the column of all 2**k rows."""
+    names = atoms_of(formulas)
     if len(names) > atom_bound:
         raise ResourceLimitError(
             f"{len(names)} atoms exceed the truth-table bound of {atom_bound}",
             bound_name="atom_bound",
             bound_value=atom_bound,
         )
+    full = (1 << (1 << len(names))) - 1
+    atoms = {}
+    for i, name in enumerate(names):
+        half = 1 << i  # runs of 2**i zero rows, then 2**i one rows
+        atoms[name] = full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+    return atoms, full
+
+
+def _column(formula: Formula, atoms: dict[str, int], full: int) -> int:
+    if isinstance(formula, Var):
+        return atoms[formula.name]
+    if isinstance(formula, Not):
+        return full ^ _column(formula.sub, atoms, full)
+    return _column(formula.left, atoms, full) & _column(formula.right, atoms, full)
 
 
 def entails(gamma: Iterable[Formula], psi: Formula, atom_bound: int = DEFAULT_ATOM_BOUND) -> bool:
     """Truth-table entailment: every model of ``gamma`` satisfies ``psi``."""
     gamma = tuple(gamma)
-    names = tuple(sorted(atoms_of(gamma) | psi.atom_set))
-    _check_atom_bound(names, atom_bound)
-    for interp in _interpretations(names):
-        if all(satisfies(interp, g) for g in gamma) and not satisfies(interp, psi):
-            return False
-    return True
+    atoms, full = _atom_columns(gamma + (psi,), atom_bound)
+    counter = full ^ _column(psi, atoms, full)  # rows that falsify psi, then those that also satisfy gamma
+    for g in gamma:
+        counter &= _column(g, atoms, full)
+    return not counter
 
 
 def satisfiable(gamma: Iterable[Formula], atom_bound: int = DEFAULT_ATOM_BOUND) -> bool:
     gamma = tuple(gamma)
-    names = tuple(sorted(atoms_of(gamma)))
-    _check_atom_bound(names, atom_bound)
-    return any(all(satisfies(interp, g) for g in gamma) for interp in _interpretations(names))
+    atoms, full = _atom_columns(gamma, atom_bound)
+    models = full
+    for g in gamma:
+        models &= _column(g, atoms, full)
+    return models != 0
 
 
 def is_neg_complement(phi: Formula, psi: Formula) -> bool:
@@ -232,7 +237,7 @@ def _parse_unary(t: _Tokens) -> Formula:
             raise t.error("expected ')'")
         t.pos += 1
         return f
-    m = _IDENT.match(t.text, t.pos)
+    m = IDENT.match(t.text, t.pos)
     if not m:
         raise t.error("expected a formula")
     t.pos = m.end()

@@ -26,16 +26,21 @@ Forced-IN and ground-complete labelings of the preference-free grounded
 semantics are here as defined too: each support is checked by scanning
 the admissible catalogue against itself for an extension of every base.
 So are the ADSub and crucial (CSub) sub-argument sets of an argument.
+
+Truth-table entailment and satisfiability are here row by row: each
+formula is evaluated recursively under every total assignment of its
+atoms.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Iterable, Mapping
 
 from . import formulas as fm
 from .arguments import TOP_CONSEQUENCE, TOP_DEFEASIBLE, Argument, min_rank, sub_args
-from .errors import ResourceLimitError
-from .formulas import Not
+from .errors import EvaluationError, ResourceLimitError
+from .formulas import DEFAULT_ATOM_BOUND, And, Formula, Not, Var
 from .framework import IN, OUT, UNDEC, Jsbaf, Labeling
 from .system import ArgumentationSystem
 
@@ -273,3 +278,48 @@ def defeats(a: Argument, b: Argument, system: ArgumentationSystem) -> bool:
     if undercuts(a, b, system):
         return True
     return gen_rebuts(a, b) and not (ewl_leq(a, b, system) and not ewl_leq(b, a, system))
+
+
+# --- the truth table, row by row -------------------------------------------
+
+
+def satisfies(interpretation: Mapping[str, bool], formula: Formula) -> bool:
+    """Standard recursive evaluation under a total assignment."""
+    if isinstance(formula, Var):
+        try:
+            return interpretation[formula.name]
+        except KeyError:
+            raise EvaluationError(f"atom {formula.name!r} outside the interpretation universe") from None
+    if isinstance(formula, Not):
+        return not satisfies(interpretation, formula.sub)
+    if isinstance(formula, And):
+        return satisfies(interpretation, formula.left) and satisfies(interpretation, formula.right)
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def _interpretations(formulas: tuple[Formula, ...], atom_bound: int):
+    names = sorted(fm.atoms_of(formulas))
+    if len(names) > atom_bound:
+        raise ResourceLimitError(
+            f"{len(names)} atoms exceed the truth-table bound of {atom_bound}",
+            bound_name="atom_bound",
+            bound_value=atom_bound,
+        )
+    for values in product((False, True), repeat=len(names)):
+        yield dict(zip(names, values))
+
+
+def naive_entails(gamma: Iterable[Formula], psi: Formula, atom_bound: int = DEFAULT_ATOM_BOUND) -> bool:
+    """Every assignment that satisfies all of ``gamma`` satisfies ``psi``."""
+    gamma = tuple(gamma)
+    return all(
+        satisfies(interp, psi)
+        for interp in _interpretations(gamma + (psi,), atom_bound)
+        if all(satisfies(interp, g) for g in gamma)
+    )
+
+
+def naive_satisfiable(gamma: Iterable[Formula], atom_bound: int = DEFAULT_ATOM_BOUND) -> bool:
+    """Some assignment satisfies all of ``gamma``."""
+    gamma = tuple(gamma)
+    return any(all(satisfies(interp, g) for g in gamma) for interp in _interpretations(gamma, atom_bound))

@@ -54,16 +54,12 @@ def _lines(text: str):
             yield lineno, line
 
 
-def _split_rule(body: str, arrow: str, lineno: int):
+def _split_rule(body: str, arrow: str, lineno: int, formula):
     if arrow not in body:
         raise ParseError(f"expected {arrow!r}", line=lineno)
     left, right = body.split(arrow, 1)
-    antecedents = tuple(
-        parse_formula(part.strip(), line=lineno)
-        for part in left.split(",")
-        if part.strip()
-    )
-    return antecedents, parse_formula(right.strip(), line=lineno)
+    antecedents = tuple(formula(part.strip(), lineno) for part in left.split(",") if part.strip())
+    return antecedents, formula(right.strip(), lineno)
 
 
 def parse_system_text(text: str) -> ArgumentationSystem:
@@ -74,6 +70,13 @@ def parse_system_text(text: str) -> ArgumentationSystem:
     names: dict[str, tuple[str, int]] = {}
     rank: dict[str, int] = {}
     assume = False
+    parsed: dict[str, fm.Formula] = {}  # formula text -> formula; formulas are immutable
+
+    def formula(part: str, lineno: int) -> fm.Formula:
+        f = parsed.get(part)
+        if f is None:
+            f = parsed[part] = parse_formula(part, line=lineno)
+        return f
 
     for lineno, line in _lines(text):
         keyword, _, rest = line.partition(" ")
@@ -83,9 +86,11 @@ def parse_system_text(text: str) -> ArgumentationSystem:
                 raise ParseError(f"unknown option {rest!r}", line=lineno)
             assume = True
         elif keyword == "atom":
+            if not fm.IDENT.fullmatch(rest):
+                raise ParseError(f"expected one atom name, got {rest!r}", line=lineno)
             atoms.add(rest)
         elif keyword == "axiom":
-            axioms.append(parse_formula(rest, line=lineno))
+            axioms.append(formula(rest, lineno))
         elif keyword in ("strict", "defeasible"):
             head, _, body = rest.partition(":")
             if not body:
@@ -104,24 +109,24 @@ def parse_system_text(text: str) -> ArgumentationSystem:
                 except ValueError:
                     raise ParseError("rank must be an integer", line=lineno) from None
             if keyword == "strict":
-                antecedents, consequent = _split_rule(body, "->", lineno)
+                antecedents, consequent = _split_rule(body, "->", lineno, formula)
                 strict.append(StrictRule(rule_id, antecedents, consequent))
             else:
-                antecedents, consequent = _split_rule(body, "=>", lineno)
+                antecedents, consequent = _split_rule(body, "=>", lineno, formula)
                 defeasible.append(DefeasibleRule(rule_id, antecedents, consequent))
                 rank[rule_id] = rule_rank
         elif keyword == "name":
-            rule_id, _, formula = rest.partition("=")
-            if not formula.strip():
+            rule_id, _, name = rest.partition("=")
+            if not name.strip():
                 raise ParseError("expected '=' and a formula", line=lineno)
             rule_id = rule_id.strip()
             if rule_id in names:
                 raise ParseError(f"second name for rule {rule_id!r}", line=lineno)
-            names[rule_id] = (formula.strip(), lineno)
+            names[rule_id] = (name.strip(), lineno)
         else:
             raise ParseError(f"unknown directive {keyword!r}", line=lineno)
 
-    named = [replace(r, name=parse_formula(*names[r.id])) if r.id in names else r for r in defeasible]
+    named = [replace(r, name=formula(*names[r.id])) if r.id in names else r for r in defeasible]
     unknown = set(names) - {r.id for r in defeasible}
     if unknown:
         raise ParseError(f"name given for unknown defeasible rules {sorted(unknown)}")

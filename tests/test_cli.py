@@ -166,12 +166,15 @@ class TestExitCodes:
         assert main(["solve", str(bad)]) == 3
 
     def test_directives_the_parser_would_drop_are_3(self, tmp_path, capsys):
-        """A second name for a rule, or a rank on a strict rule, is refused
-        rather than overwritten or ignored."""
+        """A second name for a rule, a rank on a strict rule, or an atom
+        line that is not one atom name is refused rather than overwritten,
+        ignored or read as an atom no formula can use."""
         twice = "atom p\natom n\natom m\ndefeasible d1[0]: => p\nname d1 = n\nname d1 = m\n"
         for text, error in (
             (twice + "defeasible d2[0]: => !n\n", "second name for rule 'd1' (line 6)"),
             ("atom p\nstrict s1[5]: p -> !!p\n", "strict rules take no rank (line 2)"),
+            ("atom p q\ndefeasible d1[0]: => p\n", "expected one atom name, got 'p q' (line 1)"),
+            ("atom p\natom p-q\ndefeasible d1[0]: => p\n", "expected one atom name, got 'p-q' (line 2)"),
         ):
             path = tmp_path / "dropped.as"
             path.write_text(text)
@@ -260,6 +263,28 @@ class TestExitCodes:
         for command in ("validate", "solve", "translate", "postulates"):
             assert main([command, str(deep)]) == 3
             assert "formula nested too deeply (line 2)" in capsys.readouterr().err
+
+    def test_formula_just_inside_the_nesting_limit(self, tmp_path, capsys):
+        """The deepest formula the parser takes is evaluated, built into
+        arguments, translated and checked without a crash."""
+        deep = tmp_path / "deep.as"
+
+        def refused(depth):
+            formula = "!" * depth + "p"
+            deep.write_text(f"atom p\natom q\naxiom {formula}\ndefeasible d1[0]: {formula} => q\n")
+            code = main(["validate", str(deep)])
+            err = capsys.readouterr().err
+            assert code == (3 if err else 0)
+            return "formula nested too deeply" in err
+
+        low, high = 1, 3000  # refused at 3000, taken at 1
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (low, middle) if refused(middle) else (middle, high)
+        assert not refused(low)
+        for command in ("validate", "solve", "translate", "postulates"):
+            assert main([command, str(deep)]) == 0
+            assert capsys.readouterr().err == ""
 
     def test_flag_a_command_does_not_read_is_3(self, capsys):
         as1, j1 = str(INSTANCES / "as1.as"), str(INSTANCES / "j1.jsbaf")

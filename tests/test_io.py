@@ -23,11 +23,33 @@ class TestSystemFormat:
         again = textio.parse_system_text(textio.format_system(as_u))
         assert again.defeasible_rules == as_u.defeasible_rules
 
+    def test_round_trip_of_repeated_formula_text(self):
+        """One formula text as an axiom, an antecedent, a consequent and a
+        name is parsed once and prints back unchanged."""
+        text = (
+            "atom p\natom q\naxiom p & !q\n"
+            "strict s1: p & !q -> p & !q\n"
+            "defeasible d1[2]: p & !q, q => p & !q\n"
+            "name d1 = p & !q\n"
+        )
+        system = textio.parse_system_text(text)
+        assert textio.format_system(system) == text
+        (axiom,) = system.axioms
+        s1 = next(r for r in system.strict_rules if r.id == "s1")
+        (d1,) = system.defeasible_rules
+        assert all(f is axiom for f in (*s1.formulas(), d1.antecedents[0], d1.consequent, d1.name))
+
     def test_malformed_formula_reports_position(self):
-        with pytest.raises(ParseError) as excinfo:
-            textio.parse_system_text("atom p\naxiom p &\n")
-        assert excinfo.value.line == 2
-        assert excinfo.value.column is not None
+        for text, line in (
+            ("atom p\naxiom p &\n", 2),
+            # a malformed text repeated is reported at its first line
+            ("atom p\natom q\naxiom p &\naxiom q\naxiom p &\n", 3),
+            ("atom p\natom q\nstrict s1: q -> p &\naxiom q\ndefeasible d1[0]: p & => q\n", 3),
+        ):
+            with pytest.raises(ParseError) as excinfo:
+                textio.parse_system_text(text)
+            assert excinfo.value.line == line
+            assert excinfo.value.column is not None
 
     def test_unknown_directive(self):
         with pytest.raises(ParseError):

@@ -1,11 +1,12 @@
 """Property-based and fuzzed invariant tests.
 
-The legality and enumeration engines are checked against the naive
-definitional transcriptions in :mod:`jsbaf.naive`; the argument-level
-relations of :mod:`jsbaf.naive` are checked against independent
-brute-force re-derivations written here (exhaustive subset search for
-rebuts, quantifier transcription for the preference lifting), and the
-translation's indexed attacks against those pairwise relations.
+The legality and enumeration engines, and the bit-column truth tables,
+are checked against the naive definitional transcriptions in
+:mod:`jsbaf.naive`; the argument-level relations of :mod:`jsbaf.naive`
+are checked against independent brute-force re-derivations written here
+(exhaustive subset search for rebuts, quantifier transcription for the
+preference lifting), and the translation's indexed attacks against
+those pairwise relations.
 """
 
 import random
@@ -20,7 +21,7 @@ from jsbaf import framework as fw
 from jsbaf import generate as gen
 from jsbaf import naive, textio
 from jsbaf import postulates as po
-from jsbaf.errors import InstanceError
+from jsbaf.errors import InstanceError, ResourceLimitError
 from jsbaf.formulas import And, Not, Var, parse_formula
 from jsbaf.system import StrictRule, cl_closure, union_systems
 
@@ -57,13 +58,13 @@ class TestFormulaProperties:
     @given(formulas(), st.dictionaries(atom_names, st.booleans()))
     def test_negation_semantics(self, formula, partial):
         interp = {a: partial.get(a, False) for a in ("p", "q", "r", "s")}
-        assert fm.satisfies(interp, Not(formula)) == (not fm.satisfies(interp, formula))
+        assert naive.satisfies(interp, Not(formula)) == (not naive.satisfies(interp, formula))
 
     @given(formulas(), formulas(), st.dictionaries(atom_names, st.booleans()))
     def test_conjunction_semantics(self, left, right, partial):
         interp = {a: partial.get(a, False) for a in ("p", "q", "r", "s")}
-        assert fm.satisfies(interp, And(left, right)) == (
-            fm.satisfies(interp, left) and fm.satisfies(interp, right)
+        assert naive.satisfies(interp, And(left, right)) == (
+            naive.satisfies(interp, left) and naive.satisfies(interp, right)
         )
 
     @given(formula_sets, formulas(), formulas())
@@ -96,6 +97,66 @@ def _rename(formula, suffix):
     if isinstance(formula, Not):
         return Not(_rename(formula.sub, suffix))
     return And(_rename(formula.left, suffix), _rename(formula.right, suffix))
+
+
+def _random_formula(rng, names, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.4:
+        return Var(rng.choice(names))
+    if roll < 0.7:
+        return Not(_random_formula(rng, names, depth - 1))
+    return And(_random_formula(rng, names, depth - 1), _random_formula(rng, names, depth - 1))
+
+
+class TestTruthTableColumns:
+    """The bit-column truth tables of :mod:`jsbaf.formulas` agree with the
+    row-by-row evaluation in :mod:`jsbaf.naive`."""
+
+    def test_random_queries(self):
+        rng = random.Random(15)
+        outcomes = set()
+        for _ in range(3000):
+            names = [f"x{i}" for i in range(rng.randint(1, 6))]
+            gamma = [_random_formula(rng, names, 3) for _ in range(rng.randint(0, 4))]
+            if gamma and rng.random() < 0.2:
+                gamma.append(Not(rng.choice(gamma)))  # unsatisfiable
+            psi = _random_formula(rng, names, 3)
+            entailed = fm.entails(gamma, psi)
+            satisfiable = fm.satisfiable(gamma)
+            assert entailed == naive.naive_entails(gamma, psi)
+            assert satisfiable == naive.naive_satisfiable(gamma)
+            outcomes.add((entailed, satisfiable, len(gamma) > 0))
+        assert len(outcomes) == 5  # every mix: an empty gamma is satisfiable, an unsatisfiable one entails
+
+    def test_translate_corpus_rules(self):
+        workloads = _load("workloads")
+        texts = workloads.translate_corpus("1", workloads.WORKLOADS["translate"].size)
+        rules = 0
+        for text in texts:
+            system = textio.parse_system_text(text)
+            assert fm.satisfiable(system.axioms) == naive.naive_satisfiable(system.axioms)
+            for rule in system.strict_rules:
+                if not rule.axiomatic:
+                    rules += 1
+                    expected = naive.naive_entails(rule.antecedents, rule.consequent)
+                    assert fm.entails(rule.antecedents, rule.consequent) == expected
+        assert rules == 6758
+
+    def test_atom_bound(self):
+        atoms = [Var(f"x{i}") for i in range(17)]
+        for bound, gamma in ((fm.DEFAULT_ATOM_BOUND, atoms), (3, atoms[:4])):
+            for fast, slow, args in (
+                (fm.entails, naive.naive_entails, (gamma, atoms[0])),
+                (fm.satisfiable, naive.naive_satisfiable, (gamma,)),
+            ):
+                with pytest.raises(ResourceLimitError) as fast_error:
+                    fast(*args, atom_bound=bound)
+                with pytest.raises(ResourceLimitError) as slow_error:
+                    slow(*args, atom_bound=bound)
+                assert str(fast_error.value) == str(slow_error.value)
+                assert f"atoms exceed the truth-table bound of {bound}" in str(fast_error.value)
+                assert fast_error.value.bound_name == slow_error.value.bound_name == "atom_bound"
+                assert fast_error.value.bound_value == slow_error.value.bound_value == bound
 
 
 # --- independent re-derivations of the argument-level relations -----------

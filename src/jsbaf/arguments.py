@@ -268,8 +268,10 @@ def preferred_conclusions(
             bound_value=max_nonstrict,
         )
     translation = framework_from_system(system, build=build)
-    conclusion_sets = {
-        frozenset(translation.argument_of[aid].conclusion for aid in lab.in_set)
-        for lab in enumerate_preferred(translation.framework, max_args=max_enum_args)
-    }
-    return sorted(conclusion_sets, key=lambda fs: sorted(f.key for f in fs))
+    return conclusion_sets(translation, enumerate_preferred(translation.framework, max_args=max_enum_args))
+
+
+def conclusion_sets(translation: Translation, labelings) -> list[frozenset[Formula]]:
+    """The distinct conclusion sets of the labelings' IN arguments, canonically ordered."""
+    sets = {frozenset(translation.argument_of[aid].conclusion for aid in lab.in_set) for lab in labelings}
+    return sorted(sets, key=lambda fs: sorted(f.key for f in fs))

@@ -3,7 +3,8 @@
 Subcommands: ``validate``, ``solve``, ``translate``, ``postulates`` and
 ``fuzz``.  Exit codes: 0 success / all checks passed, 1 a postulate
 check failed, 2 a resource bound was hit or a check was inconclusive,
-3 usage, parse or validation errors, cyclic supports included.
+3 usage, parse or validation errors, cyclic supports included, or a
+closed stdout.
 
 ``solve``, ``translate`` and ``postulates`` validate every file they read
 first and exit 3 on input that ``validate`` rejects.  Under grounded
@@ -19,6 +20,7 @@ import argparse
 import os
 import random
 import sys
+from collections import Counter
 
 from . import arguments as ar
 from . import framework as fw
@@ -103,7 +105,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return options.run(options)
+        code = options.run(options)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; send what is left to devnull so that the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -113,6 +120,7 @@ def main(argv=None) -> int:
     except JsbafError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return code
 
 
 def _load(options, path=None, kind=None, refuse=True):
@@ -169,15 +177,8 @@ def _cmd_solve(options) -> int:
         chunks.append(textio.format_labelings(labelings))
 
     if translation is not None and options.semantics == "preferred":
-        conclusion_sets = sorted(
-            {
-                tuple(sorted(str(translation.argument_of[a].conclusion) for a in lab.in_set))
-                for lab in labelings
-            }
-        )
-        chunks.append(
-            "conclusions:\n" + "\n".join("{" + ", ".join(c) + "}" for c in conclusion_sets) + "\n"
-        )
+        sets = sorted(tuple(sorted(map(str, c))) for c in ar.conclusion_sets(translation, labelings))
+        chunks.append("conclusions:\n" + "\n".join("{" + ", ".join(c) + "}" for c in sets) + "\n")
 
     if options.format == "json":
         payload = {
@@ -218,18 +219,21 @@ def _bounds(options) -> dict:
     }
 
 
+def _exit_code(verdicts) -> int:
+    """1 if any verdict failed, else 2 if any was inconclusive, else 0."""
+    verdicts = set(verdicts)
+    if postulates.FAIL in verdicts:
+        return EXIT_FAIL
+    return EXIT_INCONCLUSIVE if postulates.INCONCLUSIVE in verdicts else EXIT_OK
+
+
 def _emit_reports(reports, options) -> int:
-    code = EXIT_OK
     for report in reports:
         if options.format == "json":
             print(report.to_json())
         else:
             print(f"{report.postulate}: {report.verdict}" + (f" {report.witness}" if report.witness else ""))
-        if report.verdict == postulates.FAIL:
-            code = EXIT_FAIL
-        elif report.verdict == postulates.INCONCLUSIVE and code == EXIT_OK:
-            code = EXIT_INCONCLUSIVE
-    return code
+    return _exit_code(report.verdict for report in reports)
 
 
 def _cmd_postulates(options) -> int:
@@ -251,23 +255,18 @@ def _cmd_fuzz(options) -> int:
         raise JsbafError(f"--trials must not be negative, got {options.trials}")
     rng = random.Random(options.seed)
     reports = []
-    counts = {"pass": 0, "fail": 0, "inconclusive": 0}
     for trial in range(options.trials):
         for report, systems in _fuzz_trial(checks, rng, options):
-            counts[report.verdict] += 1
             if report.verdict == postulates.FAIL:
                 _dump_repro(report, systems, trial, options)
             reports.append(report)
     if options.format == "json":
         for report in reports:
             print(report.to_json())
+    counts = Counter(report.verdict for report in reports)
     print(f"trials={options.trials} pass={counts['pass']} fail={counts['fail']} "
           f"inconclusive={counts['inconclusive']}")
-    if counts["fail"]:
-        return EXIT_FAIL
-    if counts["inconclusive"]:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return _exit_code(counts)
 
 
 def _fuzz_trial(checks, rng, options):
@@ -300,14 +299,9 @@ def postulate_fails_on(system, postulate, **bounds) -> bool:
 
 def _dump_repro(report, systems, trial, options):
     if len(systems) == 1:
-        try:
-            systems = (
-                postulates.shrink_failing_system(
-                    systems[0], lambda s: postulate_fails_on(s, report.postulate, **_bounds(options))
-                ),
-            )
-        except JsbafError:
-            pass
+        def still_fails(system):
+            return postulate_fails_on(system, report.postulate, **_bounds(options))
+        systems = (postulates.shrink_failing_system(systems[0], still_fails),)
     for i, system in enumerate(systems):
         path = os.path.join(
             options.repro_dir,

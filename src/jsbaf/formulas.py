@@ -19,7 +19,10 @@ evaluation of the definition is :func:`jsbaf.naive.satisfies`.
 Every formula carries a *key*: its serialisation in prefix notation.
 Lexicographic order on keys is the canonical total order used wherever a
 set of formulas has to be turned into a sequence deterministically (for
-instance when a conjunction over a set is formed).
+instance when a conjunction over a set is formed).  It also carries its
+*height*, the longest path from the root to an atom; the evaluators and
+the formatter recurse that deep, so the parser refuses a formula taller
+than ``MAX_FORMULA_DEPTH``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Iterable
 from .errors import ParseError, ResourceLimitError
 
 DEFAULT_ATOM_BOUND = 16
+MAX_FORMULA_DEPTH = 200  # tree height and ``(``/``!`` nesting the parser accepts
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -37,10 +41,11 @@ IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 class Formula:
     """Immutable formula tree node.  Use :class:`Var`, :class:`Not`, :class:`And`."""
 
-    __slots__ = ("key", "atom_set", "_hash")
+    __slots__ = ("key", "atom_set", "height", "_hash")
 
     key: str
     atom_set: frozenset[str]
+    height: int
 
     def __eq__(self, other):
         return isinstance(other, Formula) and self.key == other.key
@@ -64,6 +69,7 @@ class Var(Formula):
         self.name = name
         self.key = name
         self.atom_set = frozenset((name,))
+        self.height = 0
         self._hash = hash(self.key)
 
 
@@ -74,6 +80,7 @@ class Not(Formula):
         self.sub = sub
         self.key = "(! " + sub.key + ")"
         self.atom_set = sub.atom_set
+        self.height = sub.height + 1
         self._hash = hash(self.key)
 
 
@@ -85,6 +92,7 @@ class And(Formula):
         self.right = right
         self.key = "(& " + left.key + " " + right.key + ")"
         self.atom_set = left.atom_set | right.atom_set
+        self.height = max(left.height, right.height) + 1
         self._hash = hash(self.key)
 
 
@@ -212,6 +220,7 @@ class _Tokens:
         self.text = text
         self.pos = 0
         self.line = line
+        self.nesting = 0  # open ``(`` and ``!`` at the current position
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, line=self.line, column=self.pos + 1)
@@ -227,15 +236,19 @@ class _Tokens:
 
 def _parse_unary(t: _Tokens) -> Formula:
     c = t.peek()
-    if c == "!":
+    if c in ("!", "("):
+        t.nesting += 1
+        if t.nesting > MAX_FORMULA_DEPTH:
+            raise ParseError("formula nested too deeply", line=t.line)
         t.pos += 1
-        return Not(_parse_unary(t))
-    if c == "(":
-        t.pos += 1
-        f = _parse_conj(t)
-        if t.peek() != ")":
-            raise t.error("expected ')'")
-        t.pos += 1
+        if c == "!":
+            f = Not(_parse_unary(t))
+        else:
+            f = _parse_conj(t)
+            if t.peek() != ")":
+                raise t.error("expected ')'")
+            t.pos += 1
+        t.nesting -= 1
         return f
     m = IDENT.match(t.text, t.pos)
     if not m:
@@ -254,12 +267,11 @@ def _parse_conj(t: _Tokens) -> Formula:
 
 def parse_formula(text: str, line: int | None = None) -> Formula:
     t = _Tokens(text, line=line)
-    try:
-        f = _parse_conj(t)
-    except RecursionError:
-        raise ParseError("formula nested too deeply", line=line) from None
+    f = _parse_conj(t)
     if t.peek():
         raise t.error(f"unexpected {t.peek()!r}")
+    if f.height > MAX_FORMULA_DEPTH:
+        raise ParseError("formula nested too deeply", line=line)
     return f
 
 

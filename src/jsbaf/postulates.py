@@ -169,27 +169,26 @@ def check_non_interference(
         budget=bounds,
     )
 
-    label = "union"
     try:
         union_raw = preferred_conclusions(union, **bounds)
-        for label, side in (("side1", s1), ("side2", s2)):
-            side_atoms = atoms_of_system(side)
-            side_families = restrict_conclusions(
-                preferred_conclusions(side, **bounds), side_atoms
-            )
-            union_restricted = restrict_conclusions(union_raw, side_atoms)
-            if side_families != union_restricted:
-                report.verdict = FAIL
-                report.witness = {
-                    "side": label,
-                    "atoms": sorted(side_atoms),
-                    "side_conclusions": _family_key(side_families),
-                    "union_conclusions": _family_key(union_restricted),
-                }
-                return report
     except ResourceLimitError as exc:
         report.verdict = INCONCLUSIVE
-        report.witness = {"reason": f"{label}: {exc}"}
+        report.witness = {"reason": f"union: {exc}"}
+        return report
+    # a side's arguments are union arguments: each side is within the bounds the union is within
+    for label, side in (("side1", s1), ("side2", s2)):
+        side_atoms = atoms_of_system(side)
+        side_families = restrict_conclusions(preferred_conclusions(side, **bounds), side_atoms)
+        union_restricted = restrict_conclusions(union_raw, side_atoms)
+        if side_families != union_restricted:
+            report.verdict = FAIL
+            report.witness = {
+                "side": label,
+                "atoms": sorted(side_atoms),
+                "side_conclusions": _family_key(side_families),
+                "union_conclusions": _family_key(union_restricted),
+            }
+            return report
     return report
 
 

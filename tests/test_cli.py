@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from jsbaf import textio
 from jsbaf.cli import main
+from jsbaf.formulas import MAX_FORMULA_DEPTH
 
 from conftest import INSTANCES
 
@@ -49,6 +50,13 @@ class TestSolve:
         assert code == 0
         assert "att " in out and "sup " in out
         assert "conclusions:" in out
+
+    def test_conclusion_sets_have_no_repeats(self, tmp_path, capsys):
+        # two IN arguments conclude p: the set is {p}
+        path = tmp_path / "twice.as"
+        path.write_text("atom p\naxiom p\ndefeasible d1[0]: => p\n")
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out == "1\na000 IN\na001 IN\n\nconclusions:\n{p}\n"
 
     def test_json_format(self, capsys):
         code = main(["solve", str(INSTANCES / "j1.jsbaf"), "--format", "json"])
@@ -264,27 +272,53 @@ class TestExitCodes:
             assert main([command, str(deep)]) == 3
             assert "formula nested too deeply (line 2)" in capsys.readouterr().err
 
-    def test_formula_just_inside_the_nesting_limit(self, tmp_path, capsys):
-        """The deepest formula the parser takes is evaluated, built into
-        arguments, translated and checked without a crash."""
+    def test_formula_trees_too_tall_are_3(self, tmp_path, capsys):
+        """A long chain and nested groups of chains are shallow to the
+        parser but tall as trees; 3,000 parentheses hold a single atom."""
+        chain = " & ".join(["p"] * 1500)
+        groups = " & ".join(["p"] * 99)
+        for _ in range(99):
+            groups = f"({groups}) & " + " & ".join(["p"] * 98)
+        parens = "(" * 3000 + "p" + ")" * 3000
         deep = tmp_path / "deep.as"
+        for formula in (chain, groups, parens):
+            deep.write_text(f"atom p\naxiom {formula}\n")
+            for command in ("validate", "solve", "translate", "postulates"):
+                assert main([command, str(deep)]) == 3
+                err = capsys.readouterr().err
+                assert err == "error: formula nested too deeply (line 2)\n"
 
-        def refused(depth):
-            formula = "!" * depth + "p"
-            deep.write_text(f"atom p\natom q\naxiom {formula}\ndefeasible d1[0]: {formula} => q\n")
-            code = main(["validate", str(deep)])
-            err = capsys.readouterr().err
-            assert code == (3 if err else 0)
-            return "formula nested too deeply" in err
+    def test_formula_just_inside_the_nesting_limit(self, tmp_path, capsys):
+        """A formula of height MAX_FORMULA_DEPTH is evaluated, built into
+        arguments, translated and checked without a crash; one level more
+        is refused."""
+        deep = tmp_path / "deep.as"
+        shapes = (
+            lambda height: "!" * height + "p",  # nesting and height both `height`
+            lambda height: "!(" + " & ".join(["p"] * height) + ")",  # nesting 2
+        )
+        for shape in shapes:
+            for height, code in ((MAX_FORMULA_DEPTH, 0), (MAX_FORMULA_DEPTH + 1, 3)):
+                formula = shape(height)
+                deep.write_text(f"atom p\natom q\naxiom {formula}\ndefeasible d1[0]: {formula} => q\n")
+                for command in ("validate", "solve", "translate", "postulates"):
+                    assert main([command, str(deep)]) == code
+                    err = capsys.readouterr().err
+                    assert err == ("" if code == 0 else "error: formula nested too deeply (line 3)\n")
 
-        low, high = 1, 3000  # refused at 3000, taken at 1
-        while high - low > 1:
-            middle = (low + high) // 2
-            low, high = (low, middle) if refused(middle) else (middle, high)
-        assert not refused(low)
-        for command in ("validate", "solve", "translate", "postulates"):
-            assert main([command, str(deep)]) == 0
-            assert capsys.readouterr().err == ""
+    def test_closed_stdout_is_3(self):
+        # 300 trials print about 145 KB; the reader takes one line and closes the pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "jsbaf.cli", "fuzz", "--trials", "300", "--seed", "1", "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 3
+        assert b"Traceback" not in err and b"Exception ignored" not in err
 
     def test_flag_a_command_does_not_read_is_3(self, capsys):
         as1, j1 = str(INSTANCES / "as1.as"), str(INSTANCES / "j1.jsbaf")

@@ -165,6 +165,7 @@ class TestNonInterference:
             as1, as_u, cross_rules=gen.cross_closure_rules(as1, as_u), budget=budget
         )
         assert report.verdict == po.INCONCLUSIVE
+        assert report.witness["reason"].startswith("union: ")
 
 
 def restricted_rebuts(a, b):

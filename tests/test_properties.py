@@ -300,6 +300,24 @@ class TestIndexedAttacks:
         assert 200 <= max(sizes) <= 330  # the top stratum of the corpus
 
 
+class TestNonInterferenceSides:
+    def test_sides_are_within_the_union_bounds(self):
+        """Every union build is complete under the non-interference
+        budget, and so is each side's, with its arguments among the
+        union's: so a side is within every bound its union is within."""
+        budget = po.NonInterferenceBudget()
+        for index, (s1, s2) in enumerate(corpus7()):
+            merge = "raw" if index % 2 == 0 else "interleave"
+            union = union_systems(s1, s2, merge=merge, cross_rules=gen.cross_closure_rules(s1, s2))
+            union_build = ar.build_arguments(union, max_args=budget.max_args, max_depth=budget.max_depth)
+            assert not union_build.truncated
+            union_keys = {a.key for a in union_build.arguments}
+            for side in (s1, s2):
+                build = ar.build_arguments(side, max_args=budget.max_args, max_depth=budget.max_depth)
+                assert not build.truncated
+                assert {a.key for a in build.arguments} <= union_keys
+
+
 def _random_acyclic_framework(rng, max_args):
     ids = [f"a{i}" for i in range(rng.randint(0, max_args))]
     attacks = {(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 2 * len(ids)))}

@@ -44,6 +44,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _directory(text: str) -> str:
+    if not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"not an existing directory: {text}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     # flags read by more than one subcommand; each subcommand takes the groups it reads
     fmt = argparse.ArgumentParser(add_help=False)
@@ -92,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merge-policy", choices=MERGE_POLICIES, default="raw")
     p.add_argument("--checks", default="closure,consistency",
                    help="comma list of closure,consistency,non-interference")
-    p.add_argument("--repro-dir", default=".")
+    p.add_argument("--repro-dir", type=_directory, default=".")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=_cmd_fuzz)
     return parser

@@ -329,7 +329,8 @@ class _Engine:
         not, supporters before the heads they support.  A branch ends once
         its IN-set attacks itself, as every superset does too; a head whose
         supporting set is all IN is only tried IN.  Each leaf is verified
-        by ``admissible_out_for``."""
+        by ``admissible_out_for``.  Every node tries IN before not-IN, so
+        every admissible strict superset of an IN-set is yielded before it."""
         attackers, supports = self.attackers, self.supports
         free = []  # non-strict arguments, supporters first
         attacking = 0  # arguments attacking the IN-set
@@ -444,21 +445,24 @@ def _check_enum_bound(framework: Jsbaf, max_args: int) -> None:
 
 
 def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
+    """Every admissible labeling in vector order, searched once per framework
+    and cached on it; the bound holds whether or not they are cached already."""
     _check_enum_bound(framework, max_args)
     eng = _engine(framework)
-    found = [Labeling(eng.ids, im, om) for im, om in eng.enumerate_admissible_masks()]
-    return sorted(found, key=Labeling.vector)
+    return _cached(framework, "_catalogue_cache", lambda: sorted(
+        (Labeling(eng.ids, im, om) for im, om in eng.enumerate_admissible_masks()), key=Labeling.vector
+    ))
 
 
 def enumerate_preferred(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     """The admissible labelings with subset-maximal IN-sets, in the order
-    of :func:`enumerate_admissible`.  The filter runs on IN masks, largest
-    first: one is maximal unless a kept one contains it, as every larger
-    one came before, and only a maximal one is built into a Labeling."""
+    of :func:`enumerate_admissible`.  The search yields every admissible
+    strict superset of an IN-set before it, so an IN mask is maximal unless
+    a kept one contains it; only a maximal one is built into a Labeling."""
     _check_enum_bound(framework, max_args)
     eng = _engine(framework)
     kept: list[tuple[int, int]] = []
-    for in_mask, out_mask in sorted(eng.enumerate_admissible_masks(), key=lambda m: -m[0].bit_count()):
+    for in_mask, out_mask in eng.enumerate_admissible_masks():
         if all(in_mask & k != in_mask for k, _ in kept):
             kept.append((in_mask, out_mask))
     return sorted((Labeling(eng.ids, im, om) for im, om in kept), key=Labeling.vector)

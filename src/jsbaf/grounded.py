@@ -4,8 +4,9 @@ This semantics ignores preference ranks entirely.  It works on the
 preference-free view of a framework: the same :class:`~jsbaf.framework.Jsbaf`
 without ranks (:func:`from_jsbaf`), on which the legality, admissibility
 and SIM functions of :mod:`jsbaf.framework` drop every rank condition.
-They are re-exported here; every function of this module that reads
-legality takes the view itself, so ranks given to it never count.
+Every function defined here takes the view itself, so ranks never count;
+``legally_in`` and ``sim_labeling`` are the framework's, re-exported for
+the benchmark, and read the ranks they are given: give them the view.
 
 The grounded labeling accepts exactly the arguments one is *forced* to
 accept.  An argument is forced IN w.r.t. a labeling when all its
@@ -38,7 +39,7 @@ the entry is non-empty, an OUT head when it holds OUT.
 from __future__ import annotations
 
 from .errors import InstanceError
-from .framework import (  # legality, admissibility and SIM are the framework's, re-exported
+from .framework import (  # legally_in and sim_labeling are the framework's, re-exported
     DEFAULT_MAX_ENUM_ARGS,
     IN,
     OUT,
@@ -48,11 +49,8 @@ from .framework import (  # legality, admissibility and SIM are the framework's,
     _check_enum_bound,
     _covering,
     _engine,
-    _locate,
     enumerate_admissible,
-    is_admissible,
     legally_in,
-    legally_out,
     sim_labeling,
 )
 from .system import _cached
@@ -129,26 +127,14 @@ def support_children(g: Jsbaf, arg: str) -> frozenset[str]:
     return frozenset(a for j, a in enumerate(table.eng.ids) if (table.down[i] ^ 1 << i) >> j & 1)
 
 
-def safe_supports(g: Jsbaf, labeling: Labeling, arg: str) -> list[tuple[frozenset[str], str]]:
-    """Supports (S, b) with ``arg`` in S such that every argument on every
-    chain starting at (S, b) has all its attackers OUT."""
-    g, table = _table(g)
-    eng, i = _locate(g, labeling, arg)
-    heads = (eng.ids[h] for h, _, _ in eng.member_of[i] if not table.reach[h] & ~labeling.out_mask)
-    return [(g.supports[head], head) for head in heads]
-
-
 def more_informative(label: str, than: str) -> bool:
     """IN/OUT refine UNDEC; every label refines itself."""
     return than == UNDEC or label == than
 
 
 def admissible_catalogue(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
-    """All admissible labelings of the preference-free view, cached on it;
-    the bound holds whether or not the catalogue is cached already."""
-    g = from_jsbaf(g)
-    _check_enum_bound(g, max_args)
-    return _cached(g, "_catalogue_cache", lambda: enumerate_admissible(g, max_args=max_args))
+    """All admissible labelings of the preference-free view, cached on it."""
+    return enumerate_admissible(from_jsbaf(g), max_args)
 
 
 def _forced(g: Jsbaf, table: _Table, i: int, in_mask: int, out_mask: int, max_args: int) -> bool:
@@ -164,12 +150,6 @@ def _forced(g: Jsbaf, table: _Table, i: int, in_mask: int, out_mask: int, max_ar
         if OUT in unextendable if out_mask >> h & 1 else unextendable:
             return False
     return True
-
-
-def forced_in(g: Jsbaf, labeling: Labeling, arg: str, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> bool:
-    g, table = _table(g)
-    _, i = _locate(g, labeling, arg)
-    return _forced(g, table, i, labeling.in_mask, labeling.out_mask, max_args)
 
 
 def fi_set(g: Jsbaf, labeling: Labeling, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> frozenset[str]:
@@ -225,15 +205,14 @@ def grounded_labeling(g: Jsbaf, oracle: bool = False, max_args: int = DEFAULT_MA
 
     With ``oracle`` set, additionally enumerates every ground-complete
     labeling and asserts that the construction's result is the unique
-    minimal one by IN-set inclusion.
+    minimal one by IN-set inclusion: it is one of them, and its IN-set lies
+    inside each of theirs (admissible labelings with one IN-set are equal).
     """
     result = grounded_construction(g, max_args=max_args)
     if oracle:
         complete = enumerate_ground_complete(g, max_args=max_args)
-        minimal = [lab for lab in complete if not any(other.in_set < lab.in_set for other in complete)]
-        if len(minimal) != 1 or minimal[0] != result:
+        if result not in complete or any(result.in_mask & ~lab.in_mask for lab in complete):
             raise InstanceError(
-                "grounded construction does not match the unique minimal "
-                f"ground-complete labeling ({len(minimal)} minimal candidates)"
+                "grounded construction does not match the unique minimal ground-complete labeling"
             )
     return result

@@ -176,6 +176,8 @@ def parse_framework_text(text: str) -> Jsbaf:
         rest = rest.strip()
         if keyword == "arg":
             name, _, rankpart = rest.partition(" ")
+            if not fm.IDENT.fullmatch(name):
+                raise ParseError(f"expected an argument name, got {name!r}", line=lineno)
             rank = 0
             if rankpart:
                 if not rankpart.startswith("rank="):
@@ -197,6 +199,8 @@ def parse_framework_text(text: str) -> Jsbaf:
             if not sep:
                 raise ParseError("expected '<-'", line=lineno)
             head = head.strip()
+            if not fm.IDENT.fullmatch(head):
+                raise ParseError(f"expected one supported argument name, got {head!r}", line=lineno)
             if head in supports:
                 raise ParseError(f"second supporting set for {head!r}", line=lineno)
             supports[head] = frozenset(

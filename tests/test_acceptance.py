@@ -299,7 +299,7 @@ def test_criterion_9_property_suites():
     # grounded corpus: SIM admissibility and legality-oracle agreement
     for index, g in enumerate(corpus5()):
         sim = gr.sim_labeling(g)
-        if not gr.is_admissible(g, sim):
+        if not fw.is_admissible(g, sim):
             violations.append(f"corpus5[{index}]: SIM not admissible")
         plain = fw.Jsbaf(args=g.args, attacks=g.attacks, supports=dict(g.supports))
         for _ in range(4):
@@ -309,7 +309,7 @@ def test_criterion_9_property_suites():
                     plain, labeling, arg, use_ranks=False
                 ):
                     violations.append(f"corpus5[{index}]: legally_in oracle disagrees")
-                if gr.legally_out(g, labeling, arg) != naive.naive_legally_out(
+                if fw.legally_out(g, labeling, arg) != naive.naive_legally_out(
                     plain, labeling, arg, use_ranks=False
                 ):
                     violations.append(f"corpus5[{index}]: legally_out oracle disagrees")

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 from hypothesis import given, settings, strategies as st
 
-from jsbaf import textio
+from jsbaf import postulates, textio
 from jsbaf.cli import main
 from jsbaf.formulas import MAX_FORMULA_DEPTH
+from jsbaf.system import validate_system
 
 from conftest import INSTANCES
 
@@ -117,8 +119,43 @@ class TestPostulates:
         assert code == 0
         assert "non_interference: pass" in out
 
+    def test_failing_pair_is_1(self, tmp_path, capsys):
+        left, right = tmp_path / "left.as", tmp_path / "right.as"
+        left.write_text(NON_INTERFERENCE_LEFT)
+        right.write_text(NON_INTERFERENCE_RIGHT)
+        assert main(["postulates", str(left), "--against", str(right)]) == 1
+        reports = capsys.readouterr().out.splitlines()
+        assert reports[:3] == ["closure: pass", "direct_consistency: pass", "indirect_consistency: pass"]
+        assert reports[3].startswith("non_interference: fail ")
+
+
+def _closure_fails_with_a_defeasible_rule(monkeypatch):
+    """Patch the closure check to fail exactly on systems with a defeasible
+    rule, so that a fuzz failure shrinks to a single defeasible rule."""
+    check = postulates.check_closure
+
+    def failing(system, conclusions):
+        verdict = postulates.FAIL if system.defeasible_rules else postulates.PASS
+        return dataclasses.replace(check(system, conclusions), verdict=verdict)
+
+    monkeypatch.setattr(postulates, "check_closure", failing)
+
 
 class TestFuzz:
+    def test_failures_are_dumped_shrunk_and_exit_1(self, tmp_path, capsys, monkeypatch):
+        _closure_fails_with_a_defeasible_rule(monkeypatch)
+        argv = ["fuzz", "--trials", "2", "--seed", "1", "--checks", "closure", "--repro-dir", str(tmp_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith("trials=2 pass=0 fail=2 inconclusive=0\n")
+        assert captured.err == "".join(f"fail reproduced in {tmp_path} (trial {t})\n" for t in (0, 1))
+        repros = sorted(tmp_path.iterdir())
+        assert [path.name.split("_")[:3] for path in repros] == [["repro", "closure", t] for t in "01"]
+        for path in repros:
+            system = textio.parse_instance(str(path))
+            assert validate_system(system).ok
+            assert len(system.defeasible_rules) == 1 and not system.strict_rules
+
     def test_zero_trials(self, capsys):
         code = main(["fuzz", "--trials", "0"])
         out = capsys.readouterr().out
@@ -174,9 +211,10 @@ class TestExitCodes:
         assert main(["solve", str(bad)]) == 3
 
     def test_directives_the_parser_would_drop_are_3(self, tmp_path, capsys):
-        """A second name for a rule, a rank on a strict rule, or an atom
-        line that is not one atom name is refused rather than overwritten,
-        ignored or read as an atom no formula can use."""
+        """A second name for a rule, a rank on a strict rule, an atom line
+        that is not one atom name, or an arg or sup line that names no
+        argument is refused rather than overwritten, ignored or read as
+        an argument named '' or 'rank=0'."""
         twice = "atom p\natom n\natom m\ndefeasible d1[0]: => p\nname d1 = n\nname d1 = m\n"
         for text, error in (
             (twice + "defeasible d2[0]: => !n\n", "second name for rule 'd1' (line 6)"),
@@ -187,6 +225,16 @@ class TestExitCodes:
             path = tmp_path / "dropped.as"
             path.write_text(text)
             for command in ("validate", "solve", "translate"):
+                assert main([command, str(path)]) == 3
+                assert error in capsys.readouterr().err
+        for text, error in (
+            ("arg a\narg\n", "expected an argument name, got '' (line 2)"),
+            ("arg  rank=0\n", "expected an argument name, got 'rank=0' (line 1)"),
+            ("arg a\nsup <- a\n", "expected one supported argument name, got '' (line 2)"),
+        ):
+            path = tmp_path / "dropped.jsbaf"
+            path.write_text(text)
+            for command in ("validate", "solve"):
                 assert main([command, str(path)]) == 3
                 assert error in capsys.readouterr().err
 
@@ -233,6 +281,16 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "cyclic support chain through a -> b -> a" in err
             assert "Traceback" not in err
+
+    def test_repro_dir_that_is_not_a_directory_is_3(self, tmp_path, capsys, monkeypatch):
+        _closure_fails_with_a_defeasible_rule(monkeypatch)
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        argv = ["fuzz", "--trials", "2", "--seed", "1", "--checks", "closure", "--repro-dir"]
+        for path in (tmp_path / "missing", a_file):
+            assert main([*argv, str(path)]) == 3
+            assert f"--repro-dir: not an existing directory: {path}" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["a_file"]
 
     def test_unknown_check_is_3(self, capsys):
         assert main(["fuzz", "--trials", "1", "--checks", "bogus"]) == 3
@@ -354,6 +412,9 @@ strict s7: !!!!!!!!!!q -> !p
 DEEP_CONSISTENT_SYSTEM = DEEP_INCONSISTENT_SYSTEM.rsplit("strict s7", 1)[0]
 INVALID_SYSTEM = "atom p\natom q\naxiom p\naxiom !p\ndefeasible d1[0]: => q\nstrict s1: q -> p & q\n"
 ATTACKED_STRICT = "arg a\narg b\nsup a <-\natt b a\n"
+# alone the left side concludes p; in the union, one preferred conclusion set lacks p
+NON_INTERFERENCE_LEFT = "atom p\ndefeasible d1[0]: => p\n"
+NON_INTERFERENCE_RIGHT = "atom q\ndefeasible d2[1]: => q\ndefeasible d3[0]: => !q\n"
 
 
 class TestRefusal:

@@ -140,7 +140,6 @@ class TestLabeling:
                 lambda: fw.legally_out(j1, foreign, "a"),
                 lambda: fw.is_admissible(j1, foreign),
                 lambda: gr.fi_set(g1, foreign),
-                lambda: gr.safe_supports(g1, foreign, "a"),
             ):
                 with pytest.raises(InstanceError, match="does not cover exactly"):
                     check()
@@ -290,6 +289,40 @@ class TestEnumeration:
 
     def test_enumeration_contains_sim(self, j1):
         assert fw.sim_labeling(j1) in fw.enumerate_admissible(j1)
+
+
+class TestAdmissibleSearch:
+    def test_supersets_are_yielded_first(self):
+        # IN is tried before not-IN at every node, which the preferred
+        # filter relies on: no IN mask is yielded after a strict subset of it
+        rng = random.Random(1717)
+        nested = 0
+        for _ in range(300):
+            g = gen.generate_ground_framework(rng=rng, max_args=8)
+            for rank in (None, {a: rng.randint(0, 2) for a in g.args}):
+                framework = Jsbaf(args=g.args, attacks=g.attacks, supports=g.supports, rank=rank)
+                yielded = [im for im, _ in fw._engine(framework).enumerate_admissible_masks()]
+                for j, later in enumerate(yielded):
+                    for earlier in yielded[:j]:
+                        assert earlier & later != earlier
+                        nested += later & earlier == later
+        assert nested > 1_000, nested
+
+    def test_searched_once_per_framework(self, j1, monkeypatch):
+        calls = [0]
+        search = fw._Engine.enumerate_admissible_masks
+
+        def counted_search(engine):
+            calls[0] += 1
+            return search(engine)
+
+        monkeypatch.setattr(fw._Engine, "enumerate_admissible_masks", counted_search)
+        framework = Jsbaf(args=j1.args, attacks=j1.attacks, supports=j1.supports, rank=j1.rank)
+        first = fw.enumerate_admissible(framework)
+        assert fw.enumerate_admissible(framework) is first
+        assert calls[0] == 1
+        with pytest.raises(ResourceLimitError, match="6 arguments exceed the enumeration bound of 5"):
+            fw.enumerate_admissible(framework, max_args=5)
 
 
 def _check_first_criterion_7_pairs():

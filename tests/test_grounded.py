@@ -75,11 +75,11 @@ class TestLegality:
 
     def test_no_legally_out_without_accepted_attackers(self, g2):
         all_undec = glabeling(g2)
-        assert not any(gr.legally_out(g2, all_undec, a) for a in g2.args)
+        assert not any(fw.legally_out(g2, all_undec, a) for a in g2.args)
 
     def test_legally_out_via_chain(self, g3):
         lab = glabeling(g3, in_set={"Bbar", "A2"}, out_set={"A1", "B"})
-        assert gr.legally_out(g3, lab, "A1")
+        assert fw.legally_out(g3, lab, "A1")
 
 
 class TestSimAndAdmissibility:
@@ -91,7 +91,7 @@ class TestSimAndAdmissibility:
         assert gr.sim_labeling(g2) == glabeling(g2)
 
     def test_grounded_labeling_is_admissible(self, g3):
-        assert gr.is_admissible(g3, gr.grounded_labeling(g3))
+        assert fw.is_admissible(g3, gr.grounded_labeling(g3))
 
 
 class TestSupportPaths:
@@ -103,9 +103,25 @@ class TestSupportPaths:
         assert gr.support_children(g1, "b") == frozenset()
 
 
+def fresh(g):
+    """The same graph as a new framework, with nothing cached on it."""
+    return Jsbaf(args=g.args, attacks=g.attacks, supports=g.supports)
+
+
+def table_entries(g):
+    """The (argument, head) pairs of the forced-IN table read so far."""
+    table = gr._table(g)[1]
+    return {(table.eng.ids[i], table.eng.ids[h]) for i, h in table.entries}
+
+
 class TestSafeSupports:
+    """A safe support (nothing reachable from it has a non-OUT attacker)
+    is passed by forced-IN without reading the table."""
+
     def test_attacked_head_is_unsafe(self, g3):
-        assert gr.safe_supports(g3, gr.sim_labeling(g3), "A2") == []
+        g = fresh(g3)
+        assert "A2" in gr.fi_set(g, gr.sim_labeling(g))
+        assert table_entries(g) == {("A2", "B")}
 
     def test_unattacked_chain_is_safe(self):
         g = Jsbaf(
@@ -113,11 +129,13 @@ class TestSafeSupports:
             attacks=frozenset(),
             supports={"y": frozenset({"x"}), "z": frozenset({"y"})},
         )
-        lab = glabeling(g)
-        assert gr.safe_supports(g, lab, "x") == [(frozenset({"x"}), "y")]
+        assert gr.fi_set(g, glabeling(g)) == {"x", "y", "z"}
+        assert table_entries(g) == set()
 
     def test_argument_in_no_supporting_set(self, g3):
-        assert gr.safe_supports(g3, gr.sim_labeling(g3), "Bbar") == []
+        g = fresh(g3)
+        assert "Bbar" in gr.fi_set(g, gr.sim_labeling(g))
+        assert all(arg != "Bbar" for arg, _ in table_entries(g))
 
 
 class TestMoreInformative:
@@ -129,13 +147,13 @@ class TestMoreInformative:
 
 class TestForcedIn:
     def test_forced_despite_out_head(self, g3):
-        assert gr.forced_in(g3, gr.sim_labeling(g3), "A2")
+        assert "A2" in gr.fi_set(g3, gr.sim_labeling(g3))
 
     def test_not_forced_when_a_rejecting_labeling_exists(self, g2):
-        assert not gr.forced_in(g2, gr.sim_labeling(g2), "A2")
+        assert "A2" not in gr.fi_set(g2, gr.sim_labeling(g2))
 
     def test_self_attacker_is_never_forced(self, g3):
-        assert not gr.forced_in(g3, gr.sim_labeling(g3), "A1")
+        assert "A1" not in gr.fi_set(g3, gr.sim_labeling(g3))
 
 
 class TestGroundComplete:
@@ -200,12 +218,45 @@ class TestGroundedOracle:
                 gr.grounded_labeling(g, oracle=oracle, max_args=3)
             assert caught.value.bound_name == "max_enum_args"
 
+    def test_catalogue_and_oracle_search_once_per_view(self, j1, g3, monkeypatch):
+        calls = [0]
+        search = fw._Engine.enumerate_admissible_masks
+
+        def counted_search(engine):
+            calls[0] += 1
+            return search(engine)
+
+        monkeypatch.setattr(fw._Engine, "enumerate_admissible_masks", counted_search)
+        g = fresh(g3)
+        gr.admissible_catalogue(g)
+        gr.grounded_labeling(g, oracle=True)
+        assert calls[0] == 1
+        # a ranked framework and its view keep their own labelings
+        ranked = Jsbaf(args=j1.args, attacks=j1.attacks, supports=j1.supports, rank=j1.rank)
+        assert gr.admissible_catalogue(ranked) is fw.enumerate_admissible(gr.from_jsbaf(ranked))
+        assert fw.enumerate_admissible(ranked) is not gr.admissible_catalogue(ranked)
+        assert calls[0] == 3
+
+    def test_oracle_refuses_a_construction_that_is_not_the_unique_minimum(self, monkeypatch):
+        # a and b attack each other: all UNDEC is the grounded labeling, and
+        # each of a, b IN with the other OUT is ground-complete too
+        g = Jsbaf(args=("a", "b"), attacks=frozenset({("a", "b"), ("b", "a")}))
+        assert gr.grounded_labeling(g, oracle=True) == glabeling(g)
+        assert len(gr.enumerate_ground_complete(g)) == 3
+        for wrong in (
+            glabeling(g, in_set={"a"}, out_set={"b"}),  # ground-complete, not minimal
+            glabeling(g, out_set={"a"}),  # the minimal IN-set, another labeling
+        ):
+            monkeypatch.setattr(gr, "grounded_construction", lambda g, **kwargs: wrong)
+            with pytest.raises(InstanceError, match="does not match the unique minimal"):
+                gr.grounded_labeling(g, oracle=True)
+
     def test_trace_intermediates_are_admissible(self, g3):
         trace = []
         gr.grounded_construction(g3, trace=trace)
         assert len(trace) >= 2
         for lab in trace:
-            assert gr.is_admissible(g3, lab)
+            assert fw.is_admissible(g3, lab)
 
 
 class TestForcedInTable:

@@ -424,14 +424,14 @@ class TestEngineAgainstNaive:
             plain = fw.Jsbaf(args=g.args, attacks=g.attacks, supports=dict(g.supports))
             for _ in range(10):
                 labeling = random_labeling(g, rng)
-                assert gr.is_admissible(g, labeling) == naive.naive_is_admissible(
+                assert fw.is_admissible(g, labeling) == naive.naive_is_admissible(
                     plain, labeling, use_ranks=False
                 )
                 for arg in g.args:
                     assert gr.legally_in(g, labeling, arg) == naive.naive_legally_in(
                         plain, labeling, arg, use_ranks=False
                     )
-                    assert gr.legally_out(g, labeling, arg) == naive.naive_legally_out(
+                    assert fw.legally_out(g, labeling, arg) == naive.naive_legally_out(
                         plain, labeling, arg, use_ranks=False
                     )
 
@@ -554,4 +554,4 @@ class TestSemanticInvariants:
             trace = []
             gr.grounded_construction(g, trace=trace)
             for lab in trace:
-                assert gr.is_admissible(g, lab)
+                assert fw.is_admissible(g, lab)

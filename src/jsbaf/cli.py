@@ -27,7 +27,7 @@ from . import framework as fw
 from . import generate as gen
 from . import grounded as gr
 from . import naive, postulates, textio
-from .errors import InstanceError, JsbafError, ParseError, ResourceLimitError
+from .errors import InstanceError, JsbafError, ResourceLimitError
 from .formulas import DEFAULT_ATOM_BOUND
 from .system import MERGE_POLICIES, ArgumentationSystem, validate_system
 
@@ -116,9 +116,6 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed stdout; send what is left to devnull so that the exit flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

@@ -34,7 +34,10 @@ Enumeration works per candidate IN-set: for a fixed IN-set the OUT-set
 of an admissible labeling is forced.  Whether an argument is legally OUT
 depends only on the arguments downstream of it along supports, so one
 pass that visits every supported argument before its supporters decides
-it, and the legally-OUT operator has a unique fixpoint.  The IN-sets
+it, and the legally-OUT operator has a unique fixpoint, ``legal_out``:
+the engine's one legally-OUT operator, which admissibility, the SIM
+labeling and the grounded construction read (on an arbitrary labeling
+the definition is :func:`jsbaf.naive.naive_legally_out`).  The IN-sets
 are searched depth first from the strict arguments, deciding each
 non-strict argument IN or not, supporters before the heads they
 support.  A branch ends as soon as its IN-set attacks itself, since
@@ -61,6 +64,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import InstanceError, ResourceLimitError
+from .formulas import IDENT
 from .system import ValidationReport, _cached
 
 IN = "IN"
@@ -134,6 +138,7 @@ class Labeling:
 class Jsbaf:
     """Arguments, attacks, joint supports and optional preference ranks.
 
+    Argument ids are identifiers, as the text format writes them.
     ``supports`` maps a supported argument to its unique supporting set;
     absence means unsupported, an empty set means supported by nothing
     (a tautology-like argument).  ``rank`` encodes the total preorder:
@@ -153,6 +158,9 @@ class Jsbaf:
 
     def __post_init__(self):
         args = tuple(sorted(set(self.args)))
+        for a in args:
+            if not IDENT.fullmatch(a):
+                raise InstanceError(f"argument id {a!r} is not an identifier")
         known = set(args)
         attacks = frozenset(self.attacks)
         for a, b in attacks:
@@ -243,17 +251,16 @@ class _Engine:
         for a, b in framework.attacks:
             self.attackers[self.index[b]] |= 1 << self.index[a]
         self.supports = {}  # head index -> tail mask
-        # per argument, each support containing it: (head, co-supporters
-        # mask, whether the argument is at most as preferred as each of them)
+        # per argument, each support containing it in which it is at most
+        # as preferred as every co-supporter: (head, co-supporters mask)
         self.member_of = [[] for _ in range(self.n)]
         for head in sorted(framework.supports):
             tail = framework.supports[head]
             self.supports[self.index[head]] = self.mask(tail)
             least = min(map(framework.rank_of, tail), default=0)
             for t in tail:
-                self.member_of[self.index[t]].append(
-                    (self.index[head], self.mask(tail - {t}), framework.rank_of(t) <= least)
-                )
+                if framework.rank_of(t) <= least:
+                    self.member_of[self.index[t]].append((self.index[head], self.mask(tail - {t})))
         self.strict_mask = self.mask(strict)
 
     def mask(self, ids) -> int:
@@ -262,8 +269,8 @@ class _Engine:
     def legally_in(self, i: int, in_mask: int, out_mask: int) -> bool:
         if self.attackers[i] & ~out_mask:
             return False
-        for head, others, holds in self.member_of[i]:
-            if not holds or in_mask >> head & 1:
+        for head, others in self.member_of[i]:
+            if in_mask >> head & 1:
                 continue
             if out_mask >> head & 1:
                 # OUT head: an OUT co-supporter, or two distinct UNDEC ones
@@ -278,30 +285,21 @@ class _Engine:
             return False
         return True
 
-    def legal_out(self, in_mask: int, out_mask: int | None = None) -> int:
-        """The legally-OUT arguments, in one pass over ``order``.
-
-        A support chain continues through a head that is OUT in
-        ``out_mask``; without ``out_mask``, through a head this pass found
-        legally OUT, and the result is the operator's unique fixpoint, the
-        only OUT-set an admissible labeling with this IN-set can have.
-        """
-        out = chain = 0  # chain: OUT heads from which a qualifying chain runs on
+    def legal_out(self, in_mask: int) -> int:
+        """The legally-OUT fixpoint for ``in_mask``, in one pass over
+        ``order``: an argument is OUT when an IN argument attacks it, or
+        when a support it is in has a head this pass put OUT and all other
+        members IN.  It is the only OUT-set an admissible labeling with
+        this IN-set can have, and it grows with ``in_mask``."""
+        out = 0
         for i in self.order:
-            bit = 1 << i
-            continues = False
             if self.attackers[i] & in_mask:
-                out |= bit
-                continues = True
+                out |= 1 << i
             else:
-                for head, others, holds in self.member_of[i]:
-                    if chain >> head & 1 and not others & ~in_mask:
-                        continues = True
-                        if holds:
-                            out |= bit
-                            break
-            if continues and (out if out_mask is None else out_mask) & bit:
-                chain |= bit
+                for head, others in self.member_of[i]:
+                    if out >> head & 1 and not others & ~in_mask:
+                        out |= 1 << i
+                        break
         return out
 
     def admissible_out_for(self, in_mask: int) -> int | None:
@@ -407,21 +405,11 @@ def _covering(framework: Jsbaf, labeling: Labeling) -> _Engine:
     return eng
 
 
-def _locate(framework: Jsbaf, labeling: Labeling, arg: str) -> tuple[_Engine, int]:
+def legally_in(framework: Jsbaf, labeling: Labeling, arg: str) -> bool:
     eng = _covering(framework, labeling)
     if arg not in eng.index:
         raise InstanceError(f"unknown argument {arg!r}")
-    return eng, eng.index[arg]
-
-
-def legally_in(framework: Jsbaf, labeling: Labeling, arg: str) -> bool:
-    eng, i = _locate(framework, labeling, arg)
-    return eng.legally_in(i, labeling.in_mask, labeling.out_mask)
-
-
-def legally_out(framework: Jsbaf, labeling: Labeling, arg: str) -> bool:
-    eng, i = _locate(framework, labeling, arg)
-    return bool(eng.legal_out(labeling.in_mask, labeling.out_mask) >> i & 1)
+    return eng.legally_in(eng.index[arg], labeling.in_mask, labeling.out_mask)
 
 
 def is_admissible(framework: Jsbaf, labeling: Labeling) -> bool:

@@ -40,6 +40,8 @@ from .system import (
 )
 
 RANK_RANGE = (0, 2)  # ranks of the defeasible rules, drawn uniformly
+NAMING_PROBABILITY = 0.2  # chance that a defeasible rule gets a name
+UNDERCUTTER_PROBABILITY = 0.7  # given a named rule, add a rule for the complement
 MAX_REGENERATE = 50  # draws before generate_system gives up
 BUILD_DEPTH = 8  # construction depth a generated system must not hit
 
@@ -50,8 +52,6 @@ class FuzzProfile:
     defeasible_count: tuple[int, int] = (1, 3)
     axiom_count: tuple[int, int] = (0, 1)
     antecedent_count: tuple[int, int] = (0, 1)
-    naming_probability: float = 0.2
-    undercutter_probability: float = 0.7  # given a named rule, add a rule for the complement
     conjunction_probability: float = 0.25  # chance of a conjunctive defeasible consequent
     conjunction_intro: bool = False  # same-side conjunction introductions
     atom_prefix: str = "p"
@@ -142,7 +142,7 @@ def _generate_once(profile: FuzzProfile, rng: random.Random) -> ArgumentationSys
         )
         rule_id = f"{p.rule_prefix}d{i}"
         name = None
-        if rng.random() < p.naming_probability:
+        if rng.random() < NAMING_PROBABILITY:
             name = Var(rng.choice(atom_names))
             names[i] = name
         defeasible.append(DefeasibleRule(rule_id, antecedents, consequent, name))
@@ -158,7 +158,7 @@ def _generate_once(profile: FuzzProfile, rng: random.Random) -> ArgumentationSys
     # complement of its name
     extra = len(defeasible)
     for i, name in sorted(names.items()):
-        if rng.random() < p.undercutter_probability:
+        if rng.random() < UNDERCUTTER_PROBABILITY:
             rule_id = f"{p.rule_prefix}d{extra}"
             defeasible.append(DefeasibleRule(rule_id, (), Not(name)))
             rank[rule_id] = rng.randint(*RANK_RANGE)

@@ -83,7 +83,7 @@ class _Table:
         self.down, self.reach = [0] * self.eng.n, [0] * self.eng.n
         for i in self.eng.order:  # heads before their supporters
             self.down[i], self.reach[i] = 1 << i, self.eng.attackers[i]
-            for h, _, _ in self.eng.member_of[i]:
+            for h, _ in self.eng.member_of[i]:
                 self.down[i] |= self.down[h]
                 self.reach[i] |= self.reach[h]
         self.catalogue = self.extended = None  # catalogue masks; per base, the labelings extending it
@@ -143,7 +143,7 @@ def _forced(g: Jsbaf, table: _Table, i: int, in_mask: int, out_mask: int, max_ar
     head's label (any base for an UNDEC head, an OUT base for an OUT head)."""
     if table.eng.attackers[i] & ~out_mask:
         return False
-    for h, _, _ in table.eng.member_of[i]:
+    for h, _ in table.eng.member_of[i]:
         if in_mask >> h & 1 or not table.reach[h] & ~out_mask:
             continue
         unextendable = table.unextendable(g, i, h, max_args)
@@ -192,7 +192,7 @@ def grounded_construction(
             raise InstanceError("pick function returned a non-candidate")
         i = eng.index[chosen]
         in_mask = labeling.in_mask | 1 << i
-        for h, _, _ in eng.member_of[i]:
+        for h, _ in eng.member_of[i]:
             if not table.reach[h] & ~labeling.out_mask:  # a safe support: its head and children join
                 in_mask |= table.down[h]
         labeling = Labeling(eng.ids, in_mask, eng.legal_out(in_mask))

@@ -304,15 +304,13 @@ def test_criterion_9_property_suites():
         plain = fw.Jsbaf(args=g.args, attacks=g.attacks, supports=dict(g.supports))
         for _ in range(4):
             labeling = random_labeling(g, rng)
+            if fw.is_admissible(g, labeling) != naive.naive_is_admissible(plain, labeling, use_ranks=False):
+                violations.append(f"corpus5[{index}]: admissibility oracle disagrees")
             for arg in g.args:
                 if gr.legally_in(g, labeling, arg) != naive.naive_legally_in(
                     plain, labeling, arg, use_ranks=False
                 ):
                     violations.append(f"corpus5[{index}]: legally_in oracle disagrees")
-                if fw.legally_out(g, labeling, arg) != naive.naive_legally_out(
-                    plain, labeling, arg, use_ranks=False
-                ):
-                    violations.append(f"corpus5[{index}]: legally_out oracle disagrees")
 
     # system corpora: translation validity, SIM, preferred non-emptiness,
     # sub-argument closure, entailment oracles, legality oracles
@@ -350,15 +348,13 @@ def test_criterion_9_property_suites():
                 violations.append(f"system[{index}]: CSub entailment broken")
         for _ in range(2):
             labeling = random_labeling(framework, rng)
+            if fw.is_admissible(framework, labeling) != naive.naive_is_admissible(framework, labeling):
+                violations.append(f"system[{index}]: admissibility oracle disagrees")
             for arg in framework.args:
                 if fw.legally_in(framework, labeling, arg) != naive.naive_legally_in(
                     framework, labeling, arg
                 ):
                     violations.append(f"system[{index}]: legally_in oracle disagrees")
-                if fw.legally_out(framework, labeling, arg) != naive.naive_legally_out(
-                    framework, labeling, arg
-                ):
-                    violations.append(f"system[{index}]: legally_out oracle disagrees")
 
     for line in violations[:10]:
         print(line)

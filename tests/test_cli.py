@@ -214,13 +214,20 @@ class TestExitCodes:
         """A second name for a rule, a rank on a strict rule, an atom line
         that is not one atom name, or an arg or sup line that names no
         argument is refused rather than overwritten, ignored or read as
-        an argument named '' or 'rank=0'."""
+        an argument named '' or 'rank=0'; so is a rule without its arrow,
+        an unclosed rank or parenthesis, a trailing token, an att line
+        without two ids and a sup line without '<-'."""
         twice = "atom p\natom n\natom m\ndefeasible d1[0]: => p\nname d1 = n\nname d1 = m\n"
         for text, error in (
             (twice + "defeasible d2[0]: => !n\n", "second name for rule 'd1' (line 6)"),
             ("atom p\nstrict s1[5]: p -> !!p\n", "strict rules take no rank (line 2)"),
             ("atom p q\ndefeasible d1[0]: => p\n", "expected one atom name, got 'p q' (line 1)"),
             ("atom p\natom p-q\ndefeasible d1[0]: => p\n", "expected one atom name, got 'p-q' (line 2)"),
+            ("atom p\nstrict s1: p\n", "expected '->' (line 2)"),
+            ("atom p\ndefeasible d1[0]: p\n", "expected '=>' (line 2)"),
+            ("atom p\ndefeasible d1[0: => p\n", "expected ']' after the rank (line 2)"),
+            ("atom p\naxiom (p\n", "expected ')' (line 2, column 3)"),
+            ("atom p\naxiom p q\n", "unexpected 'q' (line 2, column 3)"),
         ):
             path = tmp_path / "dropped.as"
             path.write_text(text)
@@ -231,6 +238,8 @@ class TestExitCodes:
             ("arg a\narg\n", "expected an argument name, got '' (line 2)"),
             ("arg  rank=0\n", "expected an argument name, got 'rank=0' (line 1)"),
             ("arg a\nsup <- a\n", "expected one supported argument name, got '' (line 2)"),
+            ("arg a\natt a\n", "expected two argument ids (line 2)"),
+            ("arg a\nsup a a\n", "expected '<-' (line 2)"),
         ):
             path = tmp_path / "dropped.jsbaf"
             path.write_text(text)

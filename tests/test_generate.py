@@ -44,8 +44,10 @@ class TestGeneratedSystems:
         assert len(labelings) == 1
         assert labelings[0].in_set == frozenset(translation.framework.args)
 
-    def test_named_rule_profile_produces_undercut(self):
-        profile = gen.FuzzProfile(naming_probability=1.0, undercutter_probability=1.0)
+    def test_named_rule_profile_produces_undercut(self, monkeypatch):
+        monkeypatch.setattr(gen, "NAMING_PROBABILITY", 1.0)
+        monkeypatch.setattr(gen, "UNDERCUTTER_PROBABILITY", 1.0)
+        profile = gen.FuzzProfile()
         found = False
         rng = random.Random(11)
         for _ in range(10):

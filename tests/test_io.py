@@ -1,9 +1,12 @@
 import json
+import random
 
 import pytest
 
+from jsbaf import arguments as ar
+from jsbaf import generate as gen
 from jsbaf import textio
-from jsbaf.errors import ParseError
+from jsbaf.errors import InstanceError, ParseError
 from jsbaf.framework import Jsbaf, Labeling
 
 from conftest import INSTANCES
@@ -78,12 +81,24 @@ class TestSystemFormat:
 
 class TestFrameworkFormat:
     def test_round_trip(self, j1):
-        text = textio.format_framework(j1)
-        again = textio.parse_framework_text(text)
-        assert again.args == j1.args
-        assert again.attacks == j1.attacks
-        assert again.supports == j1.supports
-        assert again.rank == j1.rank
+        rng = random.Random(41)
+        frameworks = [j1] + [
+            ar.framework_from_system(gen.generate_system(gen.FuzzProfile(), rng=rng)).framework
+            for _ in range(10)
+        ]
+        frameworks += [gen.generate_ground_framework(rng=rng) for _ in range(10)]  # rank-free
+        for framework in frameworks:
+            again = textio.parse_framework_text(textio.format_framework(framework))
+            assert again.args == framework.args
+            assert again.attacks == framework.attacks
+            assert again.supports == framework.supports
+            assert again.rank == {a: framework.rank_of(a) for a in framework.args}
+
+    def test_ids_that_would_not_parse_back_are_refused(self):
+        # as text these would be "arg  rank=0" and "arg a b rank=0"
+        for bad in ("", "a b"):
+            with pytest.raises(InstanceError, match="is not an identifier"):
+                Jsbaf(args=("a", bad), attacks=frozenset())
 
     def test_empty_support_side(self):
         framework = textio.parse_framework_text("arg a\nsup a <- \n")

@@ -388,9 +388,6 @@ class TestEngineAgainstNaive:
                     assert fw.legally_in(framework, labeling, arg) == naive.naive_legally_in(
                         framework, labeling, arg
                     )
-                    assert fw.legally_out(framework, labeling, arg) == naive.naive_legally_out(
-                        framework, labeling, arg
-                    )
 
     def test_enumeration_matches_naive(self, fuzzed_systems):
         for system in fuzzed_systems:
@@ -429,9 +426,6 @@ class TestEngineAgainstNaive:
                 )
                 for arg in g.args:
                     assert gr.legally_in(g, labeling, arg) == naive.naive_legally_in(
-                        plain, labeling, arg, use_ranks=False
-                    )
-                    assert fw.legally_out(g, labeling, arg) == naive.naive_legally_out(
                         plain, labeling, arg, use_ranks=False
                     )
 

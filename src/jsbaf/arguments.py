@@ -259,6 +259,18 @@ def preferred_conclusions(
     truncated, when more than ``max_nonstrict`` non-strict arguments are
     built, or when the framework exceeds the enumeration bound.
     """
+    return preferred_sets(complete_translation(system, max_args, max_depth, max_nonstrict), max_enum_args)
+
+
+def complete_translation(
+    system: ArgumentationSystem,
+    max_args: int = DEFAULT_MAX_ARGS,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    max_nonstrict: int | None = None,
+) -> Translation:
+    """The translation of the system's complete build; raises
+    :class:`ResourceLimitError` when construction is truncated or more than
+    ``max_nonstrict`` non-strict arguments are built."""
     build = build_arguments(system, max_args=max_args, max_depth=max_depth).complete()
     nonstrict = sum(1 for a in build.arguments if not is_strict(a))
     if max_nonstrict is not None and nonstrict > max_nonstrict:
@@ -267,7 +279,35 @@ def preferred_conclusions(
             bound_name="max_nonstrict",
             bound_value=max_nonstrict,
         )
-    translation = framework_from_system(system, build=build)
+    return framework_from_system(system, build=build)
+
+
+def restrict(translation: Translation, system: ArgumentationSystem) -> Translation:
+    """The part of ``translation`` built from ``system``'s rules: the
+    arguments whose sub-arguments all apply one of its rules, with the
+    attacks, supports and ranks among them.  On a side of a union (see
+    :func:`jsbaf.system.union_systems`) this is the side's own translation
+    but for argument ids and rank values: the side's arguments are exactly
+    these, attacks depend only on the pair of arguments, and both merge
+    policies keep the side's rank order."""
+    rule_ids = {r.id for r in system.strict_rules + system.defeasible_rules}
+    argument_of = {
+        aid: a for aid, a in translation.argument_of.items() if all(s.rule_id in rule_ids for s in sub_args(a))
+    }
+    whole = translation.framework
+    framework = Jsbaf(
+        args=tuple(argument_of),
+        attacks=frozenset((a, b) for a, b in whole.attacks if a in argument_of and b in argument_of),
+        supports={head: tail for head, tail in whole.supports.items() if head in argument_of},
+        rank={aid: whole.rank[aid] for aid in argument_of},
+    )
+    return Translation(framework=framework, argument_of=argument_of, truncated=translation.truncated)
+
+
+def preferred_sets(
+    translation: Translation, max_enum_args: int = DEFAULT_MAX_ENUM_ARGS
+) -> list[frozenset[Formula]]:
+    """Conclusion sets of the preferred labelings of a translation, canonically ordered."""
     return conclusion_sets(translation, enumerate_preferred(translation.framework, max_args=max_enum_args))
 
 

@@ -153,8 +153,7 @@ def _cmd_validate(options) -> int:
 def _framework_for(options, instance):
     """(framework, the translation it came from or None for a framework file)."""
     if isinstance(instance, ArgumentationSystem):
-        build = ar.build_arguments(instance, max_args=options.max_args, max_depth=options.max_depth)
-        translation = ar.framework_from_system(instance, build=build.complete())
+        translation = ar.complete_translation(instance, max_args=options.max_args, max_depth=options.max_depth)
         return translation.framework, translation
     return instance, None
 

@@ -39,21 +39,28 @@ the engine's one legally-OUT operator, which admissibility, the SIM
 labeling and the grounded construction read (on an arbitrary labeling
 the definition is :func:`jsbaf.naive.naive_legally_out`).  The IN-sets
 are searched depth first from the strict arguments, deciding each
-non-strict argument IN or not, supporters before the heads they
-support.  A branch ends as soon as its IN-set attacks itself, since
-every superset does too, and a head whose supporting set is all IN is
-only tried IN, as closure demands; so the search visits far fewer than
-the 2**k subsets of the k non-strict arguments.  Every IN-set it
-reaches is tested against exactly the admissibility definition: strict
-arguments IN, the legally-OUT fixpoint disjoint from the IN-set, every
-IN argument legally IN.  Conflict-freeness needs no test of its own, as
-an IN argument with an IN attacker is legally OUT; nor does closure, as
-a fully IN supporting set whose head is not IN has a least-preferred
-member not legally IN (or is empty, and the head is strict).  One
-cached walk of the support graph yields the pass's order, the first
-support cycle as a witness path and the strict set; the engine refuses
-a framework with a cycle by an :class:`InstanceError` naming it, which
-:func:`validate_structure` reports instead.
+non-strict argument IN or not, supporters before the heads they support.
+Before branching, the arguments that can never be IN are settled once.
+Every admissible IN-set lies inside the strict set and a set P of
+candidates, and ``legal_out`` grows with the IN-set, so ``legal_out`` of
+their union bounds every admissible OUT-set.  All attackers of an IN
+argument are OUT, so an argument with an attacker outside that bound
+leaves P, to a fixpoint; when an attacker of a strict argument lies
+outside it, nothing is admissible.  The cut is exact, for admissible and
+preferred labelings alike.  A branch ends as soon as its IN-set attacks
+itself, since every superset does too, and a head whose supporting set
+is all IN is only tried IN, as closure demands; so the search visits far
+fewer than the 2**k subsets of the k non-strict arguments.  Every IN-set
+it reaches is tested against exactly the admissibility definition:
+strict arguments IN, the legally-OUT fixpoint disjoint from the IN-set,
+every IN argument legally IN.  Conflict-freeness needs no test of its
+own, as an IN argument with an IN attacker is legally OUT; nor does
+closure, as a fully IN supporting set whose head is not IN has a
+least-preferred member not legally IN (or is empty, and the head is
+strict).  One cached walk of the support graph yields the pass's order,
+the first support cycle as a witness path and the strict set; the engine
+refuses a framework with a cycle by an :class:`InstanceError` naming it,
+which :func:`validate_structure` reports instead.
 """
 
 from __future__ import annotations
@@ -138,7 +145,8 @@ class Labeling:
 class Jsbaf:
     """Arguments, attacks, joint supports and optional preference ranks.
 
-    Argument ids are identifiers, as the text format writes them.
+    Argument ids are identifier strings, as the text format writes them,
+    and ranks are integers.
     ``supports`` maps a supported argument to its unique supporting set;
     absence means unsupported, an empty set means supported by nothing
     (a tautology-like argument).  ``rank`` encodes the total preorder:
@@ -157,10 +165,10 @@ class Jsbaf:
     rank: Mapping[str, int] | None = None
 
     def __post_init__(self):
-        args = tuple(sorted(set(self.args)))
-        for a in args:
-            if not IDENT.fullmatch(a):
+        for a in self.args:
+            if not (isinstance(a, str) and IDENT.fullmatch(a)):
                 raise InstanceError(f"argument id {a!r} is not an identifier")
+        args = tuple(sorted(set(self.args)))
         known = set(args)
         attacks = frozenset(self.attacks)
         for a, b in attacks:
@@ -175,6 +183,9 @@ class Jsbaf:
         object.__setattr__(self, "supports", MappingProxyType(supports))
         if self.rank is not None:
             rank = {a: self.rank.get(a, 0) for a in args}
+            for a, r in rank.items():
+                if not isinstance(r, int):
+                    raise InstanceError(f"rank {r!r} of argument {a} is not an integer")
             object.__setattr__(self, "rank", MappingProxyType(rank))
 
     def rank_of(self, arg: str) -> int:
@@ -324,23 +335,45 @@ class _Engine:
     def enumerate_admissible_masks(self):
         """Yield every admissible (IN mask, OUT mask), by a depth-first search
         from the strict mask that decides each non-strict argument IN or
-        not, supporters before the heads they support.  A branch ends once
-        its IN-set attacks itself, as every superset does too; a head whose
-        supporting set is all IN is only tried IN.  Each leaf is verified
-        by ``admissible_out_for``.  Every node tries IN before not-IN, so
-        every admissible strict superset of an IN-set is yielded before it."""
-        attackers, supports = self.attackers, self.supports
-        free = []  # non-strict arguments, supporters first
+        not, supporters before the heads they support.
+
+        Before branching, the arguments that may be IN are settled at the
+        root: P starts as the non-strict arguments not attacking the strict
+        set, and C = ``legal_out(strict | P)`` bounds the OUT-set of every
+        admissible labeling, as ``legal_out`` grows with the IN-set and every
+        admissible IN-set lies inside strict | P.  An IN argument's attackers
+        are all OUT, so an argument with an attacker outside C is dropped
+        from P, and C recomputed, until nothing is dropped; when an attacker
+        of the strict set lies outside C nothing is admissible.  Only
+        arguments in P are tried IN.  A branch ends once its IN-set attacks
+        itself, as every superset does too; a head whose supporting set is
+        all IN is only tried IN.  Each leaf is verified by
+        ``admissible_out_for``.  Every node tries IN before not-IN, so every
+        admissible strict superset of an IN-set is yielded before it."""
+        attackers, supports, strict = self.attackers, self.supports, self.strict_mask
         attacking = 0  # arguments attacking the IN-set
-        for i in reversed(self.order):
-            if self.strict_mask >> i & 1:
+        nonstrict = 0
+        for i in self.order:
+            if strict >> i & 1:
                 attacking |= attackers[i]
             else:
-                free.append(i)
-        if attacking & self.strict_mask:
+                nonstrict |= 1 << i
+        if attacking & strict:
             return
+        allowed = nonstrict & ~attacking  # P: the arguments that may be IN
+        while True:
+            bound = self.legal_out(strict | allowed)
+            if attacking & ~bound:
+                return
+            dropped = sum(1 << i for i in range(self.n) if allowed >> i & 1 and attackers[i] & ~bound)
+            if not dropped:
+                break
+            allowed ^= dropped
+        # non-strict arguments, supporters first; one never IN and with no
+        # support has a single branch, so it needs no decision
+        free = [i for i in reversed(self.order) if allowed >> i & 1 or nonstrict >> i & 1 and i in supports]
         k = len(free)
-        stack = [(0, self.strict_mask, attacking)]  # (arguments decided, IN mask, attacking)
+        stack = [(0, strict, attacking)]  # (arguments decided, IN mask, attacking)
         while stack:
             depth, in_mask, attacking = stack.pop()
             if depth == k:
@@ -352,7 +385,7 @@ class _Engine:
             bit = 1 << i
             if i not in supports or supports[i] & ~in_mask:
                 stack.append((depth + 1, in_mask, attacking))
-            if not (attacking & bit or attackers[i] & (in_mask | bit)):
+            if allowed & bit and not (attacking & bit or attackers[i] & (in_mask | bit)):
                 stack.append((depth + 1, in_mask | bit, attacking | attackers[i]))
 
 

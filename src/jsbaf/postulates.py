@@ -16,7 +16,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 
 from . import formulas as fm
-from .arguments import preferred_conclusions
+from .arguments import complete_translation, preferred_conclusions, preferred_sets, restrict
 from .errors import InstanceError, JsbafError, ResourceLimitError
 from .formulas import Formula, Var
 from .system import (
@@ -158,27 +158,34 @@ def check_non_interference(
     cross_rules: tuple[StrictRule, ...] = (),
     budget: NonInterferenceBudget | None = None,
 ) -> PostulateReport:
-    """Compare each side's restricted preferred conclusions with the union's."""
-    bounds = asdict(budget or NonInterferenceBudget())
+    """Compare each side's restricted preferred conclusions with the union's.
+
+    The union is built and translated once.  Each side's framework is the
+    union's restricted to the arguments built from that side's rules
+    (:func:`jsbaf.arguments.restrict`), which is the side's own translation
+    but for argument ids and rank values; its arguments are among the
+    union's, so each side is within every bound its union is within."""
+    budget = budget or NonInterferenceBudget()
     union = union_systems(s1, s2, merge=merge, cross_rules=cross_rules)
     report = PostulateReport(
         postulate="non_interference",
         instance_digest=system_digest(union),
         verdict=PASS,
         rule_universe={"union": _universe_of(union), "merge_policy": merge},
-        budget=bounds,
+        budget=asdict(budget),
     )
 
     try:
-        union_raw = preferred_conclusions(union, **bounds)
+        translation = complete_translation(union, budget.max_args, budget.max_depth, budget.max_nonstrict)
+        union_raw = preferred_sets(translation, budget.max_enum_args)
     except ResourceLimitError as exc:
         report.verdict = INCONCLUSIVE
         report.witness = {"reason": f"union: {exc}"}
         return report
-    # a side's arguments are union arguments: each side is within the bounds the union is within
     for label, side in (("side1", s1), ("side2", s2)):
         side_atoms = atoms_of_system(side)
-        side_families = restrict_conclusions(preferred_conclusions(side, **bounds), side_atoms)
+        side_preferred = preferred_sets(restrict(translation, side), budget.max_enum_args)
+        side_families = restrict_conclusions(side_preferred, side_atoms)
         union_restricted = restrict_conclusions(union_raw, side_atoms)
         if side_families != union_restricted:
             report.verdict = FAIL

@@ -65,6 +65,22 @@ class TestValidate:
         with pytest.raises(InstanceError, match="cyclic support chain through x -> y -> x"):
             fw.legally_in(framework, labeling_of(framework), "x")
 
+    def test_non_string_ids_are_refused(self):
+        # a lone int used to reach IDENT.fullmatch, a mixed tuple `sorted`
+        for args in ((1,), ("a", 1)):
+            with pytest.raises(InstanceError, match="argument id 1 is not an identifier"):
+                Jsbaf(args=args, attacks=frozenset())
+
+    def test_non_integer_ranks_are_refused(self):
+        # used to validate as well-formed, then fail with a TypeError in the engine
+        with pytest.raises(InstanceError, match="rank 'x' of argument a is not an integer"):
+            Jsbaf(
+                args=("a", "b", "c"),
+                attacks=frozenset(),
+                supports={"c": frozenset({"a", "b"})},
+                rank={"a": "x", "b": 1},
+            )
+
     def test_rank_restrictions(self, j1):
         skewed = Jsbaf(
             args=j1.args,
@@ -327,6 +343,32 @@ class TestAdmissibleSearch:
         with pytest.raises(ResourceLimitError, match="6 arguments exceed the enumeration bound of 5"):
             fw.enumerate_admissible(framework, max_args=5)
 
+    def test_never_in_arguments_are_settled_at_the_root(self, monkeypatch):
+        # u attacks x0..x9 and nothing attacks u: every x has an attacker
+        # outside legal_out of the largest IN-set, so no x is tried IN; the
+        # search without that cut made 2**10 + 1 leaves here
+        leaves = [0]
+        verify = fw._Engine.admissible_out_for
+
+        def counted_verify(engine, in_mask):
+            leaves[0] += 1
+            return verify(engine, in_mask)
+
+        monkeypatch.setattr(fw._Engine, "admissible_out_for", counted_verify)
+        xs = [f"x{i}" for i in range(10)]
+        framework = Jsbaf(args=("u", *xs), attacks=frozenset(("u", x) for x in xs))
+        assert fw.enumerate_admissible(framework) == [
+            labeling_of(framework, in_set={"u"}, out_set=set(xs)),
+            labeling_of(framework),
+        ]
+        assert leaves[0] == 2
+
+    def test_an_undefendable_strict_argument_ends_the_search_at_the_root(self, monkeypatch):
+        # b attacks the strict s and nothing can put b OUT: no leaf at all
+        monkeypatch.setattr(fw._Engine, "admissible_out_for", None)
+        framework = Jsbaf(args=("b", "s", "x"), attacks=frozenset({("b", "s")}), supports={"s": frozenset()})
+        assert list(fw._engine(framework).enumerate_admissible_masks()) == []
+
 
 def _check_first_criterion_7_pairs():
     profile = gen.FuzzProfile(
@@ -349,7 +391,8 @@ def _check_first_criterion_7_pairs():
 class TestSearchWork:
     def test_leaves_on_criterion_7_pairs(self, monkeypatch):
         # the first ten criterion-7 pairs: 107,243 candidate IN-sets for the
-        # 2**k scan, 3,100 leaves for the pruned search
+        # 2**k scan, 1,632 leaves for the search, which settles at the root
+        # the arguments that can never be IN
         calls = [0]
         nominal = [0]
         verify = fw._Engine.admissible_out_for
@@ -367,7 +410,7 @@ class TestSearchWork:
         monkeypatch.setattr(fw._Engine, "enumerate_admissible_masks", counted_search)
         _check_first_criterion_7_pairs()
         assert nominal[0] == 107_243
-        assert calls[0] <= 3_100
+        assert calls[0] <= 1_632
 
     def test_labelings_built_on_criterion_7_pairs(self, monkeypatch):
         # the preferred filter builds a Labeling only for a maximal IN mask:
@@ -391,6 +434,26 @@ class TestSearchWork:
         monkeypatch.setattr(ar, "enumerate_preferred", counted_preferred)
         _check_first_criterion_7_pairs()
         assert built[0] == returned[0] == 30
+
+    def test_one_build_per_non_interference_check(self, monkeypatch):
+        # the union is built and translated once, and each side's framework
+        # is restricted from it: 10 builds on the first ten criterion-7
+        # pairs, against 30 when every side was built on its own
+        calls = {"build": 0, "translate": 0}
+        build, translate = ar.build_arguments, ar.framework_from_system
+
+        def counted_build(*args, **kwargs):
+            calls["build"] += 1
+            return build(*args, **kwargs)
+
+        def counted_translate(*args, **kwargs):
+            calls["translate"] += 1
+            return translate(*args, **kwargs)
+
+        monkeypatch.setattr(ar, "build_arguments", counted_build)
+        monkeypatch.setattr(ar, "framework_from_system", counted_translate)
+        _check_first_criterion_7_pairs()
+        assert calls == {"build": 10, "translate": 10}
 
 
 class TestTranslation:

@@ -10,6 +10,7 @@ those pairwise relations.
 """
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -316,6 +317,47 @@ class TestNonInterferenceSides:
                 build = ar.build_arguments(side, max_args=budget.max_args, max_depth=budget.max_depth)
                 assert not build.truncated
                 assert {a.key for a in build.arguments} <= union_keys
+
+    def test_restricted_union_is_the_side_translation(self):
+        """Mapped by argument key, each side's restriction of the union's
+        translation has the side's own arguments, attacks, supports and
+        rank order, under both merge policies, on the criterion-6 systems
+        paired up (the second of each renamed apart), the criterion-7
+        pairs and the seed-1 benchmark non-interference corpus."""
+        workloads = _load("workloads")
+        corpus = workloads.non_interference_corpus("1", workloads.WORKLOADS["non-interference"].size)
+        systems6 = corpus6()
+        pairs = [
+            (left, textio.parse_system_text(re.sub(r"\b([a-z]\w*\d)\b", r"r_\1", textio.format_system(right))))
+            for left, right in zip(systems6[::2], systems6[1::2])
+        ]
+        pairs += list(corpus7())
+        pairs += [(textio.parse_system_text(left), textio.parse_system_text(right)) for _, left, right in corpus]
+        assert len(pairs) == 100 + 50 + 349
+        budget = po.NonInterferenceBudget()
+        for s1, s2 in pairs:
+            for merge in ("raw", "interleave"):
+                union = union_systems(s1, s2, merge=merge, cross_rules=gen.cross_closure_rules(s1, s2))
+                translation = ar.complete_translation(union, budget.max_args, budget.max_depth)
+                for side in (s1, s2):
+                    expected = _by_key(ar.complete_translation(side, budget.max_args, budget.max_depth))
+                    assert _by_key(ar.restrict(translation, side)) == expected
+
+
+def _by_key(translation):
+    """A translation with argument ids replaced by argument keys, and ranks
+    by the rank order: its classes listed from least to most preferred."""
+    framework = translation.framework
+    key = {aid: a.key for aid, a in translation.argument_of.items()}
+    classes = {}
+    for aid, r in framework.rank.items():
+        classes.setdefault(r, set()).add(key[aid])
+    return (
+        {key[aid]: a.conclusion for aid, a in translation.argument_of.items()},
+        {(key[a], key[b]) for a, b in framework.attacks},
+        {key[head]: {key[t] for t in tail} for head, tail in framework.supports.items()},
+        [classes[r] for r in sorted(classes)],
+    )
 
 
 def _random_acyclic_framework(rng, max_args):

@@ -40,27 +40,31 @@ labeling and the grounded construction read (on an arbitrary labeling
 the definition is :func:`jsbaf.naive.naive_legally_out`).  The IN-sets
 are searched depth first from the strict arguments, deciding each
 non-strict argument IN or not, supporters before the heads they support.
-Before branching, the arguments that can never be IN are settled once.
-Every admissible IN-set lies inside the strict set and a set P of
-candidates, and ``legal_out`` grows with the IN-set, so ``legal_out`` of
-their union bounds every admissible OUT-set.  All attackers of an IN
-argument are OUT, so an argument with an attacker outside that bound
-leaves P, to a fixpoint; when an attacker of a strict argument lies
-outside it, nothing is admissible.  The cut is exact, for admissible and
-preferred labelings alike.  A branch ends as soon as its IN-set attacks
-itself, since every superset does too, and a head whose supporting set
-is all IN is only tried IN, as closure demands; so the search visits far
-fewer than the 2**k subsets of the k non-strict arguments.  Every IN-set
-it reaches is tested against exactly the admissibility definition:
-strict arguments IN, the legally-OUT fixpoint disjoint from the IN-set,
-every IN argument legally IN.  Conflict-freeness needs no test of its
-own, as an IN argument with an IN attacker is legally OUT; nor does
-closure, as a fully IN supporting set whose head is not IN has a
-least-preferred member not legally IN (or is empty, and the head is
-strict).  One cached walk of the support graph yields the pass's order,
-the first support cycle as a witness path and the strict set; the engine
-refuses a framework with a cycle by an :class:`InstanceError` naming it,
-which :func:`validate_structure` reports instead.
+Before branching, the arguments that can never be IN are settled once per
+engine, as its ``bound``.  Every admissible IN-set lies inside the strict
+set and a set P of candidates, and ``legal_out`` grows with the IN-set,
+so ``legal_out`` of their union bounds every admissible OUT-set.  All
+attackers of an IN argument are OUT, so an argument with an attacker
+outside that bound leaves P, to a fixpoint; when an attacker of a strict
+argument lies outside it, nothing is admissible.  The cut is exact, for
+admissible and preferred labelings alike.  The bound is strict | P, and
+as every admissible IN-set lies inside it, an admissible labeling with
+that IN-set is the only preferred one: the preferred search stops there,
+and as IN is tried first, that leaf is the search's first.  A branch ends
+as soon as its IN-set attacks itself, since every superset does too, and
+a head whose supporting set is all IN is only tried IN, as closure
+demands; so the search visits far fewer than the 2**k subsets of the k
+non-strict arguments.  Every IN-set it reaches is tested against exactly
+the admissibility definition: strict arguments IN, the legally-OUT
+fixpoint disjoint from the IN-set, every IN argument legally IN.
+Conflict-freeness needs no test of its own, as an IN argument with an IN
+attacker is legally OUT; nor does closure, as a fully IN supporting set
+whose head is not IN has a least-preferred member not legally IN (or is
+empty, and the head is strict).  One cached walk of the support graph
+yields the pass's order, the first support cycle as a witness path and
+the strict set; the engine refuses a framework with a cycle by an
+:class:`InstanceError` naming it, which :func:`validate_structure`
+reports instead.
 """
 
 from __future__ import annotations
@@ -273,6 +277,10 @@ class _Engine:
                 if framework.rank_of(t) <= least:
                     self.member_of[self.index[t]].append((self.index[head], self.mask(tail - {t})))
         self.strict_mask = self.mask(strict)
+        self.strict_attackers = self.mask({a for a, b in framework.attacks if b in strict})
+        # set here rather than cached on first use: a cache that writes the
+        # instance __dict__ slows every later attribute read (CPython 3.11)
+        self.bound = self._root_cut()
 
     def mask(self, ids) -> int:
         return sum(1 << self.index[a] for a in ids)
@@ -332,48 +340,52 @@ class _Engine:
             m ^= low
         return out
 
+    def _root_cut(self) -> int | None:
+        """The engine's ``bound``: the mask strict | P that contains every
+        admissible IN-set, or None when nothing is admissible.
+
+        P starts as the non-strict arguments not attacking the strict set,
+        and C = ``legal_out(strict | P)`` bounds the OUT-set of every
+        admissible labeling, as ``legal_out`` grows with the IN-set and every
+        admissible IN-set lies inside strict | P.  An IN argument's attackers
+        are all OUT, so an argument with an attacker outside C is dropped
+        from P, and C recomputed, until nothing is dropped; when an attacker
+        of the strict set lies outside C nothing is admissible."""
+        attackers, strict, attacking = self.attackers, self.strict_mask, self.strict_attackers
+        if attacking & strict:
+            return None
+        allowed = (1 << self.n) - 1 & ~strict & ~attacking  # P
+        while True:
+            out = self.legal_out(strict | allowed)
+            if attacking & ~out:
+                return None
+            dropped = sum(1 << i for i in range(self.n) if allowed >> i & 1 and attackers[i] & ~out)
+            if not dropped:
+                return strict | allowed
+            allowed ^= dropped
+
     def enumerate_admissible_masks(self):
         """Yield every admissible (IN mask, OUT mask), by a depth-first search
         from the strict mask that decides each non-strict argument IN or
         not, supporters before the heads they support.
 
-        Before branching, the arguments that may be IN are settled at the
-        root: P starts as the non-strict arguments not attacking the strict
-        set, and C = ``legal_out(strict | P)`` bounds the OUT-set of every
-        admissible labeling, as ``legal_out`` grows with the IN-set and every
-        admissible IN-set lies inside strict | P.  An IN argument's attackers
-        are all OUT, so an argument with an attacker outside C is dropped
-        from P, and C recomputed, until nothing is dropped; when an attacker
-        of the strict set lies outside C nothing is admissible.  Only
-        arguments in P are tried IN.  A branch ends once its IN-set attacks
-        itself, as every superset does too; a head whose supporting set is
-        all IN is only tried IN.  Each leaf is verified by
-        ``admissible_out_for``.  Every node tries IN before not-IN, so every
-        admissible strict superset of an IN-set is yielded before it."""
-        attackers, supports, strict = self.attackers, self.supports, self.strict_mask
-        attacking = 0  # arguments attacking the IN-set
-        nonstrict = 0
-        for i in self.order:
-            if strict >> i & 1:
-                attacking |= attackers[i]
-            else:
-                nonstrict |= 1 << i
-        if attacking & strict:
+        Only arguments inside :attr:`bound`, the root cut computed once by
+        the constructor, are tried IN, and nothing is yielded when it is
+        None.  A branch ends once its IN-set attacks itself, as every
+        superset does too; a head whose supporting set is all IN is only
+        tried IN.  Each leaf is verified by ``admissible_out_for``.  Every
+        node tries IN before not-IN, so every admissible strict superset of
+        an IN-set is yielded before it, and when the bound itself is
+        admissible it is the first leaf."""
+        bound, attackers, supports, strict = self.bound, self.attackers, self.supports, self.strict_mask
+        if bound is None:
             return
-        allowed = nonstrict & ~attacking  # P: the arguments that may be IN
-        while True:
-            bound = self.legal_out(strict | allowed)
-            if attacking & ~bound:
-                return
-            dropped = sum(1 << i for i in range(self.n) if allowed >> i & 1 and attackers[i] & ~bound)
-            if not dropped:
-                break
-            allowed ^= dropped
+        allowed = bound & ~strict
         # non-strict arguments, supporters first; one never IN and with no
         # support has a single branch, so it needs no decision
-        free = [i for i in reversed(self.order) if allowed >> i & 1 or nonstrict >> i & 1 and i in supports]
+        free = [i for i in reversed(self.order) if allowed >> i & 1 or not strict >> i & 1 and i in supports]
         k = len(free)
-        stack = [(0, strict, attacking)]  # (arguments decided, IN mask, attacking)
+        stack = [(0, strict, self.strict_attackers)]  # (arguments decided, IN mask, attacking)
         while stack:
             depth, in_mask, attacking = stack.pop()
             if depth == k:
@@ -479,11 +491,18 @@ def enumerate_preferred(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS)
     """The admissible labelings with subset-maximal IN-sets, in the order
     of :func:`enumerate_admissible`.  The search yields every admissible
     strict superset of an IN-set before it, so an IN mask is maximal unless
-    a kept one contains it; only a maximal one is built into a Labeling."""
+    a kept one contains it; only a maximal one is built into a Labeling.
+    The search stops at an IN mask equal to the engine's bound: every
+    admissible IN-set lies inside the bound, so that labeling is the only
+    preferred one."""
     _check_enum_bound(framework, max_args)
     eng = _engine(framework)
     kept: list[tuple[int, int]] = []
-    for in_mask, out_mask in eng.enumerate_admissible_masks():
+    search = eng.enumerate_admissible_masks()
+    for in_mask, out_mask in search:
         if all(in_mask & k != in_mask for k, _ in kept):
             kept.append((in_mask, out_mask))
+        if in_mask == eng.bound:
+            search.close()
+            break
     return sorted((Labeling(eng.ids, im, om) for im, om in kept), key=Labeling.vector)

@@ -370,6 +370,41 @@ class TestAdmissibleSearch:
         assert list(fw._engine(framework).enumerate_admissible_masks()) == []
 
 
+class TestPreferredStop:
+    def test_an_admissible_bound_is_the_only_preferred_labeling(self, monkeypatch):
+        # with no attacks the bound is every argument and admissible, so its
+        # leaf, the first, ends the search; without the stop all 2**24
+        # IN-sets are leaves
+        leaves = [0]
+        verify = fw._Engine.admissible_out_for
+
+        def counted_verify(engine, in_mask):
+            leaves[0] += 1
+            assert leaves[0] == 1, "a second leaf"
+            return verify(engine, in_mask)
+
+        monkeypatch.setattr(fw._Engine, "admissible_out_for", counted_verify)
+        xs = tuple(f"x{i}" for i in range(24))
+        framework = Jsbaf(args=xs, attacks=frozenset())
+        assert fw.enumerate_preferred(framework, max_args=64) == [labeling_of(framework, in_set=set(xs))]
+        assert leaves[0] == 1
+
+    def test_an_inadmissible_bound_is_searched_past(self):
+        # a and b attack each other, so the bound {a, b, c} is not
+        # conflict-free and the search goes on to both preferred labelings
+        framework = Jsbaf(args=("a", "b", "c"), attacks=frozenset({("a", "b"), ("b", "a")}))
+        assert fw._engine(framework).bound == 0b111
+        preferred = fw.enumerate_preferred(framework)
+        assert preferred == naive.naive_enumerate_preferred(framework)
+        assert preferred == sorted(
+            [
+                labeling_of(framework, in_set={"a", "c"}, out_set={"b"}),
+                labeling_of(framework, in_set={"b", "c"}, out_set={"a"}),
+            ],
+            key=Labeling.vector,
+        )
+
+
 def _check_first_criterion_7_pairs():
     profile = gen.FuzzProfile(
         atom_count=(1, 3),
@@ -391,8 +426,9 @@ def _check_first_criterion_7_pairs():
 class TestSearchWork:
     def test_leaves_on_criterion_7_pairs(self, monkeypatch):
         # the first ten criterion-7 pairs: 107,243 candidate IN-sets for the
-        # 2**k scan, 1,632 leaves for the search, which settles at the root
-        # the arguments that can never be IN
+        # 2**k scan, 30 leaves for the search, which settles at the root
+        # the arguments that can never be IN, and which the preferred filter
+        # stops at a leaf equal to the bound (1,632 leaves without that stop)
         calls = [0]
         nominal = [0]
         verify = fw._Engine.admissible_out_for
@@ -410,7 +446,7 @@ class TestSearchWork:
         monkeypatch.setattr(fw._Engine, "enumerate_admissible_masks", counted_search)
         _check_first_criterion_7_pairs()
         assert nominal[0] == 107_243
-        assert calls[0] <= 1_632
+        assert calls[0] <= 30
 
     def test_labelings_built_on_criterion_7_pairs(self, monkeypatch):
         # the preferred filter builds a Labeling only for a maximal IN mask:

@@ -416,6 +416,15 @@ class TestSupportWalk:
         assert min(seen.values()) >= 500, seen
 
 
+def _preferred_branch(framework, preferred):
+    # enumerate_preferred stops once the search yields the engine's bound,
+    # which then is the IN-set of the one preferred labeling
+    if fw._engine(framework).bound in {lab.in_mask for lab in preferred}:
+        assert len(preferred) == 1
+        return "stopped at the bound"
+    return "searched on"
+
+
 class TestEngineAgainstNaive:
     def test_legality_on_random_labelings(self, fuzzed_systems):
         rng = random.Random(77)
@@ -432,15 +441,24 @@ class TestEngineAgainstNaive:
                     )
 
     def test_enumeration_matches_naive(self, fuzzed_systems):
+        seen = {"stopped at the bound": 0, "searched on": 0}
         for system in fuzzed_systems:
             framework = ar.framework_from_system(system).framework
             if len(framework.args) > 9:
                 continue
             assert fw.enumerate_admissible(framework) == naive.naive_enumerate_admissible(framework)
-            assert fw.enumerate_preferred(framework) == naive.naive_enumerate_preferred(framework)
+            preferred = fw.enumerate_preferred(framework)
+            assert preferred == naive.naive_enumerate_preferred(framework)
+            seen[_preferred_branch(framework, preferred)] += 1
+        assert all(seen.values()), seen
 
     def test_enumeration_matches_naive_outside_the_domain(self):
         seen = {"attacked strict": 0, "self-attack": 0, "rank-free": 0, "invalid ranks": 0}
+        branches = {
+            (ranked, branch): 0
+            for ranked in ("ranked", "rank-free")
+            for branch in ("stopped at the bound", "searched on")
+        }
         for framework in _frameworks_outside_the_domain():
             strict = fw.strict_args(framework)
             seen["attacked strict"] += any(b in strict for _, b in framework.attacks)
@@ -451,8 +469,12 @@ class TestEngineAgainstNaive:
                 for failure in fw.validate_jsbaf(framework).failures
             )
             assert fw.enumerate_admissible(framework) == naive.naive_enumerate_admissible(framework)
-            assert fw.enumerate_preferred(framework) == naive.naive_enumerate_preferred(framework)
+            preferred = fw.enumerate_preferred(framework)
+            assert preferred == naive.naive_enumerate_preferred(framework)
+            ranked = "rank-free" if framework.rank is None else "ranked"
+            branches[ranked, _preferred_branch(framework, preferred)] += 1
         assert all(seen.values()), seen
+        assert all(branches.values()), branches
 
     def test_grounded_legality_matches_naive(self):
         rng = random.Random(5150)

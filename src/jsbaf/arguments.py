@@ -23,7 +23,7 @@ from itertools import product
 from . import formulas as fm
 from .errors import ResourceLimitError
 from .formulas import Formula, Not
-from .framework import DEFAULT_MAX_ENUM_ARGS, Jsbaf, enumerate_preferred
+from .framework import DEFAULT_MAX_ENUM_ARGS, Jsbaf, _bits, _bounded_engine, _Engine
 from .system import ArgumentationSystem, DefeasibleRule, StrictRule
 
 DEFAULT_MAX_ARGS = 5000
@@ -161,14 +161,6 @@ def min_rank(a: Argument, system: ArgumentationSystem) -> int | None:
     return min((system.rank[r] for r in a.defeasible_rules), default=None)
 
 
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # --- translation into a framework ----------------------------------------
 
 
@@ -259,7 +251,8 @@ def preferred_conclusions(
     truncated, when more than ``max_nonstrict`` non-strict arguments are
     built, or when the framework exceeds the enumeration bound.
     """
-    return preferred_sets(complete_translation(system, max_args, max_depth, max_nonstrict), max_enum_args)
+    translation = complete_translation(system, max_args, max_depth, max_nonstrict)
+    return preferred_sets(translation, _bounded_engine(translation.framework, max_enum_args))
 
 
 def complete_translation(
@@ -282,36 +275,34 @@ def complete_translation(
     return framework_from_system(system, build=build)
 
 
-def restrict(translation: Translation, system: ArgumentationSystem) -> Translation:
-    """The part of ``translation`` built from ``system``'s rules: the
-    arguments whose sub-arguments all apply one of its rules, with the
-    attacks, supports and ranks among them.  On a side of a union (see
-    :func:`jsbaf.system.union_systems`) this is the side's own translation
-    but for argument ids and rank values: the side's arguments are exactly
-    these, attacks depend only on the pair of arguments, and both merge
-    policies keep the side's rank order."""
+def side_mask(translation: Translation, system: ArgumentationSystem) -> int:
+    """The mask, over the translation's arguments, of those whose
+    sub-arguments all apply one of ``system``'s rules; it is closed under
+    supporting sets.  On a side of a union (see
+    :func:`jsbaf.system.union_systems`) these are the side's own arguments,
+    and the union's engine restricted to them (:meth:`_Engine.restrict`) is
+    the side translation's engine but for argument ids: attacks depend only
+    on the pair of arguments, and both merge policies keep the side's rank
+    order."""
     rule_ids = {r.id for r in system.strict_rules + system.defeasible_rules}
-    argument_of = {
-        aid: a for aid, a in translation.argument_of.items() if all(s.rule_id in rule_ids for s in sub_args(a))
-    }
-    whole = translation.framework
-    framework = Jsbaf(
-        args=tuple(argument_of),
-        attacks=frozenset((a, b) for a, b in whole.attacks if a in argument_of and b in argument_of),
-        supports={head: tail for head, tail in whole.supports.items() if head in argument_of},
-        rank={aid: whole.rank[aid] for aid in argument_of},
-    )
-    return Translation(framework=framework, argument_of=argument_of, truncated=translation.truncated)
+    argument_of, kept, mask = translation.argument_of, set(), 0
+    for i, aid in enumerate(translation.framework.args):  # build order: sub-arguments first
+        a = argument_of[aid]
+        if a.rule_id in rule_ids and all(s.key in kept for s in a.subs):
+            kept.add(a.key)
+            mask |= 1 << i
+    return mask
 
 
-def preferred_sets(
-    translation: Translation, max_enum_args: int = DEFAULT_MAX_ENUM_ARGS
-) -> list[frozenset[Formula]]:
-    """Conclusion sets of the preferred labelings of a translation, canonically ordered."""
-    return conclusion_sets(translation, enumerate_preferred(translation.framework, max_args=max_enum_args))
+def preferred_sets(translation: Translation, engine: _Engine) -> list[frozenset[Formula]]:
+    """Conclusion sets of the preferred labelings of ``engine``, the
+    translation's own or one restricted from it, canonically ordered."""
+    return conclusion_sets(translation, engine.ids, [im for im, _ in engine.preferred_masks()])
 
 
-def conclusion_sets(translation: Translation, labelings) -> list[frozenset[Formula]]:
-    """The distinct conclusion sets of the labelings' IN arguments, canonically ordered."""
-    sets = {frozenset(translation.argument_of[aid].conclusion for aid in lab.in_set) for lab in labelings}
+def conclusion_sets(translation: Translation, ids, in_masks) -> list[frozenset[Formula]]:
+    """The distinct conclusion sets of IN masks over the translation's
+    argument ids ``ids``, canonically ordered."""
+    argument_of = translation.argument_of
+    sets = {frozenset(argument_of[ids[i]].conclusion for i in _bits(m)) for m in in_masks}
     return sorted(sets, key=lambda fs: sorted(f.key for f in fs))

@@ -179,7 +179,8 @@ def _cmd_solve(options) -> int:
         chunks.append(textio.format_labelings(labelings))
 
     if translation is not None and options.semantics == "preferred":
-        sets = sorted(tuple(sorted(map(str, c))) for c in ar.conclusion_sets(translation, labelings))
+        conclusions = ar.conclusion_sets(translation, framework.args, [lab.in_mask for lab in labelings])
+        sets = sorted(tuple(sorted(map(str, c))) for c in conclusions)
         chunks.append("conclusions:\n" + "\n".join("{" + ", ".join(c) + "}" for c in sets) + "\n")
 
     if options.format == "json":

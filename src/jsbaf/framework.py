@@ -64,7 +64,9 @@ empty, and the head is strict).  One cached walk of the support graph
 yields the pass's order, the first support cycle as a witness path and
 the strict set; the engine refuses a framework with a cycle by an
 :class:`InstanceError` naming it, which :func:`validate_structure`
-reports instead.
+reports instead.  The engine of a sub-framework whose arguments are
+closed under supporting sets is the whole engine restricted to them,
+re-indexed compactly, with its own root cut.
 """
 
 from __future__ import annotations
@@ -250,37 +252,86 @@ def _support_walk(framework: Jsbaf):
 # --- the label-legality engine -------------------------------------------
 
 
-class _Engine:
-    """Bitmask view of one framework with acyclic supports; without ranks
-    every rank condition holds."""
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def __init__(self, framework: Jsbaf):
-        order, cycle, strict = _support_walk(framework)
-        if cycle:
-            raise InstanceError("cyclic support chain through " + " -> ".join(cycle))
-        self.ids = framework.args
-        self.index = {a: i for i, a in enumerate(self.ids)}
-        self.n = len(self.ids)
-        self.order = [self.index[a] for a in order]  # supported heads before supporters
-        self.attackers = [0] * self.n
-        for a, b in framework.attacks:
-            self.attackers[self.index[b]] |= 1 << self.index[a]
-        self.supports = {}  # head index -> tail mask
-        # per argument, each support containing it in which it is at most
-        # as preferred as every co-supporter: (head, co-supporters mask)
-        self.member_of = [[] for _ in range(self.n)]
-        for head in sorted(framework.supports):
-            tail = framework.supports[head]
-            self.supports[self.index[head]] = self.mask(tail)
-            least = min(map(framework.rank_of, tail), default=0)
-            for t in tail:
-                if framework.rank_of(t) <= least:
-                    self.member_of[self.index[t]].append((self.index[head], self.mask(tail - {t})))
-        self.strict_mask = self.mask(strict)
-        self.strict_attackers = self.mask({a for a, b in framework.attacks if b in strict})
+
+class _Engine:
+    """Bitmask view of one framework with acyclic supports, over its sorted
+    ``ids``.  Per argument: its attackers, and each support containing it in
+    which it is at most as preferred as every co-supporter, as (head,
+    co-supporters mask); without ranks every rank condition holds.  Built
+    from a framework by :meth:`of`, or from another engine by
+    :meth:`restrict`; either way the constructor computes the root cut."""
+
+    def __init__(self, ids, order, attackers, supports, member_of, strict_mask):
+        self.ids = ids
+        self.index = {a: i for i, a in enumerate(ids)}
+        self.n = len(ids)
+        self.order = order  # supported heads before supporters
+        self.attackers = attackers
+        self.supports = supports  # head index -> tail mask
+        self.member_of = member_of
+        self.strict_mask = strict_mask
+        self.strict_attackers = 0
+        for i in _bits(strict_mask):
+            self.strict_attackers |= attackers[i]
         # set here rather than cached on first use: a cache that writes the
         # instance __dict__ slows every later attribute read (CPython 3.11)
         self.bound = self._root_cut()
+
+    @classmethod
+    def of(cls, framework: Jsbaf) -> "_Engine":
+        order, cycle, strict = _support_walk(framework)
+        if cycle:
+            raise InstanceError("cyclic support chain through " + " -> ".join(cycle))
+        ids, rank = framework.args, framework.rank
+        index = {a: i for i, a in enumerate(ids)}
+        attackers = [0] * len(ids)
+        for a, b in framework.attacks:
+            attackers[index[b]] |= 1 << index[a]
+        supports = {}
+        member_of = [[] for _ in ids]
+        for head in sorted(framework.supports):
+            h, tail = index[head], framework.supports[head]
+            tail_mask = supports[h] = sum(1 << index[t] for t in tail)
+            least = None if rank is None else min((rank[t] for t in tail), default=0)
+            for t in tail:
+                if least is None or rank[t] <= least:
+                    i = index[t]
+                    member_of[i].append((h, tail_mask & ~(1 << i)))
+        strict_mask = sum(1 << index[a] for a in strict)
+        return cls(ids, [index[a] for a in order], attackers, supports, member_of, strict_mask)
+
+    def restrict(self, keep: int) -> "_Engine":
+        """The engine of the sub-framework on the arguments in ``keep``, a
+        mask closed under supporting sets: the arguments keep their order
+        and are re-indexed compactly, and the root cut is the sub-framework's
+        own."""
+        kept = list(_bits(keep))
+        position = dict(zip(kept, range(len(kept))))
+
+        def squeeze(mask: int) -> int:
+            out = 0
+            mask &= keep
+            while mask:
+                low = mask & -mask
+                out |= 1 << position[low.bit_length() - 1]
+                mask ^= low
+            return out
+
+        return _Engine(
+            tuple(self.ids[j] for j in kept),
+            [position[j] for j in self.order if keep >> j & 1],
+            [squeeze(self.attackers[j]) for j in kept],
+            {position[h]: squeeze(tail) for h, tail in self.supports.items() if keep >> h & 1},
+            [[(position[h], squeeze(c)) for h, c in self.member_of[j] if keep >> h & 1] for j in kept],
+            squeeze(self.strict_mask),
+        )
 
     def mask(self, ids) -> int:
         return sum(1 << self.index[a] for a in ids)
@@ -400,9 +451,26 @@ class _Engine:
             if allowed & bit and not (attacking & bit or attackers[i] & (in_mask | bit)):
                 stack.append((depth + 1, in_mask | bit, attacking | attackers[i]))
 
+    def preferred_masks(self) -> list[tuple[int, int]]:
+        """The admissible (IN mask, OUT mask) pairs with subset-maximal IN
+        masks, in search order: the one maximality filter.  The search yields
+        every admissible strict superset of an IN-set before it, so an IN
+        mask is maximal unless a kept one contains it.  The search stops at
+        an IN mask equal to :attr:`bound`: every admissible IN-set lies
+        inside the bound, so that one is the only maximal one."""
+        kept: list[tuple[int, int]] = []
+        search = self.enumerate_admissible_masks()
+        for in_mask, out_mask in search:
+            if all(in_mask & k != in_mask for k, _ in kept):
+                kept.append((in_mask, out_mask))
+            if in_mask == self.bound:
+                search.close()
+                break
+        return kept
+
 
 def _engine(framework: Jsbaf) -> _Engine:
-    return _cached(framework, "_engine_cache", lambda: _Engine(framework))
+    return _cached(framework, "_engine_cache", lambda: _Engine.of(framework))
 
 
 # --- public operations ----------------------------------------------------
@@ -477,11 +545,16 @@ def _check_enum_bound(framework: Jsbaf, max_args: int) -> None:
         )
 
 
+def _bounded_engine(framework: Jsbaf, max_args: int) -> _Engine:
+    """The framework's engine, once it is within the enumeration bound."""
+    _check_enum_bound(framework, max_args)
+    return _engine(framework)
+
+
 def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     """Every admissible labeling in vector order, searched once per framework
     and cached on it; the bound holds whether or not they are cached already."""
-    _check_enum_bound(framework, max_args)
-    eng = _engine(framework)
+    eng = _bounded_engine(framework, max_args)
     return _cached(framework, "_catalogue_cache", lambda: sorted(
         (Labeling(eng.ids, im, om) for im, om in eng.enumerate_admissible_masks()), key=Labeling.vector
     ))
@@ -489,20 +562,7 @@ def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS
 
 def enumerate_preferred(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     """The admissible labelings with subset-maximal IN-sets, in the order
-    of :func:`enumerate_admissible`.  The search yields every admissible
-    strict superset of an IN-set before it, so an IN mask is maximal unless
-    a kept one contains it; only a maximal one is built into a Labeling.
-    The search stops at an IN mask equal to the engine's bound: every
-    admissible IN-set lies inside the bound, so that labeling is the only
-    preferred one."""
-    _check_enum_bound(framework, max_args)
-    eng = _engine(framework)
-    kept: list[tuple[int, int]] = []
-    search = eng.enumerate_admissible_masks()
-    for in_mask, out_mask in search:
-        if all(in_mask & k != in_mask for k, _ in kept):
-            kept.append((in_mask, out_mask))
-        if in_mask == eng.bound:
-            search.close()
-            break
-    return sorted((Labeling(eng.ids, im, om) for im, om in kept), key=Labeling.vector)
+    of :func:`enumerate_admissible`: those of the engine's
+    :meth:`~_Engine.preferred_masks`, the only masks built into Labelings."""
+    eng = _bounded_engine(framework, max_args)
+    return sorted((Labeling(eng.ids, im, om) for im, om in eng.preferred_masks()), key=Labeling.vector)

@@ -7,7 +7,10 @@ naming the bound and its value.  Closure is checked against the
 instantiated strict-rule set of the system at hand; non-interference
 compares the restricted preferred conclusions of two syntactically
 disjoint systems against those of their union, built with whatever
-consequence-rule closure the caller supplies.
+consequence-rule closure the caller supplies.  The union is built,
+translated and given an engine once; each side's engine is the union's
+restricted to the side's arguments, and preferred IN masks go straight
+to conclusion sets, with no labeling built.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 
 from . import formulas as fm
-from .arguments import complete_translation, preferred_conclusions, preferred_sets, restrict
+from .arguments import complete_translation, preferred_conclusions, preferred_sets, side_mask
 from .errors import InstanceError, JsbafError, ResourceLimitError
 from .formulas import Formula, Var
+from .framework import _bounded_engine
 from .system import (
     ArgumentationSystem,
     DefeasibleRule,
@@ -160,11 +164,12 @@ def check_non_interference(
 ) -> PostulateReport:
     """Compare each side's restricted preferred conclusions with the union's.
 
-    The union is built and translated once.  Each side's framework is the
-    union's restricted to the arguments built from that side's rules
-    (:func:`jsbaf.arguments.restrict`), which is the side's own translation
-    but for argument ids and rank values; its arguments are among the
-    union's, so each side is within every bound its union is within."""
+    The union is built and translated once, and its engine is built once.
+    Each side's engine is the union's restricted to the arguments built from
+    that side's rules (:func:`jsbaf.arguments.side_mask`), which is the side
+    translation's engine but for argument ids; its arguments are among the
+    union's, so each side is within every bound its union is within.  The
+    preferred IN masks of every engine go straight to conclusion sets."""
     budget = budget or NonInterferenceBudget()
     union = union_systems(s1, s2, merge=merge, cross_rules=cross_rules)
     report = PostulateReport(
@@ -172,19 +177,20 @@ def check_non_interference(
         instance_digest=system_digest(union),
         verdict=PASS,
         rule_universe={"union": _universe_of(union), "merge_policy": merge},
-        budget=asdict(budget),
+        budget=dict(vars(budget)),
     )
 
     try:
         translation = complete_translation(union, budget.max_args, budget.max_depth, budget.max_nonstrict)
-        union_raw = preferred_sets(translation, budget.max_enum_args)
+        engine = _bounded_engine(translation.framework, budget.max_enum_args)
     except ResourceLimitError as exc:
         report.verdict = INCONCLUSIVE
         report.witness = {"reason": f"union: {exc}"}
         return report
+    union_raw = preferred_sets(translation, engine)
     for label, side in (("side1", s1), ("side2", s2)):
         side_atoms = atoms_of_system(side)
-        side_preferred = preferred_sets(restrict(translation, side), budget.max_enum_args)
+        side_preferred = preferred_sets(translation, engine.restrict(side_mask(translation, side)))
         side_families = restrict_conclusions(side_preferred, side_atoms)
         union_restricted = restrict_conclusions(union_raw, side_atoms)
         if side_families != union_restricted:

@@ -13,7 +13,7 @@ from jsbaf import postulates as po
 from jsbaf.errors import InstanceError, ResourceLimitError
 from jsbaf.formulas import parse_formula as f
 from jsbaf.framework import IN, OUT, UNDEC, Jsbaf, Labeling
-from jsbaf.system import DefeasibleRule, make_system
+from jsbaf.system import DefeasibleRule, make_system, union_systems
 from jsbaf.textio import parse_framework_text
 
 from conftest import labeling_of
@@ -405,7 +405,8 @@ class TestPreferredStop:
         )
 
 
-def _check_first_criterion_7_pairs():
+def _first_criterion_7_pairs():
+    """(side 1, side 2, merge policy, cross rules) of the first ten criterion-7 pairs."""
     profile = gen.FuzzProfile(
         atom_count=(1, 3),
         defeasible_count=(1, 2),
@@ -415,12 +416,12 @@ def _check_first_criterion_7_pairs():
     for i in range(10):
         rng = random.Random(f"acceptance-non-interference-{i}")
         s1, s2 = gen.generate_disjoint_pair(profile, rng=rng)
-        po.check_non_interference(
-            s1,
-            s2,
-            merge="raw" if i % 2 == 0 else "interleave",
-            cross_rules=gen.cross_closure_rules(s1, s2),
-        )
+        yield s1, s2, "raw" if i % 2 == 0 else "interleave", gen.cross_closure_rules(s1, s2)
+
+
+def _check_first_criterion_7_pairs():
+    for s1, s2, merge, cross_rules in _first_criterion_7_pairs():
+        po.check_non_interference(s1, s2, merge=merge, cross_rules=cross_rules)
 
 
 class TestSearchWork:
@@ -449,34 +450,39 @@ class TestSearchWork:
         assert calls[0] <= 30
 
     def test_labelings_built_on_criterion_7_pairs(self, monkeypatch):
-        # the preferred filter builds a Labeling only for a maximal IN mask:
-        # 30 on the first ten criterion-7 pairs, against 1,521 when every
-        # admissible IN mask was built into one
+        # a non-interference check maps preferred IN masks straight to
+        # conclusion sets and builds no Labeling (30 when it went through
+        # enumerate_preferred); that filter builds one only for a maximal
+        # IN mask: 10 on the ten union frameworks, which have 1,439
+        # admissible IN masks
+        budget = po.NonInterferenceBudget()
+        unions = [
+            ar.complete_translation(
+                union_systems(s1, s2, merge=merge, cross_rules=cross_rules), budget.max_args, budget.max_depth
+            ).framework
+            for s1, s2, merge, cross_rules in _first_criterion_7_pairs()
+        ]
         built = [0]
-        returned = [0]
         init = fw.Labeling.__init__
-        preferred = ar.enumerate_preferred
 
         def counted_init(labeling, *fields):
             built[0] += 1
             init(labeling, *fields)
 
-        def counted_preferred(framework, **kwargs):
-            found = preferred(framework, **kwargs)
-            returned[0] += len(found)
-            return found
-
         monkeypatch.setattr(fw.Labeling, "__init__", counted_init)
-        monkeypatch.setattr(ar, "enumerate_preferred", counted_preferred)
         _check_first_criterion_7_pairs()
-        assert built[0] == returned[0] == 30
+        assert built[0] == 0
+        returned = sum(len(fw.enumerate_preferred(union, max_args=budget.max_enum_args)) for union in unions)
+        assert built[0] == returned == 10
+        admissible = sum(len(list(fw._engine(union).enumerate_admissible_masks())) for union in unions)
+        assert admissible == 1_439
 
     def test_one_build_per_non_interference_check(self, monkeypatch):
-        # the union is built and translated once, and each side's framework
-        # is restricted from it: 10 builds on the first ten criterion-7
-        # pairs, against 30 when every side was built on its own
-        calls = {"build": 0, "translate": 0}
-        build, translate = ar.build_arguments, ar.framework_from_system
+        # the union is built, translated and given an engine once, and each
+        # side's engine is restricted from it: 10 of each on the first ten
+        # criterion-7 pairs, against 30 when every side was built on its own
+        calls = {"build": 0, "translate": 0, "engine": 0}
+        build, translate, engine_of = ar.build_arguments, ar.framework_from_system, fw._Engine.of
 
         def counted_build(*args, **kwargs):
             calls["build"] += 1
@@ -486,10 +492,15 @@ class TestSearchWork:
             calls["translate"] += 1
             return translate(*args, **kwargs)
 
+        def counted_engine(framework):
+            calls["engine"] += 1
+            return engine_of(framework)
+
         monkeypatch.setattr(ar, "build_arguments", counted_build)
         monkeypatch.setattr(ar, "framework_from_system", counted_translate)
+        monkeypatch.setattr(fw._Engine, "of", staticmethod(counted_engine))
         _check_first_criterion_7_pairs()
-        assert calls == {"build": 10, "translate": 10}
+        assert calls == {"build": 10, "translate": 10, "engine": 10}
 
 
 class TestTranslation:

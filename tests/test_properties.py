@@ -319,11 +319,12 @@ class TestNonInterferenceSides:
                 assert {a.key for a in build.arguments} <= union_keys
 
     def test_restricted_union_is_the_side_translation(self):
-        """Mapped by argument key, each side's restriction of the union's
-        translation has the side's own arguments, attacks, supports and
-        rank order, under both merge policies, on the criterion-6 systems
-        paired up (the second of each renamed apart), the criterion-7
-        pairs and the seed-1 benchmark non-interference corpus."""
+        """Mapped by argument key, the union's engine restricted to each
+        side's mask is the side translation's engine: its support order,
+        attackers, supports, co-supporters, strict mask and root cut,
+        under both merge policies, on the criterion-6 systems paired up
+        (the second of each renamed apart), the criterion-7 pairs and the
+        seed-1 benchmark non-interference corpus."""
         workloads = _load("workloads")
         corpus = workloads.non_interference_corpus("1", workloads.WORKLOADS["non-interference"].size)
         systems6 = corpus6()
@@ -339,24 +340,29 @@ class TestNonInterferenceSides:
             for merge in ("raw", "interleave"):
                 union = union_systems(s1, s2, merge=merge, cross_rules=gen.cross_closure_rules(s1, s2))
                 translation = ar.complete_translation(union, budget.max_args, budget.max_depth)
+                engine = fw._engine(translation.framework)
                 for side in (s1, s2):
-                    expected = _by_key(ar.complete_translation(side, budget.max_args, budget.max_depth))
-                    assert _by_key(ar.restrict(translation, side)) == expected
+                    own = ar.complete_translation(side, budget.max_args, budget.max_depth)
+                    expected = _engine_by_key(fw._engine(own.framework), own)
+                    restricted = engine.restrict(ar.side_mask(translation, side))
+                    assert restricted.n == len(own.framework.args)
+                    assert _engine_by_key(restricted, translation) == expected
 
 
-def _by_key(translation):
-    """A translation with argument ids replaced by argument keys, and ranks
-    by the rank order: its classes listed from least to most preferred."""
-    framework = translation.framework
-    key = {aid: a.key for aid, a in translation.argument_of.items()}
-    classes = {}
-    for aid, r in framework.rank.items():
-        classes.setdefault(r, set()).add(key[aid])
+def _engine_by_key(engine, translation):
+    """An engine's fields with argument indexes replaced by argument keys."""
+    key = [translation.argument_of[aid].key for aid in engine.ids]
+
+    def keys(mask):
+        return None if mask is None else frozenset(key[i] for i in range(engine.n) if mask >> i & 1)
+
     return (
-        {key[aid]: a.conclusion for aid, a in translation.argument_of.items()},
-        {(key[a], key[b]) for a, b in framework.attacks},
-        {key[head]: {key[t] for t in tail} for head, tail in framework.supports.items()},
-        [classes[r] for r in sorted(classes)],
+        [key[i] for i in engine.order],
+        {key[i]: keys(m) for i, m in enumerate(engine.attackers)},
+        {key[h]: keys(m) for h, m in engine.supports.items()},
+        {key[i]: [(key[h], keys(m)) for h, m in members] for i, members in enumerate(engine.member_of)},
+        keys(engine.strict_mask),
+        keys(engine.bound),
     )
 
 
@@ -492,6 +498,38 @@ class TestEngineAgainstNaive:
                     assert gr.legally_in(g, labeling, arg) == naive.naive_legally_in(
                         plain, labeling, arg, use_ranks=False
                     )
+
+
+class TestRestrictedEngine:
+    def test_preferred_matches_naive_on_support_closed_subsets(self):
+        # a random subset closed under supporting sets: the restricted
+        # engine's preferred labelings are the naive ones of the
+        # sub-framework on it, ranks and out-of-domain frameworks included
+        rng = random.Random(2121)
+        seen = {"proper": 0, "empty": 0, "searched on": 0}
+        for _ in range(600):
+            framework = _random_acyclic_framework(rng, max_args=8)
+            keep = {a for a in framework.args if rng.random() < 0.6}
+            while missing := {t for h in keep for t in framework.supports.get(h, ())} - keep:
+                keep |= missing
+            sub = fw.Jsbaf(
+                args=tuple(keep),
+                attacks=frozenset((a, b) for a, b in framework.attacks if a in keep and b in keep),
+                supports={h: t for h, t in framework.supports.items() if h in keep},
+                rank=None if framework.rank is None else {a: framework.rank[a] for a in keep},
+            )
+            eng = fw._engine(framework)
+            restricted = eng.restrict(eng.mask(keep))
+            assert restricted.ids == sub.args and restricted.n == len(keep)
+            preferred = sorted(
+                (fw.Labeling(restricted.ids, im, om) for im, om in restricted.preferred_masks()),
+                key=fw.Labeling.vector,
+            )
+            assert preferred == naive.naive_enumerate_preferred(sub)
+            seen["proper"] += 0 < len(keep) < len(framework.args)
+            seen["empty"] += not keep
+            seen["searched on"] += len(preferred) > 1
+        assert all(seen.values()), seen
 
 
 class TestLeafCheck:

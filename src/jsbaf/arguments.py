@@ -5,14 +5,19 @@ sub-arguments whose conclusions match the rule's antecedents position by
 position.  Identity is structural, so two arguments are the same exactly
 when they apply the same rule to the same sub-arguments.
 
-The translation's attacks are the defeats defined in :mod:`jsbaf.naive`,
-found from two indexes built in one pass over the arguments rather than
-by testing every ordered pair: formula -> the arguments that a
-conclusion of that formula undercuts, and formula -> the non-strict
-arguments with a sub-argument concluding it.  An argument concluding
-``!phi`` may gen-rebut the arguments found in the second index under
-every element of one sequence of ``conjunction_peels(phi)``; only these
-candidates get the elitist weakest-link test, on minimum ranks.
+The translation is index masks over the build order, where every head
+comes after the arguments supporting it: per argument its attackers, per
+supported head its supporting set, the rank classes and the strict mask.
+The engine is made from these masks, and the string-id :class:`Jsbaf`
+only when something reads it.  Its attacks are the defeats defined in
+:mod:`jsbaf.naive`, found from two indexes built in one pass over the
+arguments rather than by testing every ordered pair: formula -> the
+arguments concluding it, which gives each argument its undercutters, and
+formula -> the non-strict arguments with a sub-argument concluding it.
+An argument concluding ``!phi`` may gen-rebut the arguments found in the
+second index under every element of one sequence of
+``conjunction_peels(phi)``; only these candidates get the elitist
+weakest-link test, on minimum ranks.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from itertools import product
 from . import formulas as fm
 from .errors import ResourceLimitError
 from .formulas import Formula, Not
-from .framework import DEFAULT_MAX_ENUM_ARGS, Jsbaf, _bits, _bounded_engine, _Engine
-from .system import ArgumentationSystem, DefeasibleRule, StrictRule
+from .framework import DEFAULT_MAX_ENUM_ARGS, Jsbaf, _bits, _check_enum_bound, _Engine
+from .system import ArgumentationSystem, DefeasibleRule, StrictRule, _cached
 
 DEFAULT_MAX_ARGS = 5000
 DEFAULT_MAX_DEPTH = 6
@@ -166,9 +171,54 @@ def min_rank(a: Argument, system: ArgumentationSystem) -> int | None:
 
 @dataclass
 class Translation:
-    framework: "Jsbaf"
+    """The framework of a build's arguments as masks over their build order.
+
+    Index i is ``ids[i]``, the argument ``argument_of[ids[i]]`` and the
+    engine's index at once: arguments are ordered by depth, and the
+    zero-padded ids sort the same way.  ``attackers`` maps an argument, and
+    ``supports`` a supported head, to a mask of its attackers or supporting
+    set; ``rank`` holds preference classes and ``strict_mask`` the arguments
+    with no defeasible rule.  The engine and the :class:`Jsbaf` are each
+    made on first read and kept."""
+
+    ids: tuple[str, ...]
     argument_of: dict[str, Argument]
+    attackers: list[int]
+    supports: dict[int, int]
+    rank: list[int]
+    strict_mask: int
     truncated: bool
+
+    @property
+    def engine(self) -> _Engine:
+        """The engine, with no support walk: a head is deeper than its
+        supporters, so descending index order visits every head first."""
+        order = range(len(self.ids) - 1, -1, -1)
+        return _cached(self, "_engine_cache", lambda: _Engine(
+            self.ids, list(order), self.attackers, self.supports, self.rank, self.strict_mask))
+
+    @property
+    def framework(self) -> Jsbaf:
+        return _cached(self, "_framework_cache", self._spell_out)
+
+    def _spell_out(self) -> Jsbaf:
+        """The :class:`Jsbaf` with every mask spelled out as argument ids."""
+        ids = self.ids
+
+        def names(mask: int) -> list[str]:
+            out = []
+            while mask:
+                low = mask & -mask
+                out.append(ids[low.bit_length() - 1])
+                mask ^= low
+            return out
+
+        return Jsbaf(
+            args=ids,
+            attacks=frozenset((a, b) for b, mask in zip(ids, self.attackers) if mask for a in names(mask)),
+            supports={ids[h]: frozenset(names(tail)) for h, tail in self.supports.items()},
+            rank=dict(zip(ids, self.rank)),
+        )
 
 
 def framework_from_system(system: ArgumentationSystem, build: BuildResult | None = None) -> Translation:
@@ -180,19 +230,20 @@ def framework_from_system(system: ArgumentationSystem, build: BuildResult | None
         build = build_arguments(system)
     args = build.arguments
     width = max(3, len(str(max(len(args), 1))))
-    ids = [f"a{str(i).zfill(width)}" for i in range(len(args))]
-    id_of = dict(zip(args, ids))
-    argument_of = dict(zip(ids, args))
+    ids = tuple(f"a{str(i).zfill(width)}" for i in range(len(args)))
     ranks = [min_rank(a, system) for a in args]
 
-    # formula -> bitmask of the arguments that a conclusion of that formula
-    # undercuts, and of the non-strict arguments with a sub-conclusion of it
+    # formula -> bitmask of the arguments concluding it, and of the
+    # non-strict arguments with a sub-conclusion of it
     complements = {}
     for rule in system.defeasible_rules:
         name = rule.name
         if name is not None:
             complements[rule.id] = (Not(name), name.sub) if isinstance(name, Not) else (Not(name),)
-    undercut_pool: dict[Formula, int] = {}
+    concluding: dict[Formula, int] = {}
+    for i, a in enumerate(args):
+        concluding[a.conclusion] = concluding.get(a.conclusion, 0) | 1 << i
+    attackers = [0] * len(args)
     rebut_pool: dict[Formula, int] = {}
     for j, b in enumerate(args):
         if not b.defeasible_rules:
@@ -200,12 +251,10 @@ def framework_from_system(system: ArgumentationSystem, build: BuildResult | None
         for bp in sub_args(b):
             if bp.top_kind == TOP_DEFEASIBLE:
                 for key in complements.get(bp.rule_id, ()):
-                    undercut_pool[key] = undercut_pool.get(key, 0) | 1 << j
+                    attackers[j] |= concluding.get(key, 0)  # undercutters
             rebut_pool[bp.conclusion] = rebut_pool.get(bp.conclusion, 0) | 1 << j
 
-    attacks = set()
     for i, a in enumerate(args):
-        targets = undercut_pool.get(a.conclusion, 0)
         if isinstance(a.conclusion, Not):
             rebutted = 0
             for peel in fm.conjunction_peels(a.conclusion.sub):
@@ -214,27 +263,22 @@ def framework_from_system(system: ArgumentationSystem, build: BuildResult | None
                     mask &= rebut_pool.get(f, 0)
                 rebutted |= mask
             # a gen-rebut from a strictly weaker argument is no defeat
-            for j in _bits(rebutted & ~targets):
+            for j in _bits(rebutted):
                 if ranks[i] is None or ranks[i] >= ranks[j]:
-                    targets |= 1 << j
-        attacks.update((ids[i], ids[j]) for j in _bits(targets))
+                    attackers[j] |= 1 << i
 
-    supports: dict[str, frozenset[str]] = {}
-    for a in args:
+    index = {a: i for i, a in enumerate(args)}
+    supports = {}
+    for i, a in enumerate(args):
         if a.top_kind != TOP_DEFEASIBLE:
-            supports[id_of[a]] = frozenset(id_of[s] for s in a.subs)
-
-    finite = sorted({r for r in ranks if r is not None})
-    rank_index = {r: i for i, r in enumerate(finite)}
-    rank = {aid: len(finite) if r is None else rank_index[r] for aid, r in zip(ids, ranks)}
-
-    framework = Jsbaf(
-        args=tuple(ids),
-        attacks=frozenset(attacks),
-        supports=supports,
-        rank=rank,
-    )
-    return Translation(framework=framework, argument_of=argument_of, truncated=build.truncated)
+            tail = 0
+            for s in a.subs:
+                tail |= 1 << index[s]
+            supports[i] = tail
+    strict_mask = sum(1 << i for i, r in enumerate(ranks) if r is None)
+    rank_index = {r: i for i, r in enumerate(sorted({r for r in ranks if r is not None}))}
+    rank = [len(rank_index) if r is None else rank_index[r] for r in ranks]
+    return Translation(ids, dict(zip(ids, args)), attackers, supports, rank, strict_mask, build.truncated)
 
 
 def preferred_conclusions(
@@ -252,7 +296,8 @@ def preferred_conclusions(
     built, or when the framework exceeds the enumeration bound.
     """
     translation = complete_translation(system, max_args, max_depth, max_nonstrict)
-    return preferred_sets(translation, _bounded_engine(translation.framework, max_enum_args))
+    _check_enum_bound(len(translation.ids), max_enum_args)
+    return preferred_sets(translation, translation.engine)
 
 
 def complete_translation(
@@ -285,9 +330,8 @@ def side_mask(translation: Translation, system: ArgumentationSystem) -> int:
     on the pair of arguments, and both merge policies keep the side's rank
     order."""
     rule_ids = {r.id for r in system.strict_rules + system.defeasible_rules}
-    argument_of, kept, mask = translation.argument_of, set(), 0
-    for i, aid in enumerate(translation.framework.args):  # build order: sub-arguments first
-        a = argument_of[aid]
+    kept, mask = set(), 0
+    for i, a in enumerate(translation.argument_of.values()):  # build order: sub-arguments first
         if a.rule_id in rule_ids and all(s.key in kept for s in a.subs):
             kept.add(a.key)
             mask |= 1 << i

@@ -166,34 +166,16 @@ def complementary_pairs(formulas: Iterable[Formula]):
                 yield phi, psi
 
 
-def big_conj(formulas: list[Formula] | tuple[Formula, ...]) -> Formula:
-    """Fold an ordered, non-empty list into ``f0 & (f1 & (...))``.
-
-    The list order is taken as given; no sorting and no deduplication
-    happen here.  Use :func:`conj_of_set` to conjoin a set canonically.
-    """
-    if not formulas:
-        raise ValueError("big_conj of an empty list is undefined")
-    out = formulas[-1]
-    for f in reversed(formulas[:-1]):
-        out = And(f, out)
-    return out
-
-
-def conj_of_set(formulas: Iterable[Formula]) -> Formula:
-    """Conjunction over a set, elements in canonical (key) order."""
-    ordered = sorted(set(formulas), key=formula_key)
-    return big_conj(ordered)
-
-
 def conjunction_peels(formula: Formula):
     """Candidate element sequences whose canonical conjunction is ``formula``.
 
-    A set Gamma satisfies ``conj_of_set(Gamma) == formula`` exactly when its
-    key-sorted sequence is one of the sequences yielded here (the whole
-    formula, then successively peeled prefixes of the right spine) and that
-    sequence is strictly increasing with pairwise distinct elements.  The
-    strictness filter is applied here; membership checks are the caller's.
+    The canonical conjunction of a set Gamma folds its elements, in key
+    order, into ``f0 & (f1 & (...))``.  It equals ``formula`` exactly when
+    Gamma's key-sorted sequence is one of the sequences yielded here (the
+    whole formula, then successively peeled prefixes of the right spine)
+    and that sequence is strictly increasing with pairwise distinct
+    elements.  The strictness filter is applied here; membership checks
+    are the caller's.
     """
     yield (formula,)
     prefix: list[Formula] = []

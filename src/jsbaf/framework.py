@@ -264,18 +264,27 @@ class _Engine:
     """Bitmask view of one framework with acyclic supports, over its sorted
     ``ids``.  Per argument: its attackers, and each support containing it in
     which it is at most as preferred as every co-supporter, as (head,
-    co-supporters mask); without ranks every rank condition holds.  Built
-    from a framework by :meth:`of`, or from another engine by
-    :meth:`restrict`; either way the constructor computes the root cut."""
+    co-supporters mask); with ``rank`` None every rank condition holds.
+    Built from a framework by :meth:`of`, from a translation's masks
+    (:attr:`jsbaf.arguments.Translation.engine`), or from another engine by
+    :meth:`restrict`; either way the constructor computes the support
+    membership and the root cut."""
 
-    def __init__(self, ids, order, attackers, supports, member_of, strict_mask):
+    def __init__(self, ids, order, attackers, supports, rank, strict_mask):
         self.ids = ids
         self.index = {a: i for i, a in enumerate(ids)}
         self.n = len(ids)
         self.order = order  # supported heads before supporters
         self.attackers = attackers
         self.supports = supports  # head index -> tail mask
-        self.member_of = member_of
+        self.rank = rank  # rank per index, or None
+        self.member_of = member_of = [[] for _ in ids]
+        for h in sorted(supports):
+            tail = supports[h]
+            least = None if rank is None else min((rank[t] for t in _bits(tail)), default=0)
+            for t in _bits(tail):
+                if least is None or rank[t] <= least:
+                    member_of[t].append((h, tail & ~(1 << t)))
         self.strict_mask = strict_mask
         self.strict_attackers = 0
         for i in _bits(strict_mask):
@@ -294,18 +303,10 @@ class _Engine:
         attackers = [0] * len(ids)
         for a, b in framework.attacks:
             attackers[index[b]] |= 1 << index[a]
-        supports = {}
-        member_of = [[] for _ in ids]
-        for head in sorted(framework.supports):
-            h, tail = index[head], framework.supports[head]
-            tail_mask = supports[h] = sum(1 << index[t] for t in tail)
-            least = None if rank is None else min((rank[t] for t in tail), default=0)
-            for t in tail:
-                if least is None or rank[t] <= least:
-                    i = index[t]
-                    member_of[i].append((h, tail_mask & ~(1 << i)))
+        supports = {index[h]: sum(1 << index[t] for t in tail) for h, tail in framework.supports.items()}
+        ranks = None if rank is None else [rank[a] for a in ids]
         strict_mask = sum(1 << index[a] for a in strict)
-        return cls(ids, [index[a] for a in order], attackers, supports, member_of, strict_mask)
+        return cls(ids, [index[a] for a in order], attackers, supports, ranks, strict_mask)
 
     def restrict(self, keep: int) -> "_Engine":
         """The engine of the sub-framework on the arguments in ``keep``, a
@@ -329,7 +330,7 @@ class _Engine:
             [position[j] for j in self.order if keep >> j & 1],
             [squeeze(self.attackers[j]) for j in kept],
             {position[h]: squeeze(tail) for h, tail in self.supports.items() if keep >> h & 1},
-            [[(position[h], squeeze(c)) for h, c in self.member_of[j] if keep >> h & 1] for j in kept],
+            None if self.rank is None else [self.rank[j] for j in kept],
             squeeze(self.strict_mask),
         )
 
@@ -536,10 +537,10 @@ def sim_labeling(framework: Jsbaf) -> Labeling:
     return Labeling(eng.ids, eng.strict_mask, eng.legal_out(eng.strict_mask))
 
 
-def _check_enum_bound(framework: Jsbaf, max_args: int) -> None:
-    if len(framework.args) > max_args:
+def _check_enum_bound(n: int, max_args: int) -> None:
+    if n > max_args:
         raise ResourceLimitError(
-            f"{len(framework.args)} arguments exceed the enumeration bound of {max_args}",
+            f"{n} arguments exceed the enumeration bound of {max_args}",
             bound_name="max_enum_args",
             bound_value=max_args,
         )
@@ -547,7 +548,7 @@ def _check_enum_bound(framework: Jsbaf, max_args: int) -> None:
 
 def _bounded_engine(framework: Jsbaf, max_args: int) -> _Engine:
     """The framework's engine, once it is within the enumeration bound."""
-    _check_enum_bound(framework, max_args)
+    _check_enum_bound(len(framework.args), max_args)
     return _engine(framework)
 
 

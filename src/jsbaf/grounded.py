@@ -90,7 +90,7 @@ class _Table:
         self.entries: dict[tuple[int, int], set[str]] = {}
 
     def unextendable(self, g: Jsbaf, i: int, h: int, max_args: int) -> set[str]:
-        _check_enum_bound(g, max_args)
+        _check_enum_bound(len(g.args), max_args)
         entry = self.entries.get((i, h))
         if entry is None:
             if self.catalogue is None:

@@ -8,9 +8,10 @@ instantiated strict-rule set of the system at hand; non-interference
 compares the restricted preferred conclusions of two syntactically
 disjoint systems against those of their union, built with whatever
 consequence-rule closure the caller supplies.  The union is built,
-translated and given an engine once; each side's engine is the union's
-restricted to the side's arguments, and preferred IN masks go straight
-to conclusion sets, with no labeling built.
+translated and given an engine once, from the translation's masks; each
+side's engine is the union's restricted to the side's arguments, and
+preferred IN masks go straight to conclusion sets, with no framework or
+labeling built.
 """
 
 from __future__ import annotations
@@ -20,19 +21,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 from . import formulas as fm
 from .arguments import complete_translation, preferred_conclusions, preferred_sets, side_mask
-from .errors import InstanceError, JsbafError, ResourceLimitError
-from .formulas import Formula, Var
-from .framework import _bounded_engine
-from .system import (
-    ArgumentationSystem,
-    DefeasibleRule,
-    StrictRule,
-    _cached,
-    atoms_of_system,
-    cl_closure,
-    make_system,
-    union_systems,
-)
+from .errors import JsbafError, ResourceLimitError
+from .formulas import Formula
+from .framework import _check_enum_bound
+from .system import ArgumentationSystem, StrictRule, _cached, atoms_of_system, cl_closure, union_systems
 from .textio import format_system, instance_digest
 
 PASS = "pass"
@@ -164,7 +156,8 @@ def check_non_interference(
 ) -> PostulateReport:
     """Compare each side's restricted preferred conclusions with the union's.
 
-    The union is built and translated once, and its engine is built once.
+    The union is built and translated once, and its engine is made once
+    from the translation's masks, with no :class:`~jsbaf.framework.Jsbaf`.
     Each side's engine is the union's restricted to the arguments built from
     that side's rules (:func:`jsbaf.arguments.side_mask`), which is the side
     translation's engine but for argument ids; its arguments are among the
@@ -182,11 +175,12 @@ def check_non_interference(
 
     try:
         translation = complete_translation(union, budget.max_args, budget.max_depth, budget.max_nonstrict)
-        engine = _bounded_engine(translation.framework, budget.max_enum_args)
+        _check_enum_bound(len(translation.ids), budget.max_enum_args)
     except ResourceLimitError as exc:
         report.verdict = INCONCLUSIVE
         report.witness = {"reason": f"union: {exc}"}
         return report
+    engine = translation.engine
     union_raw = preferred_sets(translation, engine)
     for label, side in (("side1", s1), ("side2", s2)):
         side_atoms = atoms_of_system(side)
@@ -230,24 +224,3 @@ def shrink_failing_system(system: ArgumentationSystem, still_fails) -> Argumenta
                 continue
     return current
 
-
-def non_triviality_witness(atom_names) -> tuple[ArgumentationSystem, ArgumentationSystem]:
-    """The pair of systems over the same atoms whose restricted preferred
-    conclusions differ: one asserts every atom defeasibly, the other only
-    repeats each atom from itself and so derives nothing."""
-    atom_names = sorted(set(atom_names))
-    if not atom_names:
-        raise InstanceError("the witness needs a non-empty atom set")
-    asserting = make_system(
-        atoms=atom_names,
-        defeasible=[
-            DefeasibleRule(f"d{i}", (), Var(name)) for i, name in enumerate(atom_names)
-        ],
-    )
-    circular = make_system(
-        atoms=atom_names,
-        defeasible=[
-            DefeasibleRule(f"d{i}", (Var(name),), Var(name)) for i, name in enumerate(atom_names)
-        ],
-    )
-    return asserting, circular

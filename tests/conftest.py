@@ -3,7 +3,10 @@ import pathlib
 import pytest
 
 from jsbaf import textio
+from jsbaf.errors import InstanceError
+from jsbaf.formulas import And, Var, formula_key
 from jsbaf.framework import IN, LABELS, OUT, Labeling
+from jsbaf.system import DefeasibleRule, make_system
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -41,6 +44,40 @@ def random_labeling(framework, rng):
     """One label drawn per argument, in id order."""
     drawn = dict(zip(framework.args, (rng.choice(LABELS) for _ in framework.args)))
     return labeling_of(framework, *({a for a in drawn if drawn[a] == label} for label in (IN, OUT)))
+
+
+def big_conj(formulas):
+    """Fold an ordered, non-empty list into ``f0 & (f1 & (...))``, taking
+    the order as given, with no sorting and no deduplication."""
+    if not formulas:
+        raise ValueError("big_conj of an empty list is undefined")
+    out = formulas[-1]
+    for f in reversed(formulas[:-1]):
+        out = And(f, out)
+    return out
+
+
+def conj_of_set(formulas):
+    """The canonical conjunction of a set: its elements in key order."""
+    return big_conj(sorted(set(formulas), key=formula_key))
+
+
+def non_triviality_witness(atom_names):
+    """The pair of systems over the same atoms whose restricted preferred
+    conclusions differ: one asserts every atom defeasibly, the other only
+    repeats each atom from itself and so derives nothing."""
+    atom_names = sorted(set(atom_names))
+    if not atom_names:
+        raise InstanceError("the witness needs a non-empty atom set")
+    asserting = make_system(
+        atoms=atom_names,
+        defeasible=[DefeasibleRule(f"d{i}", (), Var(name)) for i, name in enumerate(atom_names)],
+    )
+    circular = make_system(
+        atoms=atom_names,
+        defeasible=[DefeasibleRule(f"d{i}", (Var(name),), Var(name)) for i, name in enumerate(atom_names)],
+    )
+    return asserting, circular
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from jsbaf import postulates as po
 from jsbaf import textio
 from jsbaf.framework import Labeling
 
-from conftest import INSTANCES, random_labeling
+from conftest import INSTANCES, non_triviality_witness, random_labeling
 
 SEED5 = "acceptance-grounded"
 SEED6 = "acceptance-postulates"
@@ -272,7 +272,7 @@ def run_criterion_8():
     lines = []
     for size in (1, 2, 3):
         names = [f"w{i}" for i in range(size)]
-        asserting, circular = po.non_triviality_witness(names)
+        asserting, circular = non_triviality_witness(names)
         left = po.restrict_conclusions(ar.preferred_conclusions(asserting), names)
         right = po.restrict_conclusions(ar.preferred_conclusions(circular), names)
         ok = ok and left != right

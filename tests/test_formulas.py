@@ -3,7 +3,9 @@ import pytest
 from jsbaf import formulas as fm
 from jsbaf import naive
 from jsbaf.errors import EvaluationError, ParseError, ResourceLimitError
-from jsbaf.formulas import And, Not, Var, big_conj, parse_formula
+from jsbaf.formulas import And, Not, Var, parse_formula
+
+from conftest import big_conj, conj_of_set
 
 
 def f(text):
@@ -96,7 +98,7 @@ class TestBigConj:
             big_conj([])
 
     def test_conj_of_set_sorts_canonically(self):
-        out = fm.conj_of_set({f("delta"), f("gamma"), f("epsilon")})
+        out = conj_of_set({f("delta"), f("gamma"), f("epsilon")})
         assert out == f("delta & (epsilon & gamma)")
 
 

@@ -17,6 +17,7 @@ from jsbaf.system import DefeasibleRule, make_system, union_systems
 from jsbaf.textio import parse_framework_text
 
 from conftest import labeling_of
+from test_acceptance import corpus6
 
 
 class TestValidate:
@@ -478,11 +479,14 @@ class TestSearchWork:
         assert admissible == 1_439
 
     def test_one_build_per_non_interference_check(self, monkeypatch):
-        # the union is built, translated and given an engine once, and each
-        # side's engine is restricted from it: 10 of each on the first ten
-        # criterion-7 pairs, against 30 when every side was built on its own
-        calls = {"build": 0, "translate": 0, "engine": 0}
-        build, translate, engine_of = ar.build_arguments, ar.framework_from_system, fw._Engine.of
+        # the union is built and translated once, its engine is made from the
+        # translation's masks, and each side's engine is restricted from it:
+        # 10 builds, translations and union engines on the first ten
+        # criterion-7 pairs (30 builds when every side was built on its own),
+        # with no Jsbaf spelled out, no support walk and no engine of a Jsbaf
+        calls = _count_framework_work(monkeypatch)
+        calls.update(build=0, translate=0)
+        build, translate = ar.build_arguments, ar.framework_from_system
 
         def counted_build(*args, **kwargs):
             calls["build"] += 1
@@ -492,15 +496,46 @@ class TestSearchWork:
             calls["translate"] += 1
             return translate(*args, **kwargs)
 
-        def counted_engine(framework):
-            calls["engine"] += 1
-            return engine_of(framework)
-
         monkeypatch.setattr(ar, "build_arguments", counted_build)
         monkeypatch.setattr(ar, "framework_from_system", counted_translate)
-        monkeypatch.setattr(fw._Engine, "of", staticmethod(counted_engine))
         _check_first_criterion_7_pairs()
-        assert calls == {"build": 10, "translate": 10, "engine": 10}
+        assert calls == {
+            "build": 10, "translate": 10, "engine": 30, "restrict": 20, "of": 0, "jsbaf": 0, "walk": 0,
+        }
+
+    def test_preferred_conclusions_spell_out_no_framework(self, monkeypatch):
+        # one engine per system, made from the translation's masks: no Jsbaf,
+        # no support walk, and the conclusion sets of the Jsbaf path
+        systems = corpus6()[:20]
+        expected = []
+        for system in systems:
+            translation = ar.framework_from_system(system)
+            framework = translation.framework
+            preferred = fw.enumerate_preferred(framework)
+            expected.append(ar.conclusion_sets(translation, framework.args, [lab.in_mask for lab in preferred]))
+        calls = _count_framework_work(monkeypatch)
+        assert [ar.preferred_conclusions(system) for system in systems] == expected
+        assert calls == {"engine": 20, "restrict": 0, "of": 0, "jsbaf": 0, "walk": 0}
+
+
+def _count_framework_work(monkeypatch) -> dict[str, int]:
+    """Counts, from now on, of the engines built in all and by
+    ``restrict`` and ``of``, of the Jsbafs built and of the support walks."""
+    calls = {"engine": 0, "restrict": 0, "of": 0, "jsbaf": 0, "walk": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(fw._Engine, "__init__", counted("engine", fw._Engine.__init__))
+    monkeypatch.setattr(fw._Engine, "restrict", counted("restrict", fw._Engine.restrict))
+    monkeypatch.setattr(fw._Engine, "of", classmethod(counted("of", fw._Engine.of.__func__)))
+    monkeypatch.setattr(fw.Jsbaf, "__post_init__", counted("jsbaf", fw.Jsbaf.__post_init__))
+    monkeypatch.setattr(fw, "_support_walk", counted("walk", fw._support_walk))
+    return calls
 
 
 class TestTranslation:

@@ -11,6 +11,8 @@ from jsbaf.formulas import Not, Var, is_neg_complement, parse_formula as f
 from jsbaf.framework import Jsbaf, enumerate_preferred
 from jsbaf.system import DefeasibleRule, make_system
 
+from conftest import non_triviality_witness
+
 
 @pytest.fixture(scope="module")
 def as1_families(as1):
@@ -218,7 +220,7 @@ class TestBrokenEngineSelfTest:
 
 class TestNonTriviality:
     def test_single_atom_witness(self):
-        asserting, circular = po.non_triviality_witness(["p"])
+        asserting, circular = non_triviality_witness(["p"])
         left = po.restrict_conclusions(ar.preferred_conclusions(asserting), {"p"})
         right = po.restrict_conclusions(ar.preferred_conclusions(circular), {"p"})
         assert frozenset({Var("p")}) in left
@@ -226,14 +228,14 @@ class TestNonTriviality:
         assert left != right
 
     def test_two_atom_witness(self):
-        asserting, circular = po.non_triviality_witness(["p", "q"])
+        asserting, circular = non_triviality_witness(["p", "q"])
         left = po.restrict_conclusions(ar.preferred_conclusions(asserting), {"p", "q"})
         right = po.restrict_conclusions(ar.preferred_conclusions(circular), {"p", "q"})
         assert left != right
 
     def test_empty_atom_set_is_an_error(self):
         with pytest.raises(InstanceError):
-            po.non_triviality_witness([])
+            non_triviality_witness([])
 
 
 class TestReports:

@@ -26,7 +26,7 @@ from jsbaf.errors import InstanceError, ResourceLimitError
 from jsbaf.formulas import And, Not, Var, parse_formula
 from jsbaf.system import StrictRule, cl_closure, union_systems
 
-from conftest import random_labeling
+from conftest import big_conj, conj_of_set, random_labeling
 from test_acceptance import corpus6, corpus7
 from test_bench_contract import _load
 from test_cli import _formulas, _system_text
@@ -170,7 +170,7 @@ def brute_gen_rebuts(a, b):
     pool = sorted({x.conclusion for x in ar.sub_args(b)}, key=fm.formula_key)
     for size in range(1, len(pool) + 1):
         for gamma in combinations(pool, size):
-            if a.conclusion == Not(fm.big_conj(list(gamma))):
+            if a.conclusion == Not(big_conj(list(gamma))):
                 return True
     return False
 
@@ -250,7 +250,7 @@ class TestArgumentRelations:
                 (a, b) for a in args for b in args if naive.gen_rebuts(a, b)
             ][:3]
             for a, b in pairs:
-                target = Not(fm.conj_of_set(x.conclusion for x in naive.ad_sub(b)))
+                target = Not(conj_of_set(x.conclusion for x in naive.ad_sub(b)))
                 assert fm.entails([a.conclusion], target)
                 extended = type(system)(
                     atoms=system.atoms,
@@ -319,8 +319,8 @@ class TestNonInterferenceSides:
                 assert {a.key for a in build.arguments} <= union_keys
 
     def test_restricted_union_is_the_side_translation(self):
-        """Mapped by argument key, the union's engine restricted to each
-        side's mask is the side translation's engine: its support order,
+        """Mapped by argument key, the union translation's engine restricted
+        to each side's mask is the side translation's engine: its support order,
         attackers, supports, co-supporters, strict mask and root cut,
         under both merge policies, on the criterion-6 systems paired up
         (the second of each renamed apart), the criterion-7 pairs and the
@@ -340,13 +340,41 @@ class TestNonInterferenceSides:
             for merge in ("raw", "interleave"):
                 union = union_systems(s1, s2, merge=merge, cross_rules=gen.cross_closure_rules(s1, s2))
                 translation = ar.complete_translation(union, budget.max_args, budget.max_depth)
-                engine = fw._engine(translation.framework)
                 for side in (s1, s2):
                     own = ar.complete_translation(side, budget.max_args, budget.max_depth)
-                    expected = _engine_by_key(fw._engine(own.framework), own)
-                    restricted = engine.restrict(ar.side_mask(translation, side))
-                    assert restricted.n == len(own.framework.args)
+                    expected = _engine_by_key(own.engine, own)
+                    restricted = translation.engine.restrict(ar.side_mask(translation, side))
+                    assert restricted.n == len(own.ids)
                     assert _engine_by_key(restricted, translation) == expected
+
+
+class TestTranslationEngine:
+    def test_agrees_with_the_engine_of_its_framework(self):
+        """The engine made from a translation's masks is the engine of its
+        spelled-out Jsbaf, field by field (co-supporters compared per
+        argument as a set), and its order visits every head before its
+        supporters: on the criterion-6 systems and the criterion-7 unions
+        under both merge policies."""
+        budget = po.NonInterferenceBudget()
+        translations = [ar.complete_translation(system) for system in corpus6()]
+        for s1, s2 in corpus7():
+            for merge in ("raw", "interleave"):
+                union = union_systems(s1, s2, merge=merge, cross_rules=gen.cross_closure_rules(s1, s2))
+                translations.append(ar.complete_translation(union, budget.max_args, budget.max_depth))
+        assert len(translations) == 200 + 100
+        for translation in translations:
+            engine, expected = translation.engine, fw._Engine.of(translation.framework)
+            assert engine.ids == expected.ids
+            assert engine.attackers == expected.attackers
+            assert engine.supports == expected.supports
+            assert engine.rank == expected.rank
+            assert [set(members) for members in engine.member_of] == [set(m) for m in expected.member_of]
+            assert engine.strict_mask == expected.strict_mask
+            assert engine.bound == expected.bound
+            position = {i: k for k, i in enumerate(engine.order)}
+            assert sorted(position) == list(range(engine.n))
+            for head, tail in engine.supports.items():
+                assert all(position[head] < position[t] for t in range(engine.n) if tail >> t & 1)
 
 
 def _engine_by_key(engine, translation):

@@ -95,13 +95,6 @@ class BuildResult:
     def truncated(self) -> bool:
         return self.bound is not None
 
-    def complete(self) -> "BuildResult":
-        """This build, or a :class:`ResourceLimitError` naming its bound."""
-        if self.bound is None:
-            return self
-        name, value = self.bound
-        raise ResourceLimitError(f"argument construction truncated at the {name} bound of {value}", name, value)
-
 
 def build_arguments(
     system: ArgumentationSystem, max_args: int = DEFAULT_MAX_ARGS, max_depth: int = DEFAULT_MAX_DEPTH
@@ -286,16 +279,14 @@ def preferred_conclusions(
     max_args: int = DEFAULT_MAX_ARGS,
     max_depth: int = DEFAULT_MAX_DEPTH,
     max_enum_args: int = DEFAULT_MAX_ENUM_ARGS,
-    max_nonstrict: int | None = None,
 ) -> list[frozenset[Formula]]:
     """Conclusion sets of the preferred labelings of the translated
     framework, canonically ordered.
 
     Raises :class:`ResourceLimitError` when argument construction is
-    truncated, when more than ``max_nonstrict`` non-strict arguments are
-    built, or when the framework exceeds the enumeration bound.
+    truncated or when the framework exceeds the enumeration bound.
     """
-    translation = complete_translation(system, max_args, max_depth, max_nonstrict)
+    translation = complete_translation(system, max_args, max_depth)
     _check_enum_bound(len(translation.ids), max_enum_args)
     return preferred_sets(translation, translation.engine)
 
@@ -309,7 +300,10 @@ def complete_translation(
     """The translation of the system's complete build; raises
     :class:`ResourceLimitError` when construction is truncated or more than
     ``max_nonstrict`` non-strict arguments are built."""
-    build = build_arguments(system, max_args=max_args, max_depth=max_depth).complete()
+    build = build_arguments(system, max_args=max_args, max_depth=max_depth)
+    if build.bound is not None:
+        name, value = build.bound
+        raise ResourceLimitError(f"argument construction truncated at the {name} bound of {value}", name, value)
     nonstrict = sum(1 for a in build.arguments if not is_strict(a))
     if max_nonstrict is not None and nonstrict > max_nonstrict:
         raise ResourceLimitError(

@@ -88,6 +88,14 @@ LABELS = (IN, OUT, UNDEC)
 DEFAULT_MAX_ENUM_ARGS = 13
 
 
+def _position(ids: tuple[str, ...], arg: str) -> int:
+    """The index of ``arg`` in the sorted ``ids``; unknown ids are refused."""
+    i = bisect_left(ids, arg)
+    if i == len(ids) or ids[i] != arg:
+        raise InstanceError(f"unknown argument {arg!r}")
+    return i
+
+
 @dataclass(frozen=True, slots=True)
 class Labeling:
     """Labels of a framework's sorted ``ids``: bit i of ``in_mask`` or ``out_mask``
@@ -116,10 +124,7 @@ class Labeling:
         return dict(self.labels)
 
     def label(self, arg: str) -> str:
-        i = bisect_left(self.ids, arg)
-        if i == len(self.ids) or self.ids[i] != arg:
-            raise InstanceError(f"unknown argument {arg!r}")
-        return self._label_at(i)
+        return self._label_at(_position(self.ids, arg))
 
     def _names(self, mask: int) -> frozenset[str]:
         return frozenset(a for i, a in enumerate(self.ids) if mask >> i & 1)
@@ -272,7 +277,6 @@ class _Engine:
 
     def __init__(self, ids, order, attackers, supports, rank, strict_mask):
         self.ids = ids
-        self.index = {a: i for i, a in enumerate(ids)}
         self.n = len(ids)
         self.order = order  # supported heads before supporters
         self.attackers = attackers
@@ -333,9 +337,6 @@ class _Engine:
             None if self.rank is None else [self.rank[j] for j in kept],
             squeeze(self.strict_mask),
         )
-
-    def mask(self, ids) -> int:
-        return sum(1 << self.index[a] for a in ids)
 
     def legally_in(self, i: int, in_mask: int, out_mask: int) -> bool:
         if self.attackers[i] & ~out_mask:
@@ -521,9 +522,7 @@ def _covering(framework: Jsbaf, labeling: Labeling) -> _Engine:
 
 def legally_in(framework: Jsbaf, labeling: Labeling, arg: str) -> bool:
     eng = _covering(framework, labeling)
-    if arg not in eng.index:
-        raise InstanceError(f"unknown argument {arg!r}")
-    return eng.legally_in(eng.index[arg], labeling.in_mask, labeling.out_mask)
+    return eng.legally_in(_position(eng.ids, arg), labeling.in_mask, labeling.out_mask)
 
 
 def is_admissible(framework: Jsbaf, labeling: Labeling) -> bool:

@@ -33,7 +33,9 @@ head and the base, never on the labeling asked about.  So each
 (argument, head) pair is answered once per framework, at its first
 lookup, by the head labels of the catalogue bases that do not extend,
 and forced-IN reads that table: an UNDEC head fails the argument when
-the entry is non-empty, an OUT head when it holds OUT.
+the entry is non-empty, an OUT head when it holds OUT.  Forced-IN is one
+operator on the engine's masks, ``_forced_in``: :func:`fi_set` names its
+mask, and the ground-complete oracle and the construction read it.
 """
 
 from __future__ import annotations
@@ -46,9 +48,11 @@ from .framework import (  # legally_in and sim_labeling are the framework's, re-
     UNDEC,
     Jsbaf,
     Labeling,
+    _bits,
     _check_enum_bound,
     _covering,
     _engine,
+    _position,
     enumerate_admissible,
     legally_in,
     sim_labeling,
@@ -123,7 +127,7 @@ def _table(g: Jsbaf) -> tuple[Jsbaf, _Table]:
 def support_children(g: Jsbaf, arg: str) -> frozenset[str]:
     """Arguments reachable from ``arg`` along support paths."""
     _, table = _table(g)
-    i = table.eng.index[arg]
+    i = _position(table.eng.ids, arg)
     return frozenset(a for j, a in enumerate(table.eng.ids) if (table.down[i] ^ 1 << i) >> j & 1)
 
 
@@ -137,30 +141,34 @@ def admissible_catalogue(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> lis
     return enumerate_admissible(from_jsbaf(g), max_args)
 
 
-def _forced(g: Jsbaf, table: _Table, i: int, in_mask: int, out_mask: int, max_args: int) -> bool:
-    """Argument i is forced IN: its attackers are OUT, and each support it
-    is in has its head IN, is safe, or has no base the table marks for the
-    head's label (any base for an UNDEC head, an OUT base for an OUT head)."""
-    if table.eng.attackers[i] & ~out_mask:
-        return False
-    for h, _ in table.eng.member_of[i]:
-        if in_mask >> h & 1 or not table.reach[h] & ~out_mask:
+def _forced_in(g: Jsbaf, table: _Table, in_mask: int, out_mask: int, max_args: int) -> int:
+    """The mask of the arguments forced IN: their attackers are OUT, and
+    each support they are in has its head IN, is safe, or passes the table."""
+    eng, forced = table.eng, 0
+    for i in range(eng.n):
+        if eng.attackers[i] & ~out_mask:
             continue
-        unextendable = table.unextendable(g, i, h, max_args)
-        if OUT in unextendable if out_mask >> h & 1 else unextendable:
-            return False
-    return True
+        for h, _ in eng.member_of[i]:
+            if in_mask >> h & 1 or not table.reach[h] & ~out_mask:
+                continue
+            unextendable = table.unextendable(g, i, h, max_args)
+            if OUT in unextendable if out_mask >> h & 1 else unextendable:
+                break
+        else:
+            forced |= 1 << i
+    return forced
 
 
 def fi_set(g: Jsbaf, labeling: Labeling, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> frozenset[str]:
     g, table = _table(g)
-    ids, in_mask, out_mask = _covering(g, labeling).ids, labeling.in_mask, labeling.out_mask
-    return frozenset(a for i, a in enumerate(ids) if _forced(g, table, i, in_mask, out_mask, max_args))
+    _covering(g, labeling)
+    return labeling._names(_forced_in(g, table, labeling.in_mask, labeling.out_mask, max_args))
 
 
 def enumerate_ground_complete(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     catalogue = admissible_catalogue(g, max_args=max_args)
-    return [lab for lab in catalogue if fi_set(g, lab, max_args=max_args) <= lab.in_set]
+    g, table = _table(g)
+    return [b for b in catalogue if not _forced_in(g, table, b.in_mask, b.out_mask, max_args) & ~b.in_mask]
 
 
 def grounded_construction(
@@ -174,30 +182,28 @@ def grounded_construction(
     its safe supports) and recomputing the rejected set, until no
     argument outside the IN-set is forced IN.
 
-    ``pick`` chooses among the forced-IN candidates; the default takes
-    the canonically smallest.  The final labeling is the same for every
-    choice function.
+    ``pick`` chooses among the forced-IN candidates, their ids in sorted
+    order; the default takes the first.  The final labeling is the same
+    for every choice function.  Only ``trace`` and the result get Labelings.
     """
     g, table = _table(g)
     eng = table.eng
-    labeling = sim_labeling(g)
-    if trace is not None:
-        trace.append(labeling)
+    in_mask = eng.strict_mask
     while True:
-        candidates = sorted(fi_set(g, labeling, max_args=max_args) - labeling.in_set)
+        out_mask = eng.legal_out(in_mask)
+        if trace is not None:
+            trace.append(Labeling(eng.ids, in_mask, out_mask))
+        candidates = [eng.ids[i] for i in _bits(_forced_in(g, table, in_mask, out_mask, max_args) & ~in_mask)]
         if not candidates:
-            return labeling
+            return Labeling(eng.ids, in_mask, out_mask)
         chosen = candidates[0] if pick is None else pick(candidates)
         if chosen not in candidates:
             raise InstanceError("pick function returned a non-candidate")
-        i = eng.index[chosen]
-        in_mask = labeling.in_mask | 1 << i
+        i = _position(eng.ids, chosen)
+        in_mask |= 1 << i
         for h, _ in eng.member_of[i]:
-            if not table.reach[h] & ~labeling.out_mask:  # a safe support: its head and children join
+            if not table.reach[h] & ~out_mask:  # a safe support: its head and children join
                 in_mask |= table.down[h]
-        labeling = Labeling(eng.ids, in_mask, eng.legal_out(in_mask))
-        if trace is not None:
-            trace.append(labeling)
 
 
 def grounded_labeling(g: Jsbaf, oracle: bool = False, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> Labeling:

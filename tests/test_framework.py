@@ -241,6 +241,8 @@ class TestLegality:
     def test_unknown_argument(self, j1, l1):
         with pytest.raises(InstanceError):
             fw.legally_in(j1, l1, "zz")
+        with pytest.raises(InstanceError, match="unknown argument 'zz'"):
+            gr.support_children(j1, "zz")
 
     def test_singleton_support_with_undec_head_blocks_in(self):
         # a supports b alone; while b stays UNDEC, a cannot be legally IN

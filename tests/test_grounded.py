@@ -302,3 +302,38 @@ class TestForcedInWork:
         ok, _ = run_criterion_5()
         assert ok
         assert calls[0] <= 2_743
+
+    def test_construction_stays_on_masks_on_criterion_5(self, monkeypatch):
+        # forced-IN is read as a mask: the run names no forced-IN set, and a
+        # construction without a trace builds one Labeling, its result,
+        # beyond the catalogue it may search for on first use
+        from test_acceptance import corpus5, run_criterion_5
+
+        fi_calls, built, extra = [0], [0], []
+        fi_set, init, construction = gr.fi_set, Labeling.__init__, gr.grounded_construction
+
+        def counted_fi_set(*args, **kwargs):
+            fi_calls[0] += 1
+            return fi_set(*args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        def counted_construction(g, *args, **kwargs):
+            assert kwargs.get("trace") is None
+            view, before = gr.from_jsbaf(g), built[0]
+            cached = "_catalogue_cache" in vars(view)
+            result = construction(g, *args, **kwargs)
+            searched = not cached and "_catalogue_cache" in vars(view)
+            extra.append(built[0] - before - (len(gr.admissible_catalogue(view)) if searched else 0))
+            return result
+
+        monkeypatch.setattr(gr, "fi_set", counted_fi_set)
+        monkeypatch.setattr(Labeling, "__init__", counted_init)
+        monkeypatch.setattr(gr, "grounded_construction", counted_construction)
+        corpus5.cache_clear()  # fresh frameworks, with nothing cached on them
+        ok, _ = run_criterion_5()
+        assert ok
+        assert fi_calls[0] == 0
+        assert len(extra) == 300 and set(extra) == {1}

@@ -547,7 +547,7 @@ class TestRestrictedEngine:
                 rank=None if framework.rank is None else {a: framework.rank[a] for a in keep},
             )
             eng = fw._engine(framework)
-            restricted = eng.restrict(eng.mask(keep))
+            restricted = eng.restrict(fw.Labeling.from_sets(eng.ids, keep).in_mask)
             assert restricted.ids == sub.args and restricted.n == len(keep)
             preferred = sorted(
                 (fw.Labeling(restricted.ids, im, om) for im, om in restricted.preferred_masks()),
@@ -569,7 +569,8 @@ class TestLeafCheck:
         for framework in _frameworks_outside_the_domain():
             eng = fw._engine(framework)
             admissible = naive.naive_enumerate_admissible(framework)
-            expected = {eng.mask(lab.in_set): eng.mask(lab.out_set) for lab in admissible}
+            assert all(lab.ids == eng.ids for lab in admissible)
+            expected = {lab.in_mask: lab.out_mask for lab in admissible}
             assert len(expected) == len(admissible)
             for in_mask in range(1 << eng.n):
                 assert eng.admissible_out_for(in_mask) == expected.get(in_mask)
@@ -675,7 +676,12 @@ class TestSemanticInvariants:
 
         for _ in range(15):
             g = gen.generate_ground_framework(rng=rng)
-            trace = []
-            gr.grounded_construction(g, trace=trace)
+            trace, picked = [], []
+            gr.grounded_construction(g, pick=lambda c: picked.append(c) or c[0], trace=trace)
             for lab in trace:
                 assert fw.is_admissible(g, lab)
+            # pick sees the forced-IN arguments outside the IN-set of the
+            # labeling it steps from, in sorted order, as the default relies on
+            assert len(picked) == len(trace) - 1
+            for candidates, lab in zip(picked, trace):
+                assert candidates == sorted(gr.fi_set(g, lab) - lab.in_set)

@@ -2,8 +2,10 @@
 
 An argument is a finite derivation tree: a top rule applied to
 sub-arguments whose conclusions match the rule's antecedents position by
-position.  Identity is structural, so two arguments are the same exactly
-when they apply the same rule to the same sub-arguments.
+position.  A build keeps one object per derivation tree, and every
+sub-argument is that build's own object, so within a build two arguments
+are the same exactly when they are the same object; ``key``, the tree
+written out, is the identity across builds and the sort key.
 
 The translation is index masks over the build order, where every head
 comes after the arguments supporting it: per argument its attackers, per
@@ -42,8 +44,7 @@ TOP_DEFEASIBLE = "defeasible"
 class Argument:
     """Immutable derivation tree with precomputed derived data."""
 
-    __slots__ = ("rule_id", "subs", "conclusion", "top_kind", "key", "depth", "defeasible_rules",
-                 "_sub_set", "_hash")
+    __slots__ = ("rule_id", "subs", "conclusion", "top_kind", "key", "depth", "defeasible_rules", "_sub_set")
 
     def __init__(self, rule_id: str, subs: tuple["Argument", ...], conclusion: Formula, top_kind: str):
         self.rule_id = rule_id
@@ -57,13 +58,6 @@ class Argument:
             dr |= s.defeasible_rules
         self.defeasible_rules = dr
         self._sub_set = None
-        self._hash = hash(self.key)
-
-    def __eq__(self, other):
-        return isinstance(other, Argument) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Argument({self.key} : {self.conclusion})"
@@ -326,8 +320,8 @@ def side_mask(translation: Translation, system: ArgumentationSystem) -> int:
     rule_ids = {r.id for r in system.strict_rules + system.defeasible_rules}
     kept, mask = set(), 0
     for i, a in enumerate(translation.argument_of.values()):  # build order: sub-arguments first
-        if a.rule_id in rule_ids and all(s.key in kept for s in a.subs):
-            kept.add(a.key)
+        if a.rule_id in rule_ids and all(s in kept for s in a.subs):
+            kept.add(a)
             mask |= 1 << i
     return mask
 

@@ -60,13 +60,14 @@ fixpoint disjoint from the IN-set, every IN argument legally IN.
 Conflict-freeness needs no test of its own, as an IN argument with an IN
 attacker is legally OUT; nor does closure, as a fully IN supporting set
 whose head is not IN has a least-preferred member not legally IN (or is
-empty, and the head is strict).  One cached walk of the support graph
-yields the pass's order, the first support cycle as a witness path and
-the strict set; the engine refuses a framework with a cycle by an
-:class:`InstanceError` naming it, which :func:`validate_structure`
-reports instead.  The engine of a sub-framework whose arguments are
-closed under supporting sets is the whole engine restricted to them,
-re-indexed compactly, with its own root cut.
+empty, and the head is strict).  One cached peel of the support graph
+(an argument goes once its supporters have) yields the pass's order, the
+strict set and a support cycle as a witness path; the engine refuses a
+framework with a cycle by an :class:`InstanceError` naming it, which
+:func:`validate_structure` reports instead.  The engine of a
+sub-framework whose arguments are closed under supporting sets is the
+whole engine restricted to them, re-indexed compactly, with its own root
+cut.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ class Jsbaf:
     preference-free view, in which every rank condition is dropped.
 
     Frameworks are immutable (``supports`` and ``rank`` are read-only
-    copies), so what is cached on them (support walk with the strict set,
+    copies), so what is cached on them (support peel with the strict set,
     engine, admissible catalogue) never goes stale.
     """
 
@@ -209,47 +210,39 @@ def strict_args(framework: Jsbaf) -> frozenset[str]:
 
 
 def _support_walk(framework: Jsbaf):
-    """``(order, cycle, strict)`` from one depth-first walk of the
-    tail-to-head support graph, computed once per framework: a post-order
-    (each supported argument before its supporters, but for edges closing
-    a cycle), the first cycle met as a witness path or None, and the
-    strict set.  In the reversed order an argument on no cycle comes after
-    all its supporters, and the first member of a cycle reached has a
-    supporter still to come, so one pass over it is the least fixpoint."""
+    """``(order, cycle, strict)`` from one peel of the support graph,
+    computed once per framework: an argument is peeled once all its
+    supporters are, and is strict when supported by strict ones only.  The
+    reversed peel is the engine's order, heads before their supporters.  An
+    unpeeled argument has an unpeeled supporter, so walking back from the
+    first one through its least unpeeled supporter repeats an argument: the
+    walk from that repeat is the cycle's witness path, None if all peel."""
 
     def walk():
         supports = framework.supports
-        edges: dict[str, list[str]] = {a: [] for a in framework.args}
+        heads: dict[str, list[str]] = {a: [] for a in framework.args}
+        missing = {}  # supported argument -> its supporters not yet peeled
         for head in sorted(supports):
-            for t in sorted(supports[head]):
-                edges[t].append(head)
-        state: dict[str, int] = {}  # 1 on the current path, 2 finished
-        order: list[str] = []
-        cycle = None
-        for root in framework.args:
-            if root in state:
-                continue
-            state[root] = 1
-            path, pending = [root], [iter(edges[root])]
-            while pending:
-                w = next(pending[-1], None)
-                if w is None:
-                    pending.pop()
-                    done = path.pop()
-                    state[done] = 2
-                    order.append(done)
-                elif state.get(w) == 1:
-                    if cycle is None:
-                        cycle = path[path.index(w) :] + [w]
-                elif w not in state:
-                    state[w] = 1
-                    path.append(w)
-                    pending.append(iter(edges[w]))
-        strict: set[str] = set()
-        for a in reversed(order):
-            if a in supports and supports[a] <= strict:
-                strict.add(a)
-        return order, cycle, frozenset(strict)
+            missing[head] = len(supports[head])
+            for t in supports[head]:
+                heads[t].append(head)
+        peel = [a for a in framework.args if not missing.get(a)]
+        strict = {a for a in peel if a in supports}  # supported by the empty set
+        for a in peel:  # grows while it is read
+            for h in heads[a]:
+                missing[h] -= 1
+                if not missing[h]:
+                    peel.append(h)
+                    if supports[h] <= strict:
+                        strict.add(h)
+        cycle, a = None, next((a for a in framework.args if missing.get(a)), None)
+        if a is not None:
+            back: dict[str, int] = {}  # the walk back, argument -> position
+            while a not in back:
+                back[a] = len(back)
+                a = min(t for t in supports[a] if missing.get(t))
+            cycle = [a, *reversed(list(back)[back[a] :])]
+        return peel[::-1], cycle, frozenset(strict)
 
     return _cached(framework, "_walk_cache", walk)
 

@@ -301,6 +301,36 @@ class TestIndexedAttacks:
         assert 200 <= max(sizes) <= 330  # the top stratum of the corpus
 
 
+class TestCanonicalBuild:
+    """A build holds one object per argument key, and every sub-argument is
+    the build's own object: arguments compare by identity on this alone."""
+
+    @staticmethod
+    def assert_canonical(build):
+        by_key = {a.key: a for a in build.arguments}
+        assert len(by_key) == len(build.arguments)
+        for a in build.arguments:
+            subs = ar.sub_args(a)  # a.subs among them
+            assert len({s.key for s in subs}) == len(subs)
+            assert all(s is by_key[s.key] for s in subs)
+        return len(build.arguments)
+
+    def test_criterion_6_corpus(self):
+        assert sum(self.assert_canonical(ar.build_arguments(system)) for system in corpus6())
+
+    def test_criterion_7_unions(self):
+        budget = po.NonInterferenceBudget()
+        built = 0
+        for index, (s1, s2) in enumerate(corpus7()):
+            merge = "raw" if index % 2 == 0 else "interleave"
+            union = union_systems(s1, s2, merge=merge, cross_rules=gen.cross_closure_rules(s1, s2))
+            for system in (s1, s2, union):
+                built += self.assert_canonical(
+                    ar.build_arguments(system, max_args=budget.max_args, max_depth=budget.max_depth)
+                )
+        assert built
+
+
 class TestNonInterferenceSides:
     def test_sides_are_within_the_union_bounds(self):
         """Every union build is complete under the non-interference

@@ -23,6 +23,27 @@ instance when a conjunction over a set is formed).  It also carries its
 *height*, the longest path from the root to an atom; the evaluators and
 the formatter recurse that deep, so the parser refuses a formula taller
 than ``MAX_FORMULA_DEPTH``.
+
+Text syntax: atoms are identifiers ``[A-Za-z_][A-Za-z0-9_]*``, ``!phi``
+is negation, ``phi & psi`` conjunction (left-associative, looser than
+``!``), parentheses group, and blanks are spaces and tabs.
+
+:func:`parse_formula` first looks the text up in a memo of formula
+texts, which a caller keeps for a whole file.  On a miss the split pass
+cuts the text with string scans done in C: at the ``&`` outside
+parentheses (found by ``rfind`` from the right, stepping over
+parenthesised groups), else after a leading ``!``, else inside enclosing
+parentheses (peeled in place, not copied), else it is an identifier.
+Every piece goes through the memo and into it, so a sub-formula that
+rules repeat, ``!(p1 & p5)`` in ten rules, is built once and the rules
+share that one object.  The split pass accepts only text it has checked
+piece by piece.  Anything else goes to the recursive-descent pass:
+malformed text, a formula taller than the limit, and text with more
+``(`` and ``!`` together than ``MAX_FORMULA_DEPTH``, whose nesting could
+pass it.  That pass is kept because it is the one source of error
+messages and columns, and the reference the split pass is tested
+against.  It refuses an ``&`` chain as soon as its height passes the
+limit, since each ``And`` copies the key of everything to its left.
 """
 
 from __future__ import annotations
@@ -189,12 +210,7 @@ def conjunction_peels(formula: Formula):
             yield candidate
 
 
-# --- text syntax ---------------------------------------------------------
-#
-# atoms       identifiers [A-Za-z_][A-Za-z0-9_]*
-# negation    !phi
-# conjunction phi & psi        (left-associative)
-# parentheses allowed
+# --- text syntax (see the module docstring) --------------------------------
 
 
 class _Tokens:
@@ -206,6 +222,9 @@ class _Tokens:
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, line=self.line, column=self.pos + 1)
+
+    def too_deep(self) -> ParseError:
+        return ParseError("formula nested too deeply", line=self.line)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -221,7 +240,7 @@ def _parse_unary(t: _Tokens) -> Formula:
     if c in ("!", "("):
         t.nesting += 1
         if t.nesting > MAX_FORMULA_DEPTH:
-            raise ParseError("formula nested too deeply", line=t.line)
+            raise t.too_deep()
         t.pos += 1
         if c == "!":
             f = Not(_parse_unary(t))
@@ -244,16 +263,126 @@ def _parse_conj(t: _Tokens) -> Formula:
     while t.peek() == "&":
         t.pos += 1
         f = And(f, _parse_unary(t))
+        if f.height > MAX_FORMULA_DEPTH:  # before the next link copies this key again
+            raise t.too_deep()
     return f
 
 
-def parse_formula(text: str, line: int | None = None) -> Formula:
+def _descend(text: str, line: int | None = None) -> Formula:
+    """The recursive-descent pass: the formula of ``text``, or the
+    :class:`ParseError` of its first fault."""
     t = _Tokens(text, line=line)
     f = _parse_conj(t)
     if t.peek():
         raise t.error(f"unexpected {t.peek()!r}")
     if f.height > MAX_FORMULA_DEPTH:
-        raise ParseError("formula nested too deeply", line=line)
+        raise t.too_deep()
+    return f
+
+
+def _split_unary(s: str, memo: dict[str, Formula]) -> Formula | None:
+    """The formula of ``s``, text with no blank at either end and no ``&``
+    outside parentheses, or None where the split pass does not accept it."""
+    f = memo.get(s)
+    if f is not None:
+        return f
+    c = s[:1]
+    if c == "!":
+        rest = s[1:].lstrip(" \t")
+        f = memo.get(rest) or _split_unary(rest, memo)  # a hit costs no call
+        if f is None:
+            return None
+        f = Not(f)
+    elif c == "(" and s.endswith(")"):
+        f = _split_conj(s[1:-1].strip(" \t"), memo)
+    elif IDENT.fullmatch(s):
+        f = Var(s)
+    if f is None or f.height > MAX_FORMULA_DEPTH:
+        return None
+    memo[s] = f
+    return f
+
+
+def _cuts(s: str, lo: int, hi: int) -> list[int] | None:
+    """The top-level ``&`` of ``s[lo:hi]``, right to left, or None where
+    the scan gives up: past ``MAX_FORMULA_DEPTH`` of them, at parentheses
+    that do not pair up or nest deeper.  Each step is the next ``&``,
+    ``(`` or ``)`` to the left, found by ``rfind``, and within parentheses
+    the ``&`` are stepped over, so a call reads the text once for each of
+    the three characters."""
+    cuts = []
+    depth = 0  # ``)`` less ``(`` right of the step
+    amp, opening, closing = s.rfind("&", lo, hi), s.rfind("(", lo, hi), s.rfind(")", lo, hi)
+    while True:
+        i = closing if closing > opening else opening
+        if not depth and amp > i:
+            if len(cuts) == MAX_FORMULA_DEPTH:  # the chain alone is too tall
+                return None
+            cuts.append(amp)
+            amp = s.rfind("&", lo, amp)
+        elif i < 0:
+            return None if depth else cuts
+        elif i == closing:
+            depth += 1
+            if depth > MAX_FORMULA_DEPTH:
+                return None
+            closing = s.rfind(")", lo, i)
+        else:
+            if not depth:
+                return None
+            depth -= 1
+            opening = s.rfind("(", lo, i)
+            if not depth and amp > i:  # an ``&`` the group held
+                amp = s.rfind("&", lo, i)
+
+
+def _split_conj(s: str, memo: dict[str, Formula]) -> Formula | None:
+    """The formula of ``s``, an ``&`` chain with no blank at either end,
+    or None where the split pass does not accept ``s``."""
+    f = memo.get(s)
+    if f is not None:
+        return f
+    lo, hi = 0, len(s)
+    cuts = _cuts(s, lo, hi)
+    while cuts == [] and s.startswith("(", lo) and s.endswith(")", lo, hi):
+        # enclosing parentheses are peeled in place: no copy per pair
+        lo, hi = lo + 1, hi - 1
+        while lo < hi and s[lo] in " \t":
+            lo += 1
+        while lo < hi and s[hi - 1] in " \t":
+            hi -= 1
+        cuts = _cuts(s, lo, hi)
+    if cuts is None:
+        return None
+    start = lo
+    for stop in cuts[::-1] + [hi]:
+        part = s[start:stop].strip(" \t")
+        g = memo.get(part) or _split_unary(part, memo)  # a hit costs no call
+        if g is None:
+            return None
+        f = g if f is None else And(f, g)
+        start = stop + 1
+    if f is None or f.height > MAX_FORMULA_DEPTH:
+        return None
+    memo[s] = f
+    return f
+
+
+def parse_formula(text: str, line: int | None = None, memo: dict[str, Formula] | None = None) -> Formula:
+    """The formula written in ``text``; malformed text raises the
+    :class:`ParseError` of the recursive-descent pass.  ``memo`` maps
+    formula text to formula: given one dict for every formula of a file,
+    each distinct sub-formula text is split once and its formula shared."""
+    if memo is None:
+        memo = {}
+    f = memo.get(text)
+    if f is None:
+        if text.count("(") + text.count("!") <= MAX_FORMULA_DEPTH:  # no nesting can pass the limit
+            s = text.strip(" \t")
+            f = (_split_conj if "&" in s else _split_unary)(s, memo)
+        if f is None:
+            f = _descend(text, line)
+        memo[text] = f
     return f
 
 

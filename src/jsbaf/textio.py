@@ -70,13 +70,10 @@ def parse_system_text(text: str) -> ArgumentationSystem:
     names: dict[str, tuple[str, int]] = {}
     rank: dict[str, int] = {}
     assume = False
-    parsed: dict[str, fm.Formula] = {}  # formula text -> formula; formulas are immutable
+    parsed: dict[str, fm.Formula] = {}  # formula and sub-formula text -> formula; formulas are immutable
 
     def formula(part: str, lineno: int) -> fm.Formula:
-        f = parsed.get(part)
-        if f is None:
-            f = parsed[part] = parse_formula(part, line=lineno)
-        return f
+        return parsed.get(part) or parse_formula(part, line=lineno, memo=parsed)
 
     for lineno, line in _lines(text):
         keyword, _, rest = line.partition(" ")

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import resource
 import subprocess
 import sys
+import time
 
 from hypothesis import given, settings, strategies as st
 
@@ -372,6 +374,34 @@ class TestExitCodes:
                     assert main([command, str(deep)]) == code
                     err = capsys.readouterr().err
                     assert err == ("" if code == 0 else "error: formula nested too deeply (line 3)\n")
+
+    def test_megabyte_lines_are_3_in_bounded_memory(self, tmp_path):
+        """1 MB lines far past the limit are refused at the limit, not built
+        whole: the child runs under a 1 GiB address-space limit, so a
+        parser that builds such a line fails here rather than exhausting
+        the machine."""
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        deep = tmp_path / "deep.as"
+        for formula in (
+            " & ".join(["p"] * 250_000),
+            "!" * 1_000_000 + "p",
+            "(" * 500_000 + "p" + ")" * 500_000,
+        ):
+            deep.write_text(f"atom p\naxiom {formula}\n")
+            start = time.monotonic()
+            proc = subprocess.run(
+                [sys.executable, "-m", "jsbaf.cli", "validate", str(deep)],
+                capture_output=True,
+                text=True,
+                preexec_fn=limit,
+                timeout=60,
+            )
+            assert time.monotonic() - start < 2
+            assert proc.returncode == 3
+            assert proc.stderr == "error: formula nested too deeply (line 2)\n"
 
     def test_closed_stdout_is_3(self):
         # 300 trials print about 145 KB; the reader takes one line and closes the pipe

@@ -42,6 +42,25 @@ class TestSystemFormat:
         (d1,) = system.defeasible_rules
         assert all(f is axiom for f in (*s1.formulas(), d1.antecedents[0], d1.consequent, d1.name))
 
+    def test_equal_sub_formula_texts_are_one_object(self):
+        """A sub-formula text met again anywhere in the file, alone or
+        inside a larger formula, is the formula object built the first time."""
+        system = textio.parse_system_text(
+            "atom p0\natom p1\natom p5\n"
+            "axiom !(p1 & p5)\n"
+            "strict s1: !(p1 & p5) & !p0 -> !!(!(p1 & p5) & !p0)\n"
+            "defeasible d1[0]: p1 & p5, !p0 => p0\n"
+        )
+        (axiom,) = system.axioms
+        s1 = next(r for r in system.strict_rules if r.id == "s1")
+        (d1,) = system.defeasible_rules
+        (antecedent,) = s1.antecedents
+        assert s1.consequent.sub.sub is antecedent
+        assert antecedent.left is axiom
+        assert axiom.sub is d1.antecedents[0]
+        assert antecedent.right is d1.antecedents[1]
+        assert d1.consequent is antecedent.right.sub
+
     def test_malformed_formula_reports_position(self):
         for text, line in (
             ("atom p\naxiom p &\n", 2),

@@ -301,6 +301,44 @@ class TestIndexedAttacks:
         assert 200 <= max(sizes) <= 330  # the top stratum of the corpus
 
 
+def _sub_formulas(formula):
+    yield formula
+    if isinstance(formula, Not):
+        yield from _sub_formulas(formula.sub)
+    elif isinstance(formula, And):
+        yield from _sub_formulas(formula.left)
+        yield from _sub_formulas(formula.right)
+
+
+class TestSharedParse:
+    """Parsing a file builds one formula object per distinct sub-formula
+    text, on the benchmark's translate corpus, loaded as
+    ``TestIndexedAttacks`` loads it."""
+
+    def test_translate_corpus(self, monkeypatch):
+        workloads = _load("workloads")
+        texts = workloads.translate_corpus("1", workloads.WORKLOADS["translate"].size)
+        built = []
+        for cls in (Var, Not, And):
+            def counted(self, *args, _init=cls.__init__):
+                built.append(self)
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        systems = [textio.parse_system_text(text) for text in texts]
+        monkeypatch.undo()
+        # 40,086 when every formula text was parsed whole with nothing shared;
+        # a bound that may be tightened, never loosened
+        assert len(built) <= 11_198
+        for system in systems:
+            # canonical text writes each formula one way, so one object per key
+            by_key = {}
+            for rule in (*system.strict_rules, *system.defeasible_rules):
+                for formula in (*rule.formulas(), *([rule.name] if getattr(rule, "name", None) else [])):
+                    for sub in _sub_formulas(formula):
+                        assert by_key.setdefault(sub.key, sub) is sub
+
+
 class TestCanonicalBuild:
     """A build holds one object per argument key, and every sub-argument is
     the build's own object: arguments compare by identity on this alone."""

@@ -5,7 +5,10 @@ sub-arguments whose conclusions match the rule's antecedents position by
 position.  A build keeps one object per derivation tree, and every
 sub-argument is that build's own object, so within a build two arguments
 are the same exactly when they are the same object; ``key``, the tree
-written out, is the identity across builds and the sort key.
+written out, is the identity across builds and the sort key.  So within
+a build the pair (rule id, tuple of sub-arguments) names a derivation,
+hashing by identity, and construction skips a pair it has made before
+it makes an argument.
 
 The translation is index masks over the build order, where every head
 comes after the arguments supporting it: per argument its attackers, per
@@ -93,7 +96,8 @@ class BuildResult:
 def build_arguments(
     system: ArgumentationSystem, max_args: int = DEFAULT_MAX_ARGS, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> BuildResult:
-    """Close the rule set bottom-up, deduplicating structurally.
+    """Close the rule set bottom-up, each derivation (rule, sub-arguments)
+    built once.
 
     Stops at the least fixpoint or at the first candidate past
     ``max_args`` / ``max_depth``, and then records that bound.  The output
@@ -108,39 +112,32 @@ def build_arguments(
         rules.append((TOP_DEFEASIBLE, rule))
     rules.sort(key=lambda kr: kr[1].id)
 
-    known: dict[str, Argument] = {}
+    known: dict[tuple, Argument] = {}  # (rule id, sub-arguments) -> argument
     by_conclusion: dict[Formula, list[Argument]] = {}
     bound = None
-
-    def add(argument: Argument) -> bool:
-        nonlocal bound
-        if argument.key in known:
-            return False
-        if argument.depth > max_depth:
-            bound = ("max_depth", max_depth)
-            return False
-        if len(known) >= max_args:
-            bound = ("max_args", max_args)
-            return False
-        known[argument.key] = argument
-        by_conclusion.setdefault(argument.conclusion, []).append(argument)
-        return True
-
     changed = True
     while changed and bound is None:
         changed = False
         for kind, rule in rules:
             pools = [by_conclusion.get(f, ()) for f in rule.antecedents]
-            if any(not pool for pool in pools):
+            if not all(pools):
                 continue
-            # snapshot the pools: additions take effect next round, which
-            # keeps the iteration order independent of dict internals
-            pools = [list(pool) for pool in pools]
+            # product copies the pools first: additions take effect next
+            # round, which keeps the iteration order independent of dict internals
             for combo in product(*pools):
-                if add(Argument(rule.id, combo, rule.consequent, kind)):
-                    changed = True
-                if bound is not None:
+                tag = (rule.id, combo)
+                if tag in known:
+                    continue
+                argument = Argument(rule.id, combo, rule.consequent, kind)
+                if argument.depth > max_depth:
+                    bound = ("max_depth", max_depth)
                     break
+                if len(known) >= max_args:
+                    bound = ("max_args", max_args)
+                    break
+                known[tag] = argument
+                by_conclusion.setdefault(argument.conclusion, []).append(argument)
+                changed = True
             if bound is not None:
                 break
 

@@ -1,7 +1,9 @@
 import pathlib
+from itertools import product
 
 import pytest
 
+from jsbaf import arguments as ar
 from jsbaf import textio
 from jsbaf.errors import InstanceError
 from jsbaf.formulas import And, Var, formula_key
@@ -78,6 +80,46 @@ def non_triviality_witness(atom_names):
         defeasible=[DefeasibleRule(f"d{i}", (Var(name),), Var(name)) for i, name in enumerate(atom_names)],
     )
     return asserting, circular
+
+
+def key_dedup_build(system, max_args=ar.DEFAULT_MAX_ARGS, max_depth=ar.DEFAULT_MAX_DEPTH):
+    """The reference construction loop: every round makes an argument for
+    every combination of every rule and keeps it when its key is new, so
+    the first new key past a bound stops it.  Returns ``(keys in canonical
+    order, bound)``."""
+    rules = [(ar.TOP_AXIOM if r.axiomatic else ar.TOP_CONSEQUENCE, r) for r in system.strict_rules]
+    rules += [(ar.TOP_DEFEASIBLE, r) for r in system.defeasible_rules]
+    rules.sort(key=lambda kr: kr[1].id)
+    known, by_conclusion, bound = {}, {}, None
+
+    def add(argument):
+        nonlocal bound
+        if argument.key in known:
+            return False
+        if argument.depth > max_depth:
+            bound = ("max_depth", max_depth)
+            return False
+        if len(known) >= max_args:
+            bound = ("max_args", max_args)
+            return False
+        known[argument.key] = argument
+        by_conclusion.setdefault(argument.conclusion, []).append(argument)
+        return True
+
+    changed = True
+    while changed and bound is None:
+        changed = False
+        for kind, rule in rules:
+            pools = [list(by_conclusion.get(f, ())) for f in rule.antecedents]
+            for combo in product(*pools):
+                if add(ar.Argument(rule.id, combo, rule.consequent, kind)):
+                    changed = True
+                if bound is not None:
+                    break
+            if bound is not None:
+                break
+    ordered = sorted(known.values(), key=lambda a: (a.depth, a.key))
+    return [a.key for a in ordered], bound
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,21 @@
+import random
+
 import pytest
 
 from jsbaf import arguments as ar
+from jsbaf import generate as gen
 from jsbaf import naive
-from jsbaf.formulas import Var, parse_formula as f
+from jsbaf.formulas import And, Not, Var, parse_formula as f
 from jsbaf.system import DefeasibleRule, StrictRule, make_system
+
+from conftest import key_dedup_build
+from test_acceptance import corpus6
+
+
+CYCLE = make_system(
+    atoms=["p"],
+    defeasible=[DefeasibleRule("d0", (), f("p")), DefeasibleRule("d1", (f("p"),), f("p"))],
+)
 
 
 @pytest.fixture(scope="module")
@@ -37,12 +49,12 @@ class TestBuild:
         assert ar.is_strict(build.arguments[0])
 
     def test_rule_cycle_truncates(self):
-        system = make_system(
-            atoms=["p"],
-            defeasible=[DefeasibleRule("d0", (), f("p")), DefeasibleRule("d1", (f("p"),), f("p"))],
-        )
-        build = ar.build_arguments(system, max_depth=4)
+        build = ar.build_arguments(CYCLE, max_depth=4)
         assert build.truncated
+        # d0(), d1(d0()) and d1(d1(d0())) fit both bounds; the next
+        # derivation is 4 deep
+        assert ar.build_arguments(CYCLE, max_depth=3, max_args=3).bound == ("max_depth", 3)
+        assert ar.build_arguments(CYCLE, max_depth=4, max_args=3).bound == ("max_args", 3)
 
     def test_deterministic_order(self, as1):
         first = ar.build_arguments(as1).arguments
@@ -55,6 +67,59 @@ class TestBuild:
     def test_limits_must_be_positive(self, as1):
         with pytest.raises(ValueError):
             ar.build_arguments(as1, max_args=0)
+
+
+def random_rule_system(rng):
+    """A small system with rules of up to two antecedents over three atoms,
+    cycles among them, and now and then two rules sharing an id."""
+    literals = [Var(name) for name in "pqr"]
+    literals += [Not(v) for v in literals]
+    formulas = literals + [And(literals[0], literals[1])]
+
+    def rule_parts():
+        return tuple(rng.sample(formulas, rng.randint(0, 2))), rng.choice(formulas)
+
+    ids = [f"r{i}" for i in range(rng.randint(2, 6))]
+    if rng.random() < 0.3:
+        ids.append(ids[0])
+    strict, defeasible = [], []
+    for rule_id in ids:
+        if rng.random() < 0.4:
+            strict.append(StrictRule(rule_id, *rule_parts()))
+        else:
+            defeasible.append(DefeasibleRule(rule_id, *rule_parts()))
+    return make_system(atoms="pqr", axioms=rng.sample(literals, rng.randint(0, 1)), strict=strict, defeasible=defeasible)
+
+
+class TestBuildMatchesKeyDedup:
+    """Every build, complete or cut by a bound, keeps the arguments, the
+    order and the bound of the loop that made an argument for every
+    combination and deduplicated by key."""
+
+    @staticmethod
+    def assert_same_builds(system):
+        for max_depth in (1, 2, 3):
+            full, _ = key_dedup_build(system, max_depth=max_depth)
+            for max_args in range(1, len(full) + 2):
+                build = ar.build_arguments(system, max_args=max_args, max_depth=max_depth)
+                keys, bound = key_dedup_build(system, max_args=max_args, max_depth=max_depth)
+                assert [a.key for a in build.arguments] == keys
+                assert build.bound == bound
+
+    def test_rule_cycle(self):
+        self.assert_same_builds(CYCLE)
+
+    def test_criterion_6_corpus(self):
+        for system in corpus6():
+            self.assert_same_builds(system)
+
+    def test_random_systems(self):
+        rng = random.Random("build-matches-key-dedup")
+        for _ in range(150):
+            self.assert_same_builds(random_rule_system(rng))
+        profile = gen.FuzzProfile(antecedent_count=(0, 2), conjunction_intro=True)
+        for _ in range(50):
+            self.assert_same_builds(gen.generate_system(profile, rng=rng))
 
 
 class TestSubArguments:

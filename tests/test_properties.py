@@ -339,6 +339,42 @@ class TestSharedParse:
                         assert by_key.setdefault(sub.key, sub) is sub
 
 
+class TestConstructionWork:
+    """Argument construction makes an :class:`Argument` only for a
+    derivation it has not made before, on the seed-1 benchmark translate
+    corpus, loaded as ``TestIndexedAttacks`` loads it."""
+
+    def test_translate_corpus(self, monkeypatch):
+        workloads = _load("workloads")
+        texts = workloads.translate_corpus("1", workloads.WORKLOADS["translate"].size)
+        systems = [textio.parse_system_text(text) for text in texts]
+        created = []
+
+        class Counted(ar.Argument):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                created.append(None)
+                super().__init__(*args)
+
+        monkeypatch.setattr(ar, "Argument", Counted)
+        builds = [ar.build_arguments(system) for system in systems]
+        assert not any(build.truncated for build in builds)
+        built = sum(len(build.arguments) for build in builds)
+        assert built == 6_663
+        # 18,006 when every combination of every round made an argument
+        assert len(created) == built
+        cut = 0
+        for system, build in zip(systems, builds):
+            for max_args, max_depth in ((len(build.arguments) // 2 or 1, ar.DEFAULT_MAX_DEPTH), (ar.DEFAULT_MAX_ARGS, 2)):
+                created.clear()
+                bounded = ar.build_arguments(system, max_args=max_args, max_depth=max_depth)
+                cut += bounded.truncated
+                # a cut build may make the one argument past its bound
+                assert len(created) <= len(bounded.arguments) + bounded.truncated
+        assert cut
+
+
 class TestCanonicalBuild:
     """A build holds one object per argument key, and every sub-argument is
     the build's own object: arguments compare by identity on this alone."""

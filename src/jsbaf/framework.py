@@ -45,18 +45,29 @@ engine, as its ``bound``.  Every admissible IN-set lies inside the strict
 set and a set P of candidates, and ``legal_out`` grows with the IN-set,
 so ``legal_out`` of their union bounds every admissible OUT-set.  All
 attackers of an IN argument are OUT, so an argument with an attacker
-outside that bound leaves P, to a fixpoint; when an attacker of a strict
-argument lies outside it, nothing is admissible.  The cut is exact, for
-admissible and preferred labelings alike.  The bound is strict | P, and
-as every admissible IN-set lies inside it, an admissible labeling with
-that IN-set is the only preferred one: the preferred search stops there,
-and as IN is tried first, that leaf is the search's first.  A branch ends
-as soon as its IN-set attacks itself, since every superset does too, and
-a head whose supporting set is all IN is only tried IN, as closure
-demands; so the search visits far fewer than the 2**k subsets of the k
-non-strict arguments.  Every IN-set it reaches is tested against exactly
-the admissibility definition: strict arguments IN, the legally-OUT
-fixpoint disjoint from the IN-set, every IN argument legally IN.
+outside that bound, or attacked by the strict set, leaves P, to a
+fixpoint; when an attacker of a strict argument lies outside it, nothing
+is admissible.  The cut is exact, for admissible and preferred labelings
+alike.  The bound is strict | P.  A branch ends as soon as its IN-set
+attacks itself, since every superset does too, and a head whose
+supporting set is all IN is only tried IN, as closure demands; so the
+search visits far fewer than the 2**k subsets of the k non-strict
+arguments.  IN is tried first, so every admissible strict superset of an
+IN-set is yielded before it, and the first leaf is maximal.
+
+The preferred search takes that first leaf; when it is the bound, which
+contains every admissible IN-set, it is the only preferred one.
+Otherwise the search runs again with the leaf kept.  At each node with
+IN-set I the same fixpoint narrows the undecided candidates to C,
+starting from those not attacking I and dropping those attacked by it.
+The node is cut when an attacker of I falls outside ``legal_out(I | C)``,
+or when I | C lies inside a kept IN-set, as every admissible IN-set below
+the node lies inside I | C; its children try only C IN.  So every leaf
+yielded is maximal and kept, and no filter compares IN-sets pairwise.
+
+Every leaf the search reaches is tested against exactly the
+admissibility definition: strict arguments IN, the legally-OUT fixpoint
+disjoint from the IN-set, every IN argument legally IN.
 Conflict-freeness needs no test of its own, as an IN argument with an IN
 attacker is legally OUT; nor does closure, as a fully IN supporting set
 whose head is not IN has a least-preferred member not legally IN (or is
@@ -388,32 +399,52 @@ class _Engine:
 
     def _root_cut(self) -> int | None:
         """The engine's ``bound``: the mask strict | P that contains every
-        admissible IN-set, or None when nothing is admissible.
-
-        P starts as the non-strict arguments not attacking the strict set,
-        and C = ``legal_out(strict | P)`` bounds the OUT-set of every
-        admissible labeling, as ``legal_out`` grows with the IN-set and every
-        admissible IN-set lies inside strict | P.  An IN argument's attackers
-        are all OUT, so an argument with an attacker outside C is dropped
-        from P, and C recomputed, until nothing is dropped; when an attacker
-        of the strict set lies outside C nothing is admissible."""
-        attackers, strict, attacking = self.attackers, self.strict_mask, self.strict_attackers
+        admissible IN-set, or None when nothing is admissible.  P is
+        :meth:`_narrow` of the non-strict arguments not attacking the
+        strict set."""
+        strict, attacking = self.strict_mask, self.strict_attackers
         if attacking & strict:
             return None
-        allowed = (1 << self.n) - 1 & ~strict & ~attacking  # P
+        allowed = self._narrow(strict, attacking, (1 << self.n) - 1 & ~strict & ~attacking)
+        return None if allowed is None else strict | allowed
+
+    def _narrow(self, in_mask: int, attacking: int, cand: int) -> int | None:
+        """The candidates ``cand`` that an admissible IN-set J with
+        ``in_mask`` <= J <= ``in_mask`` | ``cand`` may still contain, or None
+        when there is no such J; ``attacking`` holds the attackers of
+        ``in_mask``.
+
+        ``legal_out`` grows with the IN-set, so O = ``legal_out(in_mask |
+        cand)`` bounds the OUT-set of every such J.  An IN argument's
+        attackers are all OUT, so a candidate with an attacker outside O,
+        or attacked by ``in_mask``, is dropped, and O recomputed, until
+        nothing is dropped; when an attacker of ``in_mask`` lies outside O
+        there is no such J."""
+        attackers = self.attackers
         while True:
-            out = self.legal_out(strict | allowed)
+            out = self.legal_out(in_mask | cand)
             if attacking & ~out:
                 return None
-            dropped = sum(1 << i for i in range(self.n) if allowed >> i & 1 and attackers[i] & ~out)
+            barred = in_mask | ~out
+            dropped = 0
+            m = cand
+            while m:
+                low = m & -m
+                if attackers[low.bit_length() - 1] & barred:
+                    dropped |= low
+                m ^= low
             if not dropped:
-                return strict | allowed
-            allowed ^= dropped
+                return cand
+            cand ^= dropped
 
     def enumerate_admissible_masks(self):
-        """Yield every admissible (IN mask, OUT mask), by a depth-first search
-        from the strict mask that decides each non-strict argument IN or
-        not, supporters before the heads they support.
+        """Yield every admissible (IN mask, OUT mask), by :meth:`_search`."""
+        return self._search()
+
+    def _search(self, kept: list[tuple[int, int]] | None = None):
+        """A depth-first search from the strict mask that decides each
+        non-strict argument IN or not, supporters before the heads they
+        support, yielding the admissible (IN mask, OUT mask) pairs.
 
         Only arguments inside :attr:`bound`, the root cut computed once by
         the constructor, are tried IN, and nothing is yielded when it is
@@ -421,8 +452,17 @@ class _Engine:
         superset does too; a head whose supporting set is all IN is only
         tried IN.  Each leaf is verified by ``admissible_out_for``.  Every
         node tries IN before not-IN, so every admissible strict superset of
-        an IN-set is yielded before it, and when the bound itself is
-        admissible it is the first leaf."""
+        an IN-set is yielded before it.
+
+        With ``kept`` None every admissible pair is yielded.  ``kept`` may
+        instead hold admissible pairs with maximal IN masks, the first leaf
+        at least: then each node with IN-set I narrows its undecided
+        candidates for IN to C by :meth:`_narrow`, starting from those not
+        attacking I, and its children inherit C.  The node is cut when
+        there is no C or when I | C lies inside a kept IN mask, as every
+        admissible IN-set below it lies inside I | C, and a leaf is cut
+        when its IN mask does.  Every leaf yielded is then maximal, and is
+        appended to ``kept``."""
         bound, attackers, supports, strict = self.bound, self.attackers, self.supports, self.strict_mask
         if bound is None:
             return
@@ -431,12 +471,31 @@ class _Engine:
         # support has a single branch, so it needs no decision
         free = [i for i in reversed(self.order) if allowed >> i & 1 or not strict >> i & 1 and i in supports]
         k = len(free)
-        stack = [(0, strict, self.strict_attackers)]  # (arguments decided, IN mask, attacking)
+        if kept is not None:
+            # narrowed[d]: the undecided candidates C of the last node
+            # processed at depth d - 1, the parent of the next node popped
+            # at depth d: between a parent and its not-IN child only the IN
+            # child's subtree is popped, which writes narrowed[d + 1] and
+            # deeper
+            narrowed = [allowed] * (k + 1)
+        stack = [(0, strict, self.strict_attackers)]  # (arguments decided, IN mask, its attackers)
         while stack:
             depth, in_mask, attacking = stack.pop()
+            if kept is not None:
+                top = in_mask
+                if depth < k:
+                    allowed = self._narrow(in_mask, attacking, narrowed[depth] & ~attacking)
+                    if allowed is None:
+                        continue
+                    narrowed[depth + 1] = allowed & ~(1 << free[depth])
+                    top |= allowed
+                if any(not top & ~k_in for k_in, _ in kept):
+                    continue
             if depth == k:
                 out = self.admissible_out_for(in_mask)
                 if out is not None:
+                    if kept is not None:
+                        kept.append((in_mask, out))
                     yield in_mask, out
                 continue
             i = free[depth]
@@ -448,19 +507,21 @@ class _Engine:
 
     def preferred_masks(self) -> list[tuple[int, int]]:
         """The admissible (IN mask, OUT mask) pairs with subset-maximal IN
-        masks, in search order: the one maximality filter.  The search yields
-        every admissible strict superset of an IN-set before it, so an IN
-        mask is maximal unless a kept one contains it.  The search stops at
-        an IN mask equal to :attr:`bound`: every admissible IN-set lies
-        inside the bound, so that one is the only maximal one."""
-        kept: list[tuple[int, int]] = []
+        masks, in search order.  The first leaf of
+        :meth:`enumerate_admissible_masks` is maximal, as every admissible
+        strict superset would come before it.  When there is none, or it
+        is :attr:`bound`, which contains every admissible IN-set, that is
+        the answer; otherwise :meth:`_search` with it kept finds the rest,
+        each maximal as found."""
         search = self.enumerate_admissible_masks()
-        for in_mask, out_mask in search:
-            if all(in_mask & k != in_mask for k, _ in kept):
-                kept.append((in_mask, out_mask))
-            if in_mask == self.bound:
-                search.close()
-                break
+        first = next(search, None)
+        search.close()
+        if first is None:
+            return []
+        kept = [first]
+        if first[0] != self.bound:
+            for _ in self._search(kept):
+                pass
         return kept
 
 

@@ -65,9 +65,20 @@ def system_digest(system: ArgumentationSystem) -> str:
     return _cached(system, "_digest_cache", lambda: instance_digest(format_system(system)))
 
 
+def _strict_closure(system: ArgumentationSystem, conclusions: frozenset[Formula]) -> frozenset[Formula]:
+    """The closure of ``conclusions`` under the system's strict rules,
+    computed once per conclusion set and kept on the system, which both
+    :func:`check_closure` and :func:`check_indirect_consistency` read."""
+    closures = _cached(system, "_closure_cache", dict)
+    closed = closures.get(conclusions)
+    if closed is None:
+        closed = closures[conclusions] = cl_closure(system.strict_rules, conclusions)
+    return closed
+
+
 def check_closure(system: ArgumentationSystem, extension_conclusions) -> PostulateReport:
     conclusions = frozenset(extension_conclusions)
-    missing = sorted(cl_closure(system.strict_rules, conclusions) - conclusions, key=fm.formula_key)
+    missing = sorted(_strict_closure(system, conclusions) - conclusions, key=fm.formula_key)
     return PostulateReport(
         postulate="closure",
         instance_digest=system_digest(system),
@@ -90,7 +101,7 @@ def check_direct_consistency(conclusions, instance_digest: str = "") -> Postulat
 
 def check_indirect_consistency(system: ArgumentationSystem, extension_conclusions) -> PostulateReport:
     """Direct consistency of the closure of the conclusions under the strict rules."""
-    closed = cl_closure(system.strict_rules, extension_conclusions)
+    closed = _strict_closure(system, frozenset(extension_conclusions))
     return replace(
         check_direct_consistency(closed, instance_digest=system_digest(system)),
         postulate="indirect_consistency",

@@ -6,7 +6,8 @@ from jsbaf import arguments as ar
 from jsbaf import generate as gen
 from jsbaf import naive
 from jsbaf.formulas import And, Not, Var, parse_formula as f
-from jsbaf.system import DefeasibleRule, StrictRule, make_system
+from jsbaf.errors import InstanceError
+from jsbaf.system import DefeasibleRule, StrictRule, make_system, validate_system
 
 from conftest import key_dedup_build
 from test_acceptance import corpus6
@@ -68,6 +69,18 @@ class TestBuild:
         with pytest.raises(ValueError):
             ar.build_arguments(as1, max_args=0)
 
+    def test_duplicate_rule_ids_are_refused(self):
+        # a derivation is named by its rule's id, so two rules d1 built
+        # only the first, and preferred_conclusions answered [{p}]
+        system = make_system(
+            atoms=["p", "q"],
+            defeasible=[DefeasibleRule("d1", (), f("p")), DefeasibleRule("d1", (), f("q"))],
+        )
+        assert "duplicate rule id d1" in validate_system(system).failures
+        for build in (ar.build_arguments, ar.preferred_conclusions):
+            with pytest.raises(InstanceError, match="^duplicate rule id d1$"):
+                build(system)
+
 
 def random_rule_system(rng):
     """A small system with rules of up to two antecedents over three atoms,
@@ -94,10 +107,17 @@ def random_rule_system(rng):
 class TestBuildMatchesKeyDedup:
     """Every build, complete or cut by a bound, keeps the arguments, the
     order and the bound of the loop that made an argument for every
-    combination and deduplicated by key."""
+    combination and deduplicated by key; a system whose rules share an id
+    is refused."""
 
     @staticmethod
     def assert_same_builds(system):
+        ids = sorted(r.id for r in system.strict_rules + system.defeasible_rules)
+        shared = [a for a, b in zip(ids, ids[1:]) if a == b]
+        if shared:
+            with pytest.raises(InstanceError, match=f"^duplicate rule id {shared[0]}$"):
+                ar.build_arguments(system)
+            return True
         for max_depth in (1, 2, 3):
             full, _ = key_dedup_build(system, max_depth=max_depth)
             for max_args in range(1, len(full) + 2):
@@ -105,6 +125,7 @@ class TestBuildMatchesKeyDedup:
                 keys, bound = key_dedup_build(system, max_args=max_args, max_depth=max_depth)
                 assert [a.key for a in build.arguments] == keys
                 assert build.bound == bound
+        return False
 
     def test_rule_cycle(self):
         self.assert_same_builds(CYCLE)
@@ -115,8 +136,8 @@ class TestBuildMatchesKeyDedup:
 
     def test_random_systems(self):
         rng = random.Random("build-matches-key-dedup")
-        for _ in range(150):
-            self.assert_same_builds(random_rule_system(rng))
+        shared = sum(self.assert_same_builds(random_rule_system(rng)) for _ in range(150))
+        assert shared > 20, shared
         profile = gen.FuzzProfile(antecedent_count=(0, 2), conjunction_intro=True)
         for _ in range(50):
             self.assert_same_builds(gen.generate_system(profile, rng=rng))

@@ -59,3 +59,33 @@ def test_grounded_workload_reads_labelings():
         text = textio.format_framework(workloads._plain(g))
         labeling = workloads.solve_grounded(text)
         assert workloads.check_grounded("contract", index, text, labeling) is None
+
+
+def test_preferred_searches_enter_through_the_traced_enumerator():
+    # bench/spans.py wraps _Engine.enumerate_admissible_masks as a generator
+    # of the engine alone and adds 2**(arguments - strict arguments) per
+    # call as framework.search_space, which bench/selftest.py pins on the
+    # criterion-7 corpus; the bench's non-interference corpus counts
+    # admissible masks through the same name
+    import jsbaf.framework
+    from jsbaf import postulates
+
+    from test_framework import _first_criterion_7_pairs, _union_frameworks
+
+    spans = _load("spans")
+    pairs = list(_first_criterion_7_pairs())
+    unions = _union_frameworks(pairs)
+    tracer = spans.Tracer()
+    installation = spans.install(tracer)
+    try:
+        for s1, s2, merge, cross_rules in pairs:
+            postulates.check_non_interference(s1, s2, merge=merge, cross_rules=cross_rules)
+        assert tracer.calls["framework.enumerate"] == 30  # one per preferred search
+        assert tracer.counts["framework.search_space"] == 107_243
+        found = tracer.counts["framework.admissible_found"]
+        admissible = sum(
+            len(list(jsbaf.framework._engine(union).enumerate_admissible_masks())) for union in unions
+        )
+    finally:
+        installation.restore()
+    assert admissible == tracer.counts["framework.admissible_found"] - found == 1_439

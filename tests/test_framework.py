@@ -337,7 +337,8 @@ class TestEnumeration:
 class TestAdmissibleSearch:
     def test_supersets_are_yielded_first(self):
         # IN is tried before not-IN at every node, which the preferred
-        # filter relies on: no IN mask is yielded after a strict subset of it
+        # search relies on: no IN mask is yielded after a strict subset of
+        # it, so the first is maximal
         rng = random.Random(1717)
         nested = 0
         for _ in range(300):
@@ -443,6 +444,17 @@ def _first_criterion_7_pairs():
         yield s1, s2, "raw" if i % 2 == 0 else "interleave", gen.cross_closure_rules(s1, s2)
 
 
+def _union_frameworks(pairs) -> list[Jsbaf]:
+    """The translated union of each (side 1, side 2, merge policy, cross rules)."""
+    budget = po.NonInterferenceBudget()
+    return [
+        ar.complete_translation(
+            union_systems(s1, s2, merge=merge, cross_rules=cross_rules), budget.max_args, budget.max_depth
+        ).framework
+        for s1, s2, merge, cross_rules in pairs
+    ]
+
+
 def _check_first_criterion_7_pairs():
     for s1, s2, merge, cross_rules in _first_criterion_7_pairs():
         po.check_non_interference(s1, s2, merge=merge, cross_rules=cross_rules)
@@ -452,8 +464,9 @@ class TestSearchWork:
     def test_leaves_on_criterion_7_pairs(self, monkeypatch):
         # the first ten criterion-7 pairs: 107,243 candidate IN-sets for the
         # 2**k scan, 30 leaves for the search, which settles at the root
-        # the arguments that can never be IN, and which the preferred filter
-        # stops at a leaf equal to the bound (1,632 leaves without that stop)
+        # the arguments that can never be IN, and which the preferred search
+        # stops at a first leaf equal to the bound (1,632 leaves without
+        # that stop)
         calls = [0]
         nominal = [0]
         verify = fw._Engine.admissible_out_for
@@ -476,16 +489,11 @@ class TestSearchWork:
     def test_labelings_built_on_criterion_7_pairs(self, monkeypatch):
         # a non-interference check maps preferred IN masks straight to
         # conclusion sets and builds no Labeling (30 when it went through
-        # enumerate_preferred); that filter builds one only for a maximal
-        # IN mask: 10 on the ten union frameworks, which have 1,439
+        # enumerate_preferred); that builds one only for a maximal IN
+        # mask: 10 on the ten union frameworks, which have 1,439
         # admissible IN masks
         budget = po.NonInterferenceBudget()
-        unions = [
-            ar.complete_translation(
-                union_systems(s1, s2, merge=merge, cross_rules=cross_rules), budget.max_args, budget.max_depth
-            ).framework
-            for s1, s2, merge, cross_rules in _first_criterion_7_pairs()
-        ]
+        unions = _union_frameworks(_first_criterion_7_pairs())
         built = [0]
         init = fw.Labeling.__init__
 

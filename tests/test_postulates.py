@@ -6,12 +6,14 @@ from jsbaf import arguments as ar
 from jsbaf import generate as gen
 from jsbaf import naive
 from jsbaf import postulates as po
+from jsbaf import textio
 from jsbaf.errors import InstanceError
 from jsbaf.formulas import Not, Var, is_neg_complement, parse_formula as f
 from jsbaf.framework import Jsbaf, enumerate_preferred
 from jsbaf.system import DefeasibleRule, make_system
 
 from conftest import non_triviality_witness
+from test_acceptance import corpus6
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +85,40 @@ class TestIndirectConsistency:
     def test_empty_over_empty(self):
         system = make_system(atoms=["p"])
         assert po.check_indirect_consistency(system, []).passed
+
+
+class TestSharedClosure:
+    def test_one_strict_closure_per_family(self, monkeypatch):
+        # closure and indirect consistency read one closure per conclusion
+        # set, whether conclusion_reports runs them or a caller runs them
+        # one after the other, as the benchmark's postulate workload does
+        # (two per set when each check computed its own)
+        calls = []
+        closure = po.cl_closure
+
+        def counted_closure(rules, formulas):
+            calls.append(None)
+            return closure(rules, formulas)
+
+        monkeypatch.setattr(po, "cl_closure", counted_closure)
+        families = []
+        for shared in corpus6():
+            # fresh systems, with no closure kept on them by other tests
+            system, again = (textio.parse_system_text(textio.format_system(shared)) for _ in range(2))
+            sets = ar.preferred_conclusions(system)
+            families.append(len(sets))
+            calls.clear()
+            reports = po.conclusion_reports(system)
+            assert len(calls) == len(sets)
+            calls.clear()
+            separate = []
+            for family in sets:
+                separate.append(po.check_closure(again, family))
+                separate.append(po.check_direct_consistency(family, instance_digest=po.system_digest(again)))
+                separate.append(po.check_indirect_consistency(again, family))
+            assert separate == reports
+            assert len(calls) == len(sets)
+        assert max(families) > 1, families
 
 
 class TestRestriction:

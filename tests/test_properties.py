@@ -9,6 +9,7 @@ preference lifting), and the translation's indexed attacks against
 those pairwise relations.
 """
 
+import pathlib
 import random
 import re
 from itertools import combinations
@@ -662,6 +663,107 @@ class TestRestrictedEngine:
             seen["empty"] += not keep
             seen["searched on"] += len(preferred) > 1
         assert all(seen.values()), seen
+
+
+def _count_search_work(monkeypatch) -> dict[str, int]:
+    """Count leaves (``admissible_out_for`` calls) and ``legal_out`` calls."""
+    calls = {"leaves": 0, "legal_out": 0}
+    verify, legal_out = fw._Engine.admissible_out_for, fw._Engine.legal_out
+
+    def counted_verify(engine, in_mask):
+        calls["leaves"] += 1
+        return verify(engine, in_mask)
+
+    def counted_legal_out(engine, in_mask):
+        calls["legal_out"] += 1
+        return legal_out(engine, in_mask)
+
+    monkeypatch.setattr(fw._Engine, "admissible_out_for", counted_verify)
+    monkeypatch.setattr(fw._Engine, "legal_out", counted_legal_out)
+    return calls
+
+
+TRANSLATE_26 = pathlib.Path(__file__).resolve().parent / "translate_26.as"
+
+
+class TestPreferredCuts:
+    """The preferred search past its first leaf cuts a node when no
+    admissible IN-set below it survives the root cut's fixpoint, or when
+    all of them lie inside a kept maximal one.  The work bounds may be
+    tightened, never loosened."""
+
+    def test_matches_the_maximal_admissible_labelings(self, monkeypatch):
+        # the reference is the plain search's catalogue, which
+        # TestEngineAgainstNaive checks, filtered for maximal IN-sets, and
+        # the naive scan on frameworks of up to 5 arguments
+        kept_lists = []
+        fired = {"root cut": 0, "maximality": 0}
+        search, narrow = fw._Engine._search, fw._Engine._narrow
+
+        def recorded_search(engine, kept=None):
+            kept_lists.append(kept)
+            return search(engine, kept)
+
+        def recorded_narrow(engine, in_mask, attacking, cand):
+            allowed = narrow(engine, in_mask, attacking, cand)
+            kept = kept_lists[-1] if kept_lists else None
+            if kept is not None:
+                fired["root cut"] += allowed is None
+                fired["maximality"] += allowed is not None and any(
+                    not (in_mask | allowed) & ~k for k, _ in kept
+                )
+            return allowed
+
+        monkeypatch.setattr(fw._Engine, "_search", recorded_search)
+        monkeypatch.setattr(fw._Engine, "_narrow", recorded_narrow)
+        rng = random.Random(2727)
+        seen = {"ranked": 0, "rank-free": 0, "past the first leaf": 0, "naive": 0}
+        for _ in range(3000):
+            drawn = _random_acyclic_framework(rng, max_args=9)
+            for rank in (None, {a: rng.randint(0, 2) for a in drawn.args}):
+                framework = fw.Jsbaf(args=drawn.args, attacks=drawn.attacks, supports=drawn.supports, rank=rank)
+                kept_lists.clear()
+                preferred = fw.enumerate_preferred(framework)
+                seen["past the first leaf"] += kept_lists[-1] is not None
+                admissible = fw.enumerate_admissible(framework)
+                assert preferred == [
+                    lab for lab in admissible
+                    if not any(lab.in_mask & other.in_mask == lab.in_mask != other.in_mask for other in admissible)
+                ]
+                if len(framework.args) <= 5:
+                    assert preferred == naive.naive_enumerate_preferred(framework)
+                    seen["naive"] += 1
+                seen["rank-free" if rank is None else "ranked"] += 1
+        assert seen["past the first leaf"] > 1_000, seen
+        assert all(fired.values()), fired
+
+    def test_work_on_the_criterion_7_corpus(self, monkeypatch):
+        # 65,188 leaves and 65,388 legal_out calls when the search went on
+        # with no cut and a pairwise filter dropped what was not maximal
+        calls = _count_search_work(monkeypatch)
+        for index, (s1, s2) in enumerate(corpus7()):
+            merge = "raw" if index % 2 == 0 else "interleave"
+            assert po.check_non_interference(
+                s1, s2, merge=merge, cross_rules=gen.cross_closure_rules(s1, s2)
+            ).verdict == po.PASS
+        assert calls["leaves"] <= 10_862, calls
+        assert calls["legal_out"] <= 11_599, calls
+
+    def test_work_on_a_26_argument_translation(self, monkeypatch):
+        # a seed-1 benchmark translate system whose one preferred labeling
+        # is not the bound and is the 2,917th leaf: 178,147 leaves when the
+        # search went on past it with no cut
+        translation = ar.complete_translation(textio.parse_system_text(TRANSLATE_26.read_text()))
+        engine = translation.engine
+        assert engine.n == 26
+        calls = _count_search_work(monkeypatch)
+        preferred = engine.preferred_masks()
+        assert [fw.Labeling(engine.ids, im, om).vector() for im, om in preferred] == [
+            "IIOIIOOOOIIIIOIIIIOOOOIIII"
+        ]
+        assert preferred[0][0] != engine.bound
+        assert calls["leaves"] <= 2_917, calls
+        assert calls["legal_out"] <= 2_926, calls
 
 
 class TestLeafCheck:

@@ -179,7 +179,7 @@ class Jsbaf:
 
     Frameworks are immutable (``supports`` and ``rank`` are read-only
     copies), so what is cached on them (support peel with the strict set,
-    engine, admissible catalogue) never goes stale.
+    engine, admissible masks and labelings) never goes stale.
     """
 
     args: tuple[str, ...]
@@ -605,12 +605,20 @@ def _bounded_engine(framework: Jsbaf, max_args: int) -> _Engine:
     return _engine(framework)
 
 
-def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
-    """Every admissible labeling in vector order, searched once per framework
-    and cached on it; the bound holds whether or not they are cached already."""
+def _admissible_masks(framework: Jsbaf, max_args: int) -> list[tuple[int, int]]:
+    """Every admissible (IN mask, OUT mask) in search order, searched once per
+    framework and cached on it; the bound holds whether or not they are
+    cached already."""
     eng = _bounded_engine(framework, max_args)
+    return _cached(framework, "_masks_cache", lambda: list(eng.enumerate_admissible_masks()))
+
+
+def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
+    """Every admissible labeling in vector order, built once per framework
+    from :func:`_admissible_masks` and cached on it."""
+    masks = _admissible_masks(framework, max_args)
     return _cached(framework, "_catalogue_cache", lambda: sorted(
-        (Labeling(eng.ids, im, om) for im, om in eng.enumerate_admissible_masks()), key=Labeling.vector
+        (Labeling(framework.args, im, om) for im, om in masks), key=Labeling.vector
     ))
 
 

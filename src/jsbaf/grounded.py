@@ -35,7 +35,9 @@ lookup, by the head labels of the catalogue bases that do not extend,
 and forced-IN reads that table: an UNDEC head fails the argument when
 the entry is non-empty, an OUT head when it holds OUT.  Forced-IN is one
 operator on the engine's masks, ``_forced_in``: :func:`fi_set` names its
-mask, and the ground-complete oracle and the construction read it.
+mask, and the ground-complete oracle and the construction read it.  Both
+read the view's cached admissible masks; Labelings are built only for
+what is returned.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .framework import (  # legally_in and sim_labeling are the framework's, re-
     UNDEC,
     Jsbaf,
     Labeling,
+    _admissible_masks,
     _bits,
     _check_enum_bound,
     _covering,
@@ -61,14 +64,20 @@ from .system import _cached
 
 
 def from_jsbaf(framework: Jsbaf) -> Jsbaf:
-    """The preference-free view: the same graph without ranks, built once."""
+    """The preference-free view: the same graph without ranks, built once.
+    Its fields are the ranked framework's, checked when that was built, so
+    the view skips ``__post_init__``; it starts with none of its caches."""
     if framework.rank is None:
         return framework
-    return _cached(
-        framework,
-        "_view_cache",
-        lambda: Jsbaf(args=framework.args, attacks=framework.attacks, supports=framework.supports),
-    )
+
+    def view():
+        g = object.__new__(Jsbaf)
+        for name in ("args", "attacks", "supports"):
+            object.__setattr__(g, name, getattr(framework, name))
+        object.__setattr__(g, "rank", None)
+        return g
+
+    return _cached(framework, "_view_cache", view)
 
 
 class _Table:
@@ -80,7 +89,9 @@ class _Table:
     attackers; a support with head h is safe when ``reach[h]`` is all
     OUT.  Per (argument i, head h), filled at its first lookup: the labels
     of h in the catalogue bases that no catalogue labeling extends with
-    h's label kept and i legally IN."""
+    h's label kept and i legally IN.  The catalogue is the view's admissible
+    masks; an admissible OUT-set is ``legal_out`` of its IN-set, which grows
+    with it, so a labeling extends a base when its IN-set holds the base's."""
 
     def __init__(self, g: Jsbaf):
         self.eng = _engine(g)
@@ -98,11 +109,8 @@ class _Table:
         entry = self.entries.get((i, h))
         if entry is None:
             if self.catalogue is None:
-                cat = [(lab.in_mask, lab.out_mask) for lab in admissible_catalogue(g, max_args)]
-                self.extended = [
-                    sum(1 << c for c, (ci, co) in enumerate(cat) if not bi & ~ci and not bo & ~co)
-                    for bi, bo in cat
-                ]
+                cat = _admissible_masks(g, max_args)
+                self.extended = [sum(1 << c for c, (ci, _) in enumerate(cat) if not bi & ~ci) for bi, _ in cat]
                 self.catalogue = cat
             cat, bit = self.catalogue, 1 << h
             # i is legally IN where an admissible labeling has it IN; an extension
@@ -137,7 +145,8 @@ def more_informative(label: str, than: str) -> bool:
 
 
 def admissible_catalogue(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
-    """All admissible labelings of the preference-free view, cached on it."""
+    """All admissible labelings of the preference-free view, built from its
+    cached masks and cached on it."""
     return enumerate_admissible(from_jsbaf(g), max_args)
 
 
@@ -166,9 +175,13 @@ def fi_set(g: Jsbaf, labeling: Labeling, max_args: int = DEFAULT_MAX_ENUM_ARGS) 
 
 
 def enumerate_ground_complete(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
-    catalogue = admissible_catalogue(g, max_args=max_args)
+    """The ground-complete labelings in vector order: the view's admissible
+    masks that hold every argument forced IN, the only ones built into
+    Labelings."""
+    masks = _admissible_masks(from_jsbaf(g), max_args)
     g, table = _table(g)
-    return [b for b in catalogue if not _forced_in(g, table, b.in_mask, b.out_mask, max_args) & ~b.in_mask]
+    complete = [(im, om) for im, om in masks if not _forced_in(g, table, im, om, max_args) & ~im]
+    return sorted((Labeling(g.args, im, om) for im, om in complete), key=Labeling.vector)
 
 
 def grounded_construction(

@@ -37,33 +37,42 @@ pass that visits every supported argument before its supporters decides
 it, and the legally-OUT operator has a unique fixpoint, ``legal_out``:
 the engine's one legally-OUT operator, which admissibility, the SIM
 labeling and the grounded construction read (on an arbitrary labeling
-the definition is :func:`jsbaf.naive.naive_legally_out`).  The IN-sets
-are searched depth first from the strict arguments, deciding each
-non-strict argument IN or not, supporters before the heads they support.
-Before branching, the arguments that can never be IN are settled once per
-engine, as its ``bound``.  Every admissible IN-set lies inside the strict
-set and a set P of candidates, and ``legal_out`` grows with the IN-set,
-so ``legal_out`` of their union bounds every admissible OUT-set.  All
-attackers of an IN argument are OUT, so an argument with an attacker
-outside that bound, or attacked by the strict set, leaves P, to a
-fixpoint; when an attacker of a strict argument lies outside it, nothing
-is admissible.  The cut is exact, for admissible and preferred labelings
-alike.  The bound is strict | P.  A branch ends as soon as its IN-set
-attacks itself, since every superset does too, and a head whose
-supporting set is all IN is only tried IN, as closure demands; so the
-search visits far fewer than the 2**k subsets of the k non-strict
-arguments.  IN is tried first, so every admissible strict superset of an
-IN-set is yielded before it, and the first leaf is maximal.
+the definition is :func:`jsbaf.naive.naive_legally_out`).
 
-The preferred search takes that first leaf; when it is the bound, which
-contains every admissible IN-set, it is the only preferred one.
-Otherwise the search runs again with the leaf kept.  At each node with
-IN-set I the same fixpoint narrows the undecided candidates to C,
-starting from those not attacking I and dropping those attacked by it.
-The node is cut when an attacker of I falls outside ``legal_out(I | C)``,
-or when I | C lies inside a kept IN-set, as every admissible IN-set below
-the node lies inside I | C; its children try only C IN.  So every leaf
-yielded is maximal and kept, and no filter compares IN-sets pairwise.
+The IN-sets are searched depth first from the strict arguments.  A node
+holds an IN-set I and the undecided candidates C that may still join it;
+it decides the next non-strict argument, supporters before the heads
+they support, and both children inherit C without it.  A branch ends as
+soon as I attacks itself, since every superset does too, and a head
+whose supporting set is all IN is only tried IN, as closure demands; so
+the search visits far fewer than the 2**k subsets of the k non-strict
+arguments.  Four rules shape it:
+
+* The root cut.  ``legal_out`` grows with the IN-set, so O =
+  ``legal_out(I | C)`` bounds the OUT-set of every admissible J with
+  I <= J <= I | C, and all attackers of an IN argument are OUT.  So a
+  candidate with an attacker outside O, or attacked by I, leaves C, and O
+  is recomputed, to a fixpoint; when an attacker of I lies outside O,
+  there is no such J.  Once per engine, from the strict set I and the
+  non-strict arguments not attacking it, this gives the engine's
+  ``bound``, I | C, which contains every admissible IN-set, or None when
+  nothing is admissible, as when the strict set attacks itself.  The cut
+  is exact, for admissible and preferred labelings alike, and only C is
+  ever tried IN.
+* The node cut.  Past its first leaf, the preferred search repeats that
+  fixpoint at each inner node, on I and its inherited C less the
+  attackers of I, and ends the branch when there is no such J.
+* The maximality cut.  Past its first leaf, the preferred search also
+  ends a branch when I | C lies inside a kept maximal IN-set, as every
+  admissible IN-set below the node lies inside I | C.
+* IN-first order.  Every node tries IN before not-IN, so every admissible
+  strict superset of an IN-set is yielded before it, and the first leaf
+  is maximal.
+
+The preferred search takes that first leaf; when it is the bound, it is
+the only preferred IN-set.  Otherwise the search runs again with the
+leaf kept and both cuts on, so every leaf it yields is maximal and is
+kept in turn, and no filter compares IN-sets pairwise.
 
 Every leaf the search reaches is tested against exactly the
 admissibility definition: strict arguments IN, the legally-OUT fixpoint
@@ -277,7 +286,8 @@ class _Engine:
     Built from a framework by :meth:`of`, from a translation's masks
     (:attr:`jsbaf.arguments.Translation.engine`), or from another engine by
     :meth:`restrict`; either way the constructor computes the support
-    membership and the root cut."""
+    membership and :attr:`bound`, the root cut: strict | C for the root's
+    candidates C, or None when nothing is admissible."""
 
     def __init__(self, ids, order, attackers, supports, rank, strict_mask):
         self.ids = ids
@@ -293,13 +303,17 @@ class _Engine:
             for t in _bits(tail):
                 if least is None or rank[t] <= least:
                     member_of[t].append((h, tail & ~(1 << t)))
-        self.strict_mask = strict_mask
-        self.strict_attackers = 0
+        attacking = 0
         for i in _bits(strict_mask):
-            self.strict_attackers |= attackers[i]
-        # set here rather than cached on first use: a cache that writes the
-        # instance __dict__ slows every later attribute read (CPython 3.11)
-        self.bound = self._root_cut()
+            attacking |= attackers[i]
+        self.strict_mask, self.strict_attackers = strict_mask, attacking
+        # the root cut, set here rather than cached on first use: a cache that
+        # writes the instance __dict__ slows every later attribute read
+        # (CPython 3.11)
+        cand = None if attacking & strict_mask else self._narrow(
+            strict_mask, attacking, (1 << self.n) - 1 & ~strict_mask & ~attacking
+        )
+        self.bound = None if cand is None else strict_mask | cand
 
     @classmethod
     def of(cls, framework: Jsbaf) -> "_Engine":
@@ -397,29 +411,11 @@ class _Engine:
             m ^= low
         return out
 
-    def _root_cut(self) -> int | None:
-        """The engine's ``bound``: the mask strict | P that contains every
-        admissible IN-set, or None when nothing is admissible.  P is
-        :meth:`_narrow` of the non-strict arguments not attacking the
-        strict set."""
-        strict, attacking = self.strict_mask, self.strict_attackers
-        if attacking & strict:
-            return None
-        allowed = self._narrow(strict, attacking, (1 << self.n) - 1 & ~strict & ~attacking)
-        return None if allowed is None else strict | allowed
-
     def _narrow(self, in_mask: int, attacking: int, cand: int) -> int | None:
-        """The candidates ``cand`` that an admissible IN-set J with
-        ``in_mask`` <= J <= ``in_mask`` | ``cand`` may still contain, or None
-        when there is no such J; ``attacking`` holds the attackers of
-        ``in_mask``.
-
-        ``legal_out`` grows with the IN-set, so O = ``legal_out(in_mask |
-        cand)`` bounds the OUT-set of every such J.  An IN argument's
-        attackers are all OUT, so a candidate with an attacker outside O,
-        or attacked by ``in_mask``, is dropped, and O recomputed, until
-        nothing is dropped; when an attacker of ``in_mask`` lies outside O
-        there is no such J."""
+        """The root cut's fixpoint, at any node: ``cand`` without the
+        candidates that no admissible J with ``in_mask`` <= J <= ``in_mask`` |
+        ``cand`` contains, or None when there is no such J; ``attacking``
+        holds the attackers of ``in_mask``."""
         attackers = self.attackers
         while True:
             out = self.legal_out(in_mask | cand)
@@ -438,58 +434,37 @@ class _Engine:
             cand ^= dropped
 
     def enumerate_admissible_masks(self):
-        """Yield every admissible (IN mask, OUT mask), by :meth:`_search`."""
+        """Yield every admissible (IN mask, OUT mask) in search order.
+
+        The one entry to :meth:`_search`, kept apart as a generator of the
+        engine alone: the benchmark's span recorder (``bench/spans.py``)
+        wraps this name and counts each call as one search, so a preferred
+        search must enter through it once, which
+        ``tests/test_bench_contract.py`` checks."""
         return self._search()
 
     def _search(self, kept: list[tuple[int, int]] | None = None):
-        """A depth-first search from the strict mask that decides each
-        non-strict argument IN or not, supporters before the heads they
-        support, yielding the admissible (IN mask, OUT mask) pairs.
-
-        Only arguments inside :attr:`bound`, the root cut computed once by
-        the constructor, are tried IN, and nothing is yielded when it is
-        None.  A branch ends once its IN-set attacks itself, as every
-        superset does too; a head whose supporting set is all IN is only
-        tried IN.  Each leaf is verified by ``admissible_out_for``.  Every
-        node tries IN before not-IN, so every admissible strict superset of
-        an IN-set is yielded before it.
-
-        With ``kept`` None every admissible pair is yielded.  ``kept`` may
-        instead hold admissible pairs with maximal IN masks, the first leaf
-        at least: then each node with IN-set I narrows its undecided
-        candidates for IN to C by :meth:`_narrow`, starting from those not
-        attacking I, and its children inherit C.  The node is cut when
-        there is no C or when I | C lies inside a kept IN mask, as every
-        admissible IN-set below it lies inside I | C, and a leaf is cut
-        when its IN mask does.  Every leaf yielded is then maximal, and is
-        appended to ``kept``."""
+        """Yield the admissible (IN mask, OUT mask) pairs by the search of
+        the module docstring.  ``kept``, when given, must hold admissible
+        pairs with maximal IN masks, the first leaf among them; only maximal
+        pairs are then yielded."""
         bound, attackers, supports, strict = self.bound, self.attackers, self.supports, self.strict_mask
         if bound is None:
             return
-        allowed = bound & ~strict
+        cand = bound & ~strict
         # non-strict arguments, supporters first; one never IN and with no
         # support has a single branch, so it needs no decision
-        free = [i for i in reversed(self.order) if allowed >> i & 1 or not strict >> i & 1 and i in supports]
+        free = [i for i in reversed(self.order) if cand >> i & 1 or not strict >> i & 1 and i in supports]
         k = len(free)
-        if kept is not None:
-            # narrowed[d]: the undecided candidates C of the last node
-            # processed at depth d - 1, the parent of the next node popped
-            # at depth d: between a parent and its not-IN child only the IN
-            # child's subtree is popped, which writes narrowed[d + 1] and
-            # deeper
-            narrowed = [allowed] * (k + 1)
-        stack = [(0, strict, self.strict_attackers)]  # (arguments decided, IN mask, its attackers)
+        stack = [(0, strict, self.strict_attackers, cand)]  # (arguments decided, IN mask, its attackers, C)
         while stack:
-            depth, in_mask, attacking = stack.pop()
+            depth, in_mask, attacking, cand = stack.pop()
             if kept is not None:
-                top = in_mask
-                if depth < k:
-                    allowed = self._narrow(in_mask, attacking, narrowed[depth] & ~attacking)
-                    if allowed is None:
+                if depth < k:  # at a leaf C is empty, and the leaf check decides
+                    cand = self._narrow(in_mask, attacking, cand & ~attacking)
+                    if cand is None:
                         continue
-                    narrowed[depth + 1] = allowed & ~(1 << free[depth])
-                    top |= allowed
-                if any(not top & ~k_in for k_in, _ in kept):
+                if any(not (in_mask | cand) & ~k_in for k_in, _ in kept):
                     continue
             if depth == k:
                 out = self.admissible_out_for(in_mask)
@@ -500,19 +475,16 @@ class _Engine:
                 continue
             i = free[depth]
             bit = 1 << i
+            rest = cand & ~bit
             if i not in supports or supports[i] & ~in_mask:
-                stack.append((depth + 1, in_mask, attacking))
-            if allowed & bit and not (attacking & bit or attackers[i] & (in_mask | bit)):
-                stack.append((depth + 1, in_mask | bit, attacking | attackers[i]))
+                stack.append((depth + 1, in_mask, attacking, rest))
+            if cand & bit and not (attacking & bit or attackers[i] & (in_mask | bit)):
+                stack.append((depth + 1, in_mask | bit, attacking | attackers[i], rest))
 
     def preferred_masks(self) -> list[tuple[int, int]]:
         """The admissible (IN mask, OUT mask) pairs with subset-maximal IN
-        masks, in search order.  The first leaf of
-        :meth:`enumerate_admissible_masks` is maximal, as every admissible
-        strict superset would come before it.  When there is none, or it
-        is :attr:`bound`, which contains every admissible IN-set, that is
-        the answer; otherwise :meth:`_search` with it kept finds the rest,
-        each maximal as found."""
+        masks, in search order, by the preferred search of the module
+        docstring."""
         search = self.enumerate_admissible_masks()
         first = next(search, None)
         search.close()

@@ -42,7 +42,7 @@ from .arguments import TOP_CONSEQUENCE, TOP_DEFEASIBLE, Argument, min_rank, sub_
 from .errors import EvaluationError, ResourceLimitError
 from .formulas import DEFAULT_ATOM_BOUND, And, Formula, Not, Var
 from .framework import IN, OUT, UNDEC, Jsbaf, Labeling
-from .system import ArgumentationSystem
+from .system import ArgumentationSystem, _cached
 
 NAIVE_MAX_ARGS = 12
 
@@ -254,8 +254,9 @@ def c_sub(argument: Argument) -> frozenset[Argument]:
 
 def undercuts(a: Argument, b: Argument, system: ArgumentationSystem) -> bool:
     """a concludes the complement of the name of a defeasible rule applied in b."""
-    names = (system.name_of(bp.rule_id) for bp in sub_args(b) if bp.top_kind == TOP_DEFEASIBLE)
-    return any(name is not None and fm.is_neg_complement(a.conclusion, name) for name in names)
+    names = _cached(system, "_names_cache", lambda: {r.id: r.name for r in system.defeasible_rules})
+    named = (names.get(bp.rule_id) for bp in sub_args(b) if bp.top_kind == TOP_DEFEASIBLE)
+    return any(name is not None and fm.is_neg_complement(a.conclusion, name) for name in named)
 
 
 def gen_rebuts(a: Argument, b: Argument) -> bool:

@@ -74,8 +74,8 @@ class ArgumentationSystem:
     it leaves out get rank 0, and ids of no defeasible rule are dropped.
 
     Systems are immutable, like frameworks (the rule tuples are sorted,
-    ``rank`` is a read-only copy), so what is cached on them (the digest)
-    never goes stale.
+    ``rank`` is a read-only copy), so what is cached on them (the digest,
+    strict closures, the undercut oracle's rule names) never goes stale.
     """
 
     atoms: frozenset[str]
@@ -95,10 +95,6 @@ class ArgumentationSystem:
     @property
     def axioms(self) -> tuple[Formula, ...]:
         return tuple(r.consequent for r in self.strict_rules if r.axiomatic)
-
-    def name_of(self, rule_id: str) -> Formula | None:
-        names = _cached(self, "_names_cache", lambda: {r.id: r.name for r in self.defeasible_rules})
-        return names.get(rule_id)
 
 
 def make_system(

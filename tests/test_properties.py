@@ -28,6 +28,7 @@ from jsbaf.formulas import And, Not, Var, parse_formula
 from jsbaf.system import StrictRule, cl_closure, union_systems
 
 from conftest import big_conj, conj_of_set, random_labeling
+import test_acceptance
 from test_acceptance import corpus6, corpus7
 from test_bench_contract import _load
 from test_cli import _formulas, _system_text
@@ -764,6 +765,28 @@ class TestPreferredCuts:
         assert preferred[0][0] != engine.bound
         assert calls["leaves"] <= 2_917, calls
         assert calls["legal_out"] <= 2_926, calls
+
+
+class TestPlainAndFirstLeafWork:
+    """The plain search (the grounded catalogue and its oracle) and the
+    search to a first leaf (every preferred search, which mostly stops
+    there) on the criterion-5 and criterion-6 corpora, generated afresh so
+    that no search is cached on them from an earlier test.  The work
+    bounds may be tightened, never loosened."""
+
+    @pytest.mark.parametrize(
+        "number, leaves, legal_out",
+        [pytest.param(5, 803, 1_808, id="criterion-5"), pytest.param(6, 204, 520, id="criterion-6")],
+    )
+    def test_work_on_the_acceptance_corpus(self, monkeypatch, number, leaves, legal_out):
+        corpus = f"corpus{number}"
+        fresh = getattr(test_acceptance, corpus).__wrapped__()
+        monkeypatch.setattr(test_acceptance, corpus, lambda: fresh)
+        calls = _count_search_work(monkeypatch)
+        ok, _ = getattr(test_acceptance, f"run_criterion_{number}")()
+        assert ok
+        assert calls["leaves"] <= leaves, calls
+        assert calls["legal_out"] <= legal_out, calls
 
 
 class TestLeafCheck:

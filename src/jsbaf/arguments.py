@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import formulas as fm
-from .errors import InstanceError, ResourceLimitError
+from .errors import ResourceLimitError
 from .formulas import Formula, Not
 from .framework import DEFAULT_MAX_ENUM_ARGS, Jsbaf, _bits, _check_enum_bound, _Engine
 from .system import ArgumentationSystem, DefeasibleRule, StrictRule, _cached
@@ -97,8 +97,7 @@ def build_arguments(
     system: ArgumentationSystem, max_args: int = DEFAULT_MAX_ARGS, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> BuildResult:
     """Close the rule set bottom-up, each derivation (rule, sub-arguments)
-    built once.  Two rules sharing an id are refused by an
-    :class:`InstanceError`, as a derivation is named by its rule's id.
+    built once.
 
     Stops at the least fixpoint or at the first candidate past
     ``max_args`` / ``max_depth``, and then records that bound.  The output
@@ -112,9 +111,6 @@ def build_arguments(
     for rule in system.defeasible_rules:
         rules.append((TOP_DEFEASIBLE, rule))
     rules.sort(key=lambda kr: kr[1].id)
-    for (_, rule), (_, after) in zip(rules, rules[1:]):
-        if rule.id == after.id:
-            raise InstanceError(f"duplicate rule id {rule.id}")
 
     known: dict[tuple, Argument] = {}  # (rule id, sub-arguments) -> argument
     by_conclusion: dict[Formula, list[Argument]] = {}

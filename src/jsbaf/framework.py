@@ -60,8 +60,9 @@ arguments.  Four rules shape it:
   is exact, for admissible and preferred labelings alike, and only C is
   ever tried IN.
 * The node cut.  Past its first leaf, the preferred search repeats that
-  fixpoint at each inner node, on I and its inherited C less the
-  attackers of I, and ends the branch when there is no such J.
+  fixpoint at each inner node below the root (whose C is the fixpoint
+  already), on I and its inherited C less the attackers of I, and ends
+  the branch when there is no such J.
 * The maximality cut.  Past its first leaf, the preferred search also
   ends a branch when I | C lies inside a kept maximal IN-set, as every
   admissible IN-set below the node lies inside I | C.
@@ -178,7 +179,8 @@ class Jsbaf:
     """Arguments, attacks, joint supports and optional preference ranks.
 
     Argument ids are identifier strings, as the text format writes them,
-    and ranks are integers.
+    and ranks are integers (a bool is refused, as the text format could
+    not read it back).
     ``supports`` maps a supported argument to its unique supporting set;
     absence means unsupported, an empty set means supported by nothing
     (a tautology-like argument).  ``rank`` encodes the total preorder:
@@ -216,7 +218,7 @@ class Jsbaf:
         if self.rank is not None:
             rank = {a: self.rank.get(a, 0) for a in args}
             for a, r in rank.items():
-                if not isinstance(r, int):
+                if type(r) is not int:
                     raise InstanceError(f"rank {r!r} of argument {a} is not an integer")
             object.__setattr__(self, "rank", MappingProxyType(rank))
 
@@ -460,7 +462,9 @@ class _Engine:
         while stack:
             depth, in_mask, attacking, cand = stack.pop()
             if kept is not None:
-                if depth < k:  # at a leaf C is empty, and the leaf check decides
+                # the root's C is the bound's fixpoint already, and at a leaf
+                # C is empty and the leaf check decides
+                if 0 < depth < k:
                     cand = self._narrow(in_mask, attacking, cand & ~attacking)
                     if cand is None:
                         continue

@@ -73,9 +73,14 @@ class ArgumentationSystem:
     rule r is at most as preferred as r' iff rank(r) <= rank(r'); rules
     it leaves out get rank 0, and ids of no defeasible rule are dropped.
 
-    Systems are immutable, like frameworks (the rule tuples are sorted,
-    ``rank`` is a read-only copy), so what is cached on them (the digest,
-    strict closures, the undercut oracle's rule names) never goes stale.
+    A system refuses, by an :class:`InstanceError`, what it cannot
+    represent: two rules sharing an id, strict or defeasible, since a
+    derivation, an undercut and a union's side are each named by rule id,
+    and a rank that is not an integer (a bool included), which the text
+    format could not write back.  Systems are immutable, like frameworks
+    (the rule tuples are sorted, ``rank`` is a read-only copy), so what is
+    cached on them (the digest, strict closures, the undercut oracle's
+    rule names) never goes stale.
     """
 
     atoms: frozenset[str]
@@ -86,7 +91,14 @@ class ArgumentationSystem:
 
     def __post_init__(self):
         defeasible = tuple(sorted(self.defeasible_rules, key=lambda r: r.id))
+        ids = [r.id for r in (*self.strict_rules, *defeasible)]
+        if len(set(ids)) < len(ids):
+            ids.sort()
+            raise InstanceError(f"duplicate rule id {next(a for a, b in zip(ids, ids[1:]) if a == b)}")
         rank = {r.id: self.rank.get(r.id, 0) for r in defeasible}
+        for rule_id, r in rank.items():
+            if type(r) is not int:
+                raise InstanceError(f"rank {r!r} of rule {rule_id} is not an integer")
         object.__setattr__(self, "atoms", frozenset(self.atoms))
         object.__setattr__(self, "strict_rules", tuple(sorted(self.strict_rules, key=lambda r: r.id)))
         object.__setattr__(self, "defeasible_rules", defeasible)
@@ -152,7 +164,10 @@ class ValidationReport:
 def validate_system(
     system: ArgumentationSystem, atom_bound: int = fm.DEFAULT_ATOM_BOUND
 ) -> ValidationReport:
-    """Check the system-level invariants and report every violation.
+    """Check the domain restrictions (declared atoms, non-negative ranks,
+    satisfiable axioms, entailment-valid consequence rules, consistency)
+    and report every violation; what the system cannot represent, such as
+    a shared rule id, it refused when it was built.
 
     Consistency means that no two strict arguments conclude complements.
     The conclusions of all strict arguments are exactly the closure of
@@ -160,11 +175,7 @@ def validate_system(
     is exact and builds no argument.
     """
     report = ValidationReport()
-    seen: set[str] = set()
     for rule in system.strict_rules + system.defeasible_rules:
-        if rule.id in seen:
-            report.failures.append(f"duplicate rule id {rule.id}")
-        seen.add(rule.id)
         loose = fm.atoms_of(rule.formulas()) - system.atoms
         if loose:
             report.failures.append(f"rule {rule.id} uses undeclared atoms {sorted(loose)}")
@@ -232,17 +243,13 @@ def union_systems(
     Rank merging: ``raw`` keeps integer ranks, letting equal ranks tie
     across systems; ``interleave`` maps ranks r to 2r and 2r+1 so that no
     two rules from different systems are ever equally preferred.  Both
-    yield total preorders extending the originals.
+    yield total preorders extending the originals.  Sides or cross rules
+    sharing a rule id are refused when the union is built.
     """
     if not systems_syn_disjoint(s1, s2):
         raise InstanceError("systems are not syntactically disjoint")
     if merge not in MERGE_POLICIES:
         raise InstanceError(f"unknown merge policy {merge!r}")
-    ids1 = {r.id for r in s1.strict_rules + s1.defeasible_rules}
-    ids2 = {r.id for r in s2.strict_rules + s2.defeasible_rules}
-    clash = ids1 & ids2 | {r.id for r in cross_rules} & (ids1 | ids2)
-    if clash:
-        raise InstanceError(f"rule id collision in union: {sorted(clash)}")
 
     if merge == "raw":
         rank = s1.rank | s2.rank

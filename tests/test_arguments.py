@@ -7,7 +7,7 @@ from jsbaf import generate as gen
 from jsbaf import naive
 from jsbaf.formulas import And, Not, Var, parse_formula as f
 from jsbaf.errors import InstanceError
-from jsbaf.system import DefeasibleRule, StrictRule, make_system, validate_system
+from jsbaf.system import DefeasibleRule, StrictRule, make_system
 
 from conftest import key_dedup_build
 from test_acceptance import corpus6
@@ -71,20 +71,19 @@ class TestBuild:
 
     def test_duplicate_rule_ids_are_refused(self):
         # a derivation is named by its rule's id, so two rules d1 built
-        # only the first, and preferred_conclusions answered [{p}]
-        system = make_system(
-            atoms=["p", "q"],
-            defeasible=[DefeasibleRule("d1", (), f("p")), DefeasibleRule("d1", (), f("q"))],
-        )
-        assert "duplicate rule id d1" in validate_system(system).failures
-        for build in (ar.build_arguments, ar.preferred_conclusions):
-            with pytest.raises(InstanceError, match="^duplicate rule id d1$"):
-                build(system)
+        # only the first, and preferred_conclusions answered [{p}]; no such
+        # system is built now, so neither can see one
+        with pytest.raises(InstanceError, match="^duplicate rule id d1$"):
+            make_system(
+                atoms=["p", "q"],
+                defeasible=[DefeasibleRule("d1", (), f("p")), DefeasibleRule("d1", (), f("q"))],
+            )
 
 
-def random_rule_system(rng):
-    """A small system with rules of up to two antecedents over three atoms,
-    cycles among them, and now and then two rules sharing an id."""
+def random_rule_parts(rng):
+    """The arguments of ``make_system`` for a small system with rules of up
+    to two antecedents over three atoms, cycles among them, and now and
+    then two rules sharing an id."""
     literals = [Var(name) for name in "pqr"]
     literals += [Not(v) for v in literals]
     formulas = literals + [And(literals[0], literals[1])]
@@ -101,23 +100,17 @@ def random_rule_system(rng):
             strict.append(StrictRule(rule_id, *rule_parts()))
         else:
             defeasible.append(DefeasibleRule(rule_id, *rule_parts()))
-    return make_system(atoms="pqr", axioms=rng.sample(literals, rng.randint(0, 1)), strict=strict, defeasible=defeasible)
+    return dict(atoms="pqr", axioms=rng.sample(literals, rng.randint(0, 1)), strict=strict, defeasible=defeasible)
 
 
 class TestBuildMatchesKeyDedup:
     """Every build, complete or cut by a bound, keeps the arguments, the
     order and the bound of the loop that made an argument for every
     combination and deduplicated by key; a system whose rules share an id
-    is refused."""
+    is refused when it is built."""
 
     @staticmethod
     def assert_same_builds(system):
-        ids = sorted(r.id for r in system.strict_rules + system.defeasible_rules)
-        shared = [a for a, b in zip(ids, ids[1:]) if a == b]
-        if shared:
-            with pytest.raises(InstanceError, match=f"^duplicate rule id {shared[0]}$"):
-                ar.build_arguments(system)
-            return True
         for max_depth in (1, 2, 3):
             full, _ = key_dedup_build(system, max_depth=max_depth)
             for max_args in range(1, len(full) + 2):
@@ -125,7 +118,6 @@ class TestBuildMatchesKeyDedup:
                 keys, bound = key_dedup_build(system, max_args=max_args, max_depth=max_depth)
                 assert [a.key for a in build.arguments] == keys
                 assert build.bound == bound
-        return False
 
     def test_rule_cycle(self):
         self.assert_same_builds(CYCLE)
@@ -136,7 +128,17 @@ class TestBuildMatchesKeyDedup:
 
     def test_random_systems(self):
         rng = random.Random("build-matches-key-dedup")
-        shared = sum(self.assert_same_builds(random_rule_system(rng)) for _ in range(150))
+        shared = 0
+        for _ in range(150):
+            parts = random_rule_parts(rng)
+            ids = sorted(r.id for r in parts["strict"] + parts["defeasible"])
+            repeated = [a for a, b in zip(ids, ids[1:]) if a == b]
+            if repeated:
+                shared += 1
+                with pytest.raises(InstanceError, match=f"^duplicate rule id {repeated[0]}$"):
+                    make_system(**parts)
+            else:
+                self.assert_same_builds(make_system(**parts))
         assert shared > 20, shared
         profile = gen.FuzzProfile(antecedent_count=(0, 2), conjunction_intro=True)
         for _ in range(50):

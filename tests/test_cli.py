@@ -493,6 +493,21 @@ class TestRefusal:
             assert "strict argument a is attacked" in captured.err
             assert captured.out == ""
 
+    def test_shared_rule_id_is_3(self, tmp_path, capsys):
+        # the system refuses it when it is built: validate used to print an
+        # invalid report, and postulates --against a union collision
+        shared = tmp_path / "shared.as"
+        shared.write_text("atom p\natom q\ndefeasible d1: => p\ndefeasible d1: => q\n")
+        left, right = tmp_path / "left.as", tmp_path / "right.as"
+        left.write_text("atom p\ndefeasible d1: => p\n")
+        right.write_text("atom q\ndefeasible d1: => q\n")
+        for argv in (
+            *([command, str(shared)] for command in ("validate", "solve", "translate", "postulates")),
+            ["postulates", str(left), "--against", str(right)],
+        ):
+            assert main(argv) == 3
+            assert capsys.readouterr() == ("", "error: duplicate rule id d1\n")
+
     def test_invalid_second_system_is_3(self, tmp_path, capsys):
         path = tmp_path / "invalid.as"
         path.write_text(INVALID_SYSTEM)

@@ -94,14 +94,17 @@ class TestValidate:
                 Jsbaf(args=args, attacks=frozenset())
 
     def test_non_integer_ranks_are_refused(self):
-        # used to validate as well-formed, then fail with a TypeError in the engine
-        with pytest.raises(InstanceError, match="rank 'x' of argument a is not an integer"):
-            Jsbaf(
-                args=("a", "b", "c"),
-                attacks=frozenset(),
-                supports={"c": frozenset({"a", "b"})},
-                rank={"a": "x", "b": 1},
-            )
+        # "x" used to validate as well-formed, then fail with a TypeError in
+        # the engine; True passed as an int, and format_framework wrote
+        # rank=True, which the parser refuses
+        for bad in ("x", True):
+            with pytest.raises(InstanceError, match=f"rank {bad!r} of argument a is not an integer"):
+                Jsbaf(
+                    args=("a", "b", "c"),
+                    attacks=frozenset(),
+                    supports={"c": frozenset({"a", "b"})},
+                    rank={"a": bad, "b": 1},
+                )
 
     def test_rank_restrictions(self, j1):
         skewed = Jsbaf(

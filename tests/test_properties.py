@@ -748,7 +748,7 @@ class TestPreferredCuts:
                 s1, s2, merge=merge, cross_rules=gen.cross_closure_rules(s1, s2)
             ).verdict == po.PASS
         assert calls["leaves"] <= 10_862, calls
-        assert calls["legal_out"] <= 11_599, calls
+        assert calls["legal_out"] <= 11_587, calls
 
     def test_work_on_a_26_argument_translation(self, monkeypatch):
         # a seed-1 benchmark translate system whose one preferred labeling
@@ -764,7 +764,7 @@ class TestPreferredCuts:
         ]
         assert preferred[0][0] != engine.bound
         assert calls["leaves"] <= 2_917, calls
-        assert calls["legal_out"] <= 2_926, calls
+        assert calls["legal_out"] <= 2_925, calls
 
 
 class TestPlainAndFirstLeafWork:
@@ -776,7 +776,7 @@ class TestPlainAndFirstLeafWork:
 
     @pytest.mark.parametrize(
         "number, leaves, legal_out",
-        [pytest.param(5, 803, 1_808, id="criterion-5"), pytest.param(6, 204, 520, id="criterion-6")],
+        [pytest.param(5, 803, 1_808, id="criterion-5"), pytest.param(6, 204, 515, id="criterion-6")],
     )
     def test_work_on_the_acceptance_corpus(self, monkeypatch, number, leaves, legal_out):
         corpus = f"corpus{number}"

@@ -1,11 +1,13 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from jsbaf.arguments import build_arguments
 from jsbaf.errors import InstanceError
 from jsbaf.formulas import Not, Var, parse_formula as f
+from jsbaf.textio import format_system, parse_system_text
 from jsbaf.system import (
+    MERGE_POLICIES,
     ArgumentationSystem,
     DefeasibleRule,
     StrictRule,
@@ -38,6 +40,53 @@ class TestImmutability:
             system.assume_consequences = True
 
 
+class TestRefusedWhenBuilt:
+    """A system refuses what it cannot represent on every route to one:
+    two rules sharing an id, and a rank that is not an integer."""
+
+    def test_a_strict_and_a_defeasible_rule_sharing_an_id(self):
+        with pytest.raises(InstanceError, match="^duplicate rule id r$"):
+            make_system(
+                atoms=["p"],
+                strict=[StrictRule("r", (f("p"),), f("!!p"))],
+                defeasible=[DefeasibleRule("r", (), f("p"))],
+            )
+
+    def test_the_first_shared_id_in_id_order_is_named(self):
+        rules = [DefeasibleRule(rule_id, (), f("p")) for rule_id in ("e", "b", "e", "c", "b")]
+        with pytest.raises(InstanceError, match="^duplicate rule id b$"):
+            make_system(atoms=["p"], defeasible=rules)
+
+    def test_a_shared_id_from_text_and_from_replace(self):
+        with pytest.raises(InstanceError, match="^duplicate rule id d1$"):
+            parse_system_text("atom p\natom q\ndefeasible d1: => p\ndefeasible d1: => q\n")
+        system = make_system(atoms=["p"], defeasible=[DefeasibleRule("d1", (), f("p"))])
+        with pytest.raises(InstanceError, match="^duplicate rule id d1$"):
+            replace(system, strict_rules=(StrictRule("d1", (f("p"),), f("!!p")),))
+
+    def test_union_cross_rules_sharing_an_id(self):
+        # the union used to accept two cross rules x0; only a later build
+        # refused it
+        s1 = make_system(atoms=["p"], defeasible=[DefeasibleRule("d1", (), f("p"))])
+        s2 = make_system(atoms=["q"], defeasible=[DefeasibleRule("d2", (), f("q"))])
+        both = (StrictRule("x0", (f("p"), f("q")), f("p & q")), StrictRule("x0", (f("q"), f("p")), f("q & p")))
+        with pytest.raises(InstanceError, match="^duplicate rule id x0$"):
+            union_systems(s1, s2, cross_rules=both)
+        with pytest.raises(InstanceError, match="^duplicate rule id d2$"):
+            union_systems(s1, s2, cross_rules=(StrictRule("d2", (f("p"), f("q")), f("p & q")),))
+
+    def test_ranks_that_are_not_integers(self):
+        # a float or bool rank was kept, and format_system wrote [1.5] or
+        # [True], which the parser refuses; a str rank made validate_system
+        # raise TypeError
+        for bad in (1.5, True, "2", None):
+            with pytest.raises(InstanceError, match=f"^rank {bad!r} of rule d is not an integer$"):
+                make_system(atoms=["p"], defeasible=[DefeasibleRule("d", (), f("p"))], rank={"d": bad})
+        kept = make_system(atoms=["p"], defeasible=[DefeasibleRule("d", (), f("p"))], rank={"d": 2, "gone": 1.5})
+        assert dict(kept.rank) == {"d": 2}
+        assert parse_system_text(format_system(kept)) == kept
+
+
 class TestValidate:
     def test_example_system_is_valid(self, as1):
         report = validate_system(as1)
@@ -58,11 +107,12 @@ class TestValidate:
         assert any("not entailment-valid" in msg for msg in report.failures)
 
     def test_duplicate_rule_ids(self):
-        system = make_system(
-            atoms=["p", "q"],
-            defeasible=[DefeasibleRule("d", (), f("p")), DefeasibleRule("d", (), f("q"))],
-        )
-        assert any("duplicate" in msg for msg in validate_system(system).failures)
+        # refused when the system is built, so there is nothing to validate
+        with pytest.raises(InstanceError, match="^duplicate rule id d$"):
+            make_system(
+                atoms=["p", "q"],
+                defeasible=[DefeasibleRule("d", (), f("p")), DefeasibleRule("d", (), f("q"))],
+            )
 
     def test_undeclared_atoms(self):
         system = make_system(atoms=["p"], defeasible=[DefeasibleRule("d", (), f("q"))])
@@ -167,5 +217,6 @@ class TestUnion:
     def test_rule_id_collision_is_an_error(self):
         s1 = make_system(atoms=["p"], defeasible=[DefeasibleRule("d", (), f("p"))])
         s2 = make_system(atoms=["q"], defeasible=[DefeasibleRule("d", (), f("q"))])
-        with pytest.raises(InstanceError):
-            union_systems(s1, s2)
+        for merge in MERGE_POLICIES:
+            with pytest.raises(InstanceError, match="^duplicate rule id d$"):
+                union_systems(s1, s2, merge=merge)

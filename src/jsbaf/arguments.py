@@ -15,14 +15,17 @@ comes after the arguments supporting it: per argument its attackers, per
 supported head its supporting set, the rank classes and the strict mask.
 The engine is made from these masks, and the string-id :class:`Jsbaf`
 only when something reads it.  Its attacks are the defeats defined in
-:mod:`jsbaf.naive`, found from two indexes built in one pass over the
-arguments rather than by testing every ordered pair: formula -> the
-arguments concluding it, which gives each argument its undercutters, and
-formula -> the non-strict arguments with a sub-argument concluding it.
-An argument concluding ``!phi`` may gen-rebut the arguments found in the
-second index under every element of one sequence of
-``conjunction_peels(phi)``; only these candidates get the elitist
-weakest-link test, on minimum ranks.
+:mod:`jsbaf.naive`, found by propagating masks along direct
+sub-arguments rather than by testing every ordered pair.  A pass in
+build order gives each argument its weakest-link rank and its
+undercutters, those of its direct sub-arguments joined with the
+arguments concluding a complement of its own rule's name.  A pass in
+reverse build order gives each argument the mask of the non-strict
+arguments containing it, and so each formula the mask of the non-strict
+arguments with a sub-argument concluding it.  An argument concluding ``!phi`` may
+gen-rebut the arguments in that mask under every element of one
+sequence of ``conjunction_peels(phi)``; only these candidates get the
+elitist weakest-link test, on minimum ranks.
 """
 
 from __future__ import annotations
@@ -45,9 +48,10 @@ TOP_DEFEASIBLE = "defeasible"
 
 
 class Argument:
-    """Immutable derivation tree with precomputed derived data."""
+    """Immutable derivation tree; its sets of defeasible rule ids and of
+    sub-arguments are made on first read."""
 
-    __slots__ = ("rule_id", "subs", "conclusion", "top_kind", "key", "depth", "defeasible_rules", "_sub_set")
+    __slots__ = ("rule_id", "subs", "conclusion", "top_kind", "key", "depth", "_rule_set", "_sub_set")
 
     def __init__(self, rule_id: str, subs: tuple["Argument", ...], conclusion: Formula, top_kind: str):
         self.rule_id = rule_id
@@ -56,11 +60,17 @@ class Argument:
         self.top_kind = top_kind
         self.key = rule_id + "(" + ",".join(s.key for s in subs) + ")"
         self.depth = 1 + max((s.depth for s in subs), default=0)
-        dr = frozenset((rule_id,)) if top_kind == TOP_DEFEASIBLE else frozenset()
-        for s in subs:
-            dr |= s.defeasible_rules
-        self.defeasible_rules = dr
-        self._sub_set = None
+        self._rule_set = self._sub_set = None
+
+    @property
+    def defeasible_rules(self) -> frozenset[str]:
+        """Ids of the defeasible rules applied in the tree, made on first read."""
+        if self._rule_set is None:
+            dr = frozenset((self.rule_id,)) if self.top_kind == TOP_DEFEASIBLE else frozenset()
+            for s in self.subs:
+                dr |= s.defeasible_rules
+            self._rule_set = dr
+        return self._rule_set
 
     def __repr__(self):
         return f"Argument({self.key} : {self.conclusion})"
@@ -145,11 +155,6 @@ def build_arguments(
     return BuildResult(arguments=ordered, bound=bound)
 
 
-def min_rank(a: Argument, system: ArgumentationSystem) -> int | None:
-    """Rank of the weakest defeasible rule used; None means strict (maximal)."""
-    return min((system.rank[r] for r in a.defeasible_rules), default=None)
-
-
 # --- translation into a framework ----------------------------------------
 
 
@@ -215,28 +220,50 @@ def framework_from_system(system: ArgumentationSystem, build: BuildResult | None
     args = build.arguments
     width = max(3, len(str(max(len(args), 1))))
     ids = tuple(f"a{str(i).zfill(width)}" for i in range(len(args)))
-    ranks = [min_rank(a, system) for a in args]
-
-    # formula -> bitmask of the arguments concluding it, and of the
-    # non-strict arguments with a sub-conclusion of it
+    index = {a: i for i, a in enumerate(args)}
+    concluding: dict[Formula, int] = {}  # formula -> the arguments concluding it
+    for i, a in enumerate(args):
+        concluding[a.conclusion] = concluding.get(a.conclusion, 0) | 1 << i
     complements = {}
     for rule in system.defeasible_rules:
         name = rule.name
         if name is not None:
             complements[rule.id] = (Not(name), name.sub) if isinstance(name, Not) else (Not(name),)
-    concluding: dict[Formula, int] = {}
+
+    # sub-arguments first: the weakest-link rank (None: strict) and the undercutters
+    ranks: list[int | None] = []
+    attackers = []
+    supports = {}
     for i, a in enumerate(args):
-        concluding[a.conclusion] = concluding.get(a.conclusion, 0) | 1 << i
-    attackers = [0] * len(args)
+        low, cut, tail = None, 0, 0
+        if a.top_kind == TOP_DEFEASIBLE:
+            low = system.rank[a.rule_id]
+            for key in complements.get(a.rule_id, ()):
+                cut |= concluding.get(key, 0)
+        for sub in a.subs:
+            s = index[sub]
+            cut |= attackers[s]
+            tail |= 1 << s
+            r = ranks[s]
+            if r is not None and (low is None or r < low):
+                low = r
+        if a.top_kind != TOP_DEFEASIBLE:
+            supports[i] = tail
+        ranks.append(low)
+        attackers.append(cut)
+    strict_mask = sum(1 << i for i, r in enumerate(ranks) if r is None)
+
+    # heads first: the non-strict arguments containing each argument, and so
+    # formula -> the non-strict arguments with a sub-argument concluding it
+    containing = [0 if r is None else 1 << i for i, r in enumerate(ranks)]
     rebut_pool: dict[Formula, int] = {}
-    for j, b in enumerate(args):
-        if not b.defeasible_rules:
-            continue
-        for bp in sub_args(b):
-            if bp.top_kind == TOP_DEFEASIBLE:
-                for key in complements.get(bp.rule_id, ()):
-                    attackers[j] |= concluding.get(key, 0)  # undercutters
-            rebut_pool[bp.conclusion] = rebut_pool.get(bp.conclusion, 0) | 1 << j
+    for i in range(len(args) - 1, -1, -1):
+        above = containing[i]
+        if above:
+            a = args[i]
+            for s in a.subs:
+                containing[index[s]] |= above
+            rebut_pool[a.conclusion] = rebut_pool.get(a.conclusion, 0) | above
 
     for i, a in enumerate(args):
         if isinstance(a.conclusion, Not):
@@ -251,15 +278,6 @@ def framework_from_system(system: ArgumentationSystem, build: BuildResult | None
                 if ranks[i] is None or ranks[i] >= ranks[j]:
                     attackers[j] |= 1 << i
 
-    index = {a: i for i, a in enumerate(args)}
-    supports = {}
-    for i, a in enumerate(args):
-        if a.top_kind != TOP_DEFEASIBLE:
-            tail = 0
-            for s in a.subs:
-                tail |= 1 << index[s]
-            supports[i] = tail
-    strict_mask = sum(1 << i for i, r in enumerate(ranks) if r is None)
     rank_index = {r: i for i, r in enumerate(sorted({r for r in ranks if r is not None}))}
     rank = [len(rank_index) if r is None else rank_index[r] for r in ranks]
     return Translation(ids, dict(zip(ids, args)), attackers, supports, rank, strict_mask, build.truncated)
@@ -295,14 +313,15 @@ def complete_translation(
     if build.bound is not None:
         name, value = build.bound
         raise ResourceLimitError(f"argument construction truncated at the {name} bound of {value}", name, value)
-    nonstrict = sum(1 for a in build.arguments if not is_strict(a))
+    translation = framework_from_system(system, build=build)
+    nonstrict = len(translation.ids) - translation.strict_mask.bit_count()
     if max_nonstrict is not None and nonstrict > max_nonstrict:
         raise ResourceLimitError(
             f"{nonstrict} non-strict arguments exceed the labeling budget",
             bound_name="max_nonstrict",
             bound_value=max_nonstrict,
         )
-    return framework_from_system(system, build=build)
+    return translation
 
 
 def side_mask(translation: Translation, system: ArgumentationSystem) -> int:

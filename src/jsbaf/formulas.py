@@ -180,11 +180,10 @@ def is_neg_complement(phi: Formula, psi: Formula) -> bool:
 def complementary_pairs(formulas: Iterable[Formula]):
     """Every pair (phi, psi) of complements among the formulas, each pair
     once, in canonical order."""
-    ordered = sorted(set(formulas), key=formula_key)
-    for i, phi in enumerate(ordered):
-        for psi in ordered[i + 1 :]:
-            if is_neg_complement(phi, psi):
-                yield phi, psi
+    present = set(formulas)
+    pairs = (sorted((f, f.sub), key=formula_key) for f in present if isinstance(f, Not) and f.sub in present)
+    for phi, psi in sorted(pairs, key=lambda pair: (pair[0].key, pair[1].key)):
+        yield phi, psi
 
 
 def conjunction_peels(formula: Formula):

@@ -24,6 +24,7 @@ output.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, replace
 
 from . import formulas as fm
@@ -75,9 +76,10 @@ def saturation_rules(base_formulas, id_prefix: str = "sat") -> tuple[StrictRule,
     return tuple(StrictRule(f"{id_prefix}{i}", (f,), Not(Not(f))) for i, f in enumerate(ordered))
 
 
-def conjunction_intro_rules(left_pool, right_pool, id_prefix: str = "conj") -> tuple[StrictRule, ...]:
+def conjunction_intro_rules(left_pool, right_pool, id_prefix="conj", start=0) -> tuple[StrictRule, ...]:
     """Rules f, g -> f & g for f from the left pool and g from the right,
-    conjuncts in canonical order, distinct formulas only."""
+    conjuncts in canonical order, distinct formulas only, with ids
+    ``<id_prefix><k>`` for k from ``start``."""
     rules = []
     pairs = set()
     for f in sorted(set(left_pool), key=fm.formula_key):
@@ -88,7 +90,7 @@ def conjunction_intro_rules(left_pool, right_pool, id_prefix: str = "conj") -> t
             if (a.key, b.key) in pairs:
                 continue
             pairs.add((a.key, b.key))
-            rules.append(StrictRule(f"{id_prefix}{len(rules)}", (a, b), And(a, b)))
+            rules.append(StrictRule(f"{id_prefix}{start + len(rules)}", (a, b), And(a, b)))
     return tuple(rules)
 
 
@@ -100,8 +102,11 @@ def base_formulas(system: ArgumentationSystem) -> list[Formula]:
 
 
 def cross_closure_rules(s1: ArgumentationSystem, s2: ArgumentationSystem) -> tuple[StrictRule, ...]:
-    """Conjunction introductions across two disjoint systems' base formulas."""
-    return conjunction_intro_rules(base_formulas(s1), base_formulas(s2), id_prefix="x")
+    """Conjunction introductions across two disjoint systems' base formulas,
+    with ids ``x<k>`` numbered past every such id either system uses."""
+    used = (r.id for s in (s1, s2) for r in s.strict_rules + s.defeasible_rules)
+    start = 1 + max((int(i[1:]) for i in used if re.fullmatch("x[0-9]+", i)), default=-1)
+    return conjunction_intro_rules(base_formulas(s1), base_formulas(s2), id_prefix="x", start=start)
 
 
 def generate_system(profile: FuzzProfile, seed=None, rng: random.Random | None = None) -> ArgumentationSystem:

@@ -38,7 +38,7 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from . import formulas as fm
-from .arguments import TOP_CONSEQUENCE, TOP_DEFEASIBLE, Argument, min_rank, sub_args
+from .arguments import TOP_CONSEQUENCE, TOP_DEFEASIBLE, Argument, sub_args
 from .errors import EvaluationError, ResourceLimitError
 from .formulas import DEFAULT_ATOM_BOUND, And, Formula, Not, Var
 from .framework import IN, OUT, UNDEC, Jsbaf, Labeling
@@ -266,6 +266,11 @@ def gen_rebuts(a: Argument, b: Argument) -> bool:
         return False
     targets = frozenset(x.conclusion for x in sub_args(b))
     return any(all(f in targets for f in peel) for peel in fm.conjunction_peels(a.conclusion.sub))
+
+
+def min_rank(a: Argument, system: ArgumentationSystem) -> int | None:
+    """Rank of the weakest defeasible rule used; None means strict (maximal)."""
+    return min((system.rank[r] for r in a.defeasible_rules), default=None)
 
 
 def ewl_leq(a: Argument, b: Argument, system: ArgumentationSystem) -> bool:

@@ -127,7 +127,7 @@ def parse_system_text(text: str) -> ArgumentationSystem:
     unknown = set(names) - {r.id for r in defeasible}
     if unknown:
         raise ParseError(f"name given for unknown defeasible rules {sorted(unknown)}")
-    for rule in strict:
+    for rule in (*strict, *defeasible):
         if rule.id.startswith(AXIOM_ID_PREFIX):
             raise ParseError(f"rule id {rule.id!r} is reserved for axiom lines")
 

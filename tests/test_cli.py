@@ -121,6 +121,16 @@ class TestPostulates:
         assert code == 0
         assert "non_interference: pass" in out
 
+    def test_pair_with_a_rule_named_like_a_cross_rule(self, tmp_path, capsys):
+        # the generated cross rules take no id that a side already uses
+        left, right = tmp_path / "l.as", tmp_path / "r.as"
+        left.write_text("atom p\ndefeasible x0: => p\n")
+        right.write_text("atom q\ndefeasible d2: => q\n")
+        assert main(["postulates", str(left), "--against", str(right)]) == 0
+        assert capsys.readouterr() == (
+            "closure: pass\ndirect_consistency: pass\nindirect_consistency: pass\nnon_interference: pass\n", ""
+        )
+
     def test_failing_pair_is_1(self, tmp_path, capsys):
         left, right = tmp_path / "left.as", tmp_path / "right.as"
         left.write_text(NON_INTERFERENCE_LEFT)

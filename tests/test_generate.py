@@ -6,7 +6,7 @@ from jsbaf import naive
 from jsbaf import textio
 from jsbaf.framework import enumerate_preferred
 from jsbaf.framework import validate_structure
-from jsbaf.system import systems_syn_disjoint, validate_system
+from jsbaf.system import DefeasibleRule, make_system, systems_syn_disjoint, validate_system
 
 
 class TestDeterminism:
@@ -90,3 +90,12 @@ class TestClosureBuilders:
 
         rules = gen.conjunction_intro_rules([f("q")], [f("p")], id_prefix="c")
         assert [str(r.consequent) for r in rules] == ["p & q"]
+
+    def test_cross_rule_ids_are_numbered_past_the_sides_ids(self):
+        from jsbaf.formulas import parse_formula as f
+
+        def side(atom, *ids):
+            return make_system(atoms=[atom], defeasible=[DefeasibleRule(i, (), f(atom)) for i in ids])
+
+        assert [r.id for r in gen.cross_closure_rules(side("p", "d1"), side("q", "d2"))] == ["x0"]
+        assert [r.id for r in gen.cross_closure_rules(side("p", "x0", "x07"), side("q", "x3", "xa9"))] == ["x8"]

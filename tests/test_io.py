@@ -85,6 +85,12 @@ class TestSystemFormat:
         with pytest.raises(ParseError):
             textio.parse_system_text("atom p\nstrict ax_0: p -> p\n")
 
+    def test_reserved_axiom_prefix_on_defeasible_lines(self):
+        # refused as on strict lines, also where the id is that of an axiom line
+        for text in ("atom p\natom q\naxiom p\ndefeasible ax_516b9783: => q\n", "atom q\ndefeasible ax_1: => q\n"):
+            with pytest.raises(ParseError, match="^rule id 'ax_[0-9a-f]+' is reserved for axiom lines$"):
+                textio.parse_system_text(text)
+
     def test_second_name_for_a_rule(self):
         text = "atom p\natom n\natom m\ndefeasible d1[0]: => p\nname d1 = n\nname d1 = m\n"
         with pytest.raises(ParseError, match="second name for rule 'd1'") as excinfo:

@@ -88,6 +88,19 @@ class TestFormulaProperties:
             assert not fm.atoms_of(gamma) & fm.atoms_of(renamed)
             assert fm.satisfiable(list(gamma) + renamed)
 
+    @given(st.lists(st.tuples(formulas(max_leaves=2), st.integers(0, 2)), max_size=8))
+    def test_complementary_pairs_are_the_pairwise_complements(self, drawn):
+        gamma = []
+        for formula, negations in drawn:
+            for _ in range(negations):
+                formula = Not(formula)
+            gamma.append(formula)
+        ordered = sorted(set(gamma), key=fm.formula_key)
+        expected = [
+            (phi, psi) for i, phi in enumerate(ordered) for psi in ordered[i + 1 :] if fm.is_neg_complement(phi, psi)
+        ]
+        assert list(fm.complementary_pairs(gamma)) == expected
+
     @given(atom_names)
     def test_atoms_are_contingent(self, name):
         assert fm.satisfiable([Var(name)])
@@ -301,6 +314,77 @@ class TestIndexedAttacks:
             assert_attacks_are_naive_defeats(system, build)
             sizes.append(len(build.arguments))
         assert 200 <= max(sizes) <= 330  # the top stratum of the corpus
+
+
+def assert_ranks_and_supports_are_naive(system, build):
+    """The translation's rank classes are the dense ranking of the pairwise
+    weakest-link ranks ``naive.min_rank``, strict arguments in the class on
+    top; its strict mask is the arguments applying no defeasible rule; and
+    a head's supporting set is the direct sub-arguments of a strict top
+    rule.  Returns how many non-strict arguments there are."""
+    translation = ar.framework_from_system(system, build=build)
+    args = build.arguments
+    assert [translation.argument_of[i] for i in translation.ids] == list(args)
+    weakest = [naive.min_rank(a, system) for a in args]
+    classes = sorted({r for r in weakest if r is not None})
+    assert translation.rank == [len(classes) if r is None else classes.index(r) for r in weakest]
+    assert translation.strict_mask == sum(1 << i for i, a in enumerate(args) if not a.defeasible_rules)
+    id_of = {a: aid for aid, a in translation.argument_of.items()}
+    assert translation.framework.supports == {
+        id_of[a]: frozenset(id_of[s] for s in a.subs) for a in args if a.top_kind != ar.TOP_DEFEASIBLE
+    }
+    return sum(r is not None for r in weakest)
+
+
+class TestIndexedRanks:
+    """The ranks, strict mask and supports of the translation, propagated
+    along direct sub-arguments, are the pairwise definitions on the
+    acceptance corpora and the benchmark's translate corpus."""
+
+    def test_criterion_6_corpus(self):
+        assert sum(assert_ranks_and_supports_are_naive(system, ar.build_arguments(system)) for system in corpus6())
+
+    def test_criterion_7_corpus(self):
+        budget = po.NonInterferenceBudget()
+        found = 0
+        for index, (s1, s2) in enumerate(corpus7()):
+            merge = "raw" if index % 2 == 0 else "interleave"
+            union = union_systems(s1, s2, merge=merge, cross_rules=gen.cross_closure_rules(s1, s2))
+            for system in (s1, s2, union):
+                build = ar.build_arguments(system, max_args=budget.max_args, max_depth=budget.max_depth)
+                found += assert_ranks_and_supports_are_naive(system, build)
+        assert found
+
+    def test_translate_corpus(self):
+        workloads = _load("workloads")
+        texts = workloads.translate_corpus("1", workloads.WORKLOADS["translate"].size)
+        ranked = 0
+        for text in texts:
+            system = textio.parse_system_text(text)
+            assert_ranks_and_supports_are_naive(system, ar.build_arguments(system))
+            ranked += len(set(system.rank.values())) > 1
+        assert ranked
+
+
+class TestTranslationWork:
+    """Translating reads each argument's direct sub-arguments only: on the
+    seed-1 benchmark translate corpus, loaded as ``TestIndexedAttacks``
+    loads it, no argument's rule-id set or sub-argument set is made."""
+
+    def test_translate_corpus(self):
+        workloads = _load("workloads")
+        texts = workloads.translate_corpus("1", workloads.WORKLOADS["translate"].size)
+        built = 0
+        for text in texts:
+            system = textio.parse_system_text(text)
+            build = ar.build_arguments(system)
+            ar.framework_from_system(system, build=build)
+            assert all(a._rule_set is None and a._sub_set is None for a in build.arguments)
+            built += len(build.arguments)
+        assert built == 6_663
+        # the sets are still made for the readers that ask for them
+        top = build.arguments[-1]
+        assert ar.sub_args(top) is top._sub_set and top.defeasible_rules is top._rule_set
 
 
 def _sub_formulas(formula):

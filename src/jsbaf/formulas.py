@@ -353,6 +353,8 @@ def _split_conj(s: str, memo: dict[str, Formula]) -> Formula | None:
         cuts = _cuts(s, lo, hi)
     if cuts is None:
         return None
+    if not cuts and not lo:  # one unary formula, the whole text
+        return _split_unary(s, memo)
     start = lo
     for stop in cuts[::-1] + [hi]:
         part = s[start:stop].strip(" \t")
@@ -376,7 +378,8 @@ def parse_formula(text: str, line: int | None = None, memo: dict[str, Formula] |
         memo = {}
     f = memo.get(text)
     if f is None:
-        if text.count("(") + text.count("!") <= MAX_FORMULA_DEPTH:  # no nesting can pass the limit
+        # no nesting can pass the limit in a text that short, or with that few ``(`` and ``!``
+        if len(text) <= MAX_FORMULA_DEPTH or text.count("(") + text.count("!") <= MAX_FORMULA_DEPTH:
             s = text.strip(" \t")
             f = (_split_conj if "&" in s else _split_unary)(s, memo)
         if f is None:

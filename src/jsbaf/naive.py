@@ -25,7 +25,9 @@ from a strictly weaker argument.
 Forced-IN and ground-complete labelings of the preference-free grounded
 semantics are here as defined too: each support is checked by scanning
 the admissible catalogue against itself for an extension of every base.
-So are the ADSub and crucial (CSub) sub-argument sets of an argument.
+So are the ADSub and crucial (CSub) sub-argument sets of an argument,
+and the closure of a set of formulas under strict rules, by full passes
+over the rules until nothing changes.
 
 Truth-table entailment and satisfiability are here row by row: each
 formula is evaluated recursively under every total assignment of its
@@ -284,6 +286,18 @@ def defeats(a: Argument, b: Argument, system: ArgumentationSystem) -> bool:
     if undercuts(a, b, system):
         return True
     return gen_rebuts(a, b) and not (ewl_leq(a, b, system) and not ewl_leq(b, a, system))
+
+
+def naive_cl_closure(strict_rules, formulas) -> frozenset[Formula]:
+    """Smallest superset closed under the strict rules: each pass adds the
+    consequent of every rule whose antecedents all hold, until a pass adds
+    nothing."""
+    out = set(formulas)
+    while True:
+        new = {r.consequent for r in strict_rules if all(a in out for a in r.antecedents)} - out
+        if not new:
+            return frozenset(out)
+        out |= new
 
 
 # --- the truth table, row by row -------------------------------------------

@@ -74,13 +74,15 @@ class ArgumentationSystem:
     it leaves out get rank 0, and ids of no defeasible rule are dropped.
 
     A system refuses, by an :class:`InstanceError`, what it cannot
-    represent: two rules sharing an id, strict or defeasible, since a
-    derivation, an undercut and a union's side are each named by rule id,
-    and a rank that is not an integer (a bool included), which the text
-    format could not write back.  Systems are immutable, like frameworks
-    (the rule tuples are sorted, ``rank`` is a read-only copy), so what is
-    cached on them (the digest, strict closures, the undercut oracle's
-    rule names) never goes stale.
+    represent: a rule id that is not an identifier
+    (``[A-Za-z_][A-Za-z0-9_]*``), which a rule line could not carry back;
+    two rules sharing an id, strict or defeasible, since a derivation, an
+    undercut and a union's side are each named by rule id; and a rank that
+    is not an integer (a bool included), which the text format could not
+    write back.  Systems are immutable, like frameworks (the rule tuples
+    are sorted, ``rank`` is a read-only copy), so what is cached on them
+    (the digest, strict closures, the undercut oracle's rule names) never
+    goes stale.
     """
 
     atoms: frozenset[str]
@@ -92,6 +94,9 @@ class ArgumentationSystem:
     def __post_init__(self):
         defeasible = tuple(sorted(self.defeasible_rules, key=lambda r: r.id))
         ids = [r.id for r in (*self.strict_rules, *defeasible)]
+        for rule_id in ids:
+            if not (rule_id.isascii() and rule_id.isidentifier()):
+                raise InstanceError(f"rule id {rule_id!r} is not an identifier")
         if len(set(ids)) < len(ids):
             ids.sort()
             raise InstanceError(f"duplicate rule id {next(a for a, b in zip(ids, ids[1:]) if a == b)}")
@@ -132,16 +137,25 @@ def make_system(
 
 
 def cl_closure(strict_rules, formulas) -> frozenset[Formula]:
-    """Smallest superset closed under the strict rules; rules without
-    antecedents always fire."""
+    """Smallest superset closed under the strict rules, by a worklist:
+    each rule waits on its first antecedent not yet derived and is looked
+    at again only when that formula is derived, so it is looked at no
+    more often than it has antecedents, plus once.  Rules without
+    antecedents always fire.  The full-pass fixpoint of the definition is
+    :func:`jsbaf.naive.naive_cl_closure`."""
     out = set(formulas)
-    changed = True
-    while changed:
-        changed = False
-        for rule in strict_rules:
-            if rule.consequent not in out and all(a in out for a in rule.antecedents):
+    waiting: dict[Formula, list[StrictRule]] = {}
+    todo = list(strict_rules)
+    while todo:
+        rule = todo.pop()
+        for a in rule.antecedents:
+            if a not in out:
+                waiting.setdefault(a, []).append(rule)
+                break
+        else:
+            if rule.consequent not in out:
                 out.add(rule.consequent)
-                changed = True
+                todo += waiting.pop(rule.consequent, ())
     return frozenset(out)
 
 

@@ -12,7 +12,13 @@ System files are line-oriented::
 
 Axiom lines get content-derived rule ids ``ax_<first 8 hex digits of
 the SHA-1 of the formula>`` (see :func:`jsbaf.system.axiom_rule_id`), so
-the prefix ``ax`` is reserved.  Framework files::
+the prefix ``ax`` is reserved.  A system file is read in one loop over
+its lines, which strips ``#`` comments only from a file that has one;
+every formula text is looked up in one memo for the whole file, so each
+distinct text is parsed once.  Names may come before or after their
+rule, so each defeasible rule is built after the loop, with its name;
+an error on a line is reported before any error about names or ids.
+Framework files::
 
     arg <id> [rank=<int>]
     att <attacker> <target>
@@ -26,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
 
 from . import formulas as fm
 from .errors import ParseError
@@ -54,41 +59,24 @@ def _lines(text: str):
             yield lineno, line
 
 
-def _split_rule(body: str, arrow: str, lineno: int, formula):
-    if arrow not in body:
-        raise ParseError(f"expected {arrow!r}", line=lineno)
-    left, right = body.split(arrow, 1)
-    antecedents = tuple(formula(part.strip(), lineno) for part in left.split(",") if part.strip())
-    return antecedents, formula(right.strip(), lineno)
-
-
 def parse_system_text(text: str) -> ArgumentationSystem:
     atoms: set[str] = set()
     axioms: list = []
     strict: list[StrictRule] = []
-    defeasible: list[DefeasibleRule] = []
+    defeasible: list[tuple] = []  # (id, antecedents, consequent), named after the loop
     names: dict[str, tuple[str, int]] = {}
     rank: dict[str, int] = {}
     assume = False
-    parsed: dict[str, fm.Formula] = {}  # formula and sub-formula text -> formula; formulas are immutable
+    memo: dict[str, fm.Formula] = {}  # formula and sub-formula text -> formula; formulas are immutable
+    comments = "#" in text
 
-    def formula(part: str, lineno: int) -> fm.Formula:
-        return parsed.get(part) or parse_formula(part, line=lineno, memo=parsed)
-
-    for lineno, line in _lines(text):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = (line.split("#", 1)[0] if comments else line).strip()
+        if not line:
+            continue
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
-        if keyword == "option":
-            if rest != "assume-consequences":
-                raise ParseError(f"unknown option {rest!r}", line=lineno)
-            assume = True
-        elif keyword == "atom":
-            if not fm.IDENT.fullmatch(rest):
-                raise ParseError(f"expected one atom name, got {rest!r}", line=lineno)
-            atoms.add(rest)
-        elif keyword == "axiom":
-            axioms.append(formula(rest, lineno))
-        elif keyword in ("strict", "defeasible"):
+        if keyword in ("strict", "defeasible"):
             head, _, body = rest.partition(":")
             if not body:
                 raise ParseError("expected ':' after the rule id", line=lineno)
@@ -105,13 +93,24 @@ def parse_system_text(text: str) -> ArgumentationSystem:
                     rule_rank = int(bracket[:-1])
                 except ValueError:
                     raise ParseError("rank must be an integer", line=lineno) from None
+            arrow = "->" if keyword == "strict" else "=>"
+            left, found, right = body.partition(arrow)
+            if not found:
+                raise ParseError(f"expected {arrow!r}", line=lineno)
+            ants = [memo.get(f) or parse_formula(f, lineno, memo) for f in map(str.strip, left.split(",")) if f]
+            right = right.strip()
+            rule = (rule_id, tuple(ants), memo.get(right) or parse_formula(right, lineno, memo))
             if keyword == "strict":
-                antecedents, consequent = _split_rule(body, "->", lineno, formula)
-                strict.append(StrictRule(rule_id, antecedents, consequent))
+                strict.append(StrictRule(*rule))
             else:
-                antecedents, consequent = _split_rule(body, "=>", lineno, formula)
-                defeasible.append(DefeasibleRule(rule_id, antecedents, consequent))
+                defeasible.append(rule)
                 rank[rule_id] = rule_rank
+        elif keyword == "atom":
+            if not fm.IDENT.fullmatch(rest):
+                raise ParseError(f"expected one atom name, got {rest!r}", line=lineno)
+            atoms.add(rest)
+        elif keyword == "axiom":
+            axioms.append(memo.get(rest) or parse_formula(rest, lineno, memo))
         elif keyword == "name":
             rule_id, _, name = rest.partition("=")
             if not name.strip():
@@ -120,14 +119,19 @@ def parse_system_text(text: str) -> ArgumentationSystem:
             if rule_id in names:
                 raise ParseError(f"second name for rule {rule_id!r}", line=lineno)
             names[rule_id] = (name.strip(), lineno)
+        elif keyword == "option":
+            if rest != "assume-consequences":
+                raise ParseError(f"unknown option {rest!r}", line=lineno)
+            assume = True
         else:
             raise ParseError(f"unknown directive {keyword!r}", line=lineno)
 
-    named = [replace(r, name=formula(*names[r.id])) if r.id in names else r for r in defeasible]
-    unknown = set(names) - {r.id for r in defeasible}
+    name_of = {i: parse_formula(*names[i], memo) for i, _, _ in defeasible if i in names}
+    unknown = names.keys() - name_of.keys()
     if unknown:
         raise ParseError(f"name given for unknown defeasible rules {sorted(unknown)}")
-    for rule in (*strict, *defeasible):
+    named = [DefeasibleRule(*rule, name_of.get(rule[0])) for rule in defeasible]
+    for rule in (*strict, *named):
         if rule.id.startswith(AXIOM_ID_PREFIX):
             raise ParseError(f"rule id {rule.id!r} is reserved for axiom lines")
 

@@ -259,6 +259,19 @@ class TestExitCodes:
                 assert main([command, str(path)]) == 3
                 assert error in capsys.readouterr().err
 
+    def test_rule_ids_that_are_not_identifiers_are_3(self, tmp_path, capsys):
+        # each was valid, with the rule id '', '' and 'a b'
+        for text, rule_id in (
+            ("atom p\nstrict : p -> p\n", ""),
+            ("atom p\ndefeasible [1]: => p\n", ""),
+            ("atom p\nstrict a b: p -> p\n", "a b"),
+        ):
+            path = tmp_path / "ids.as"
+            path.write_text(text)
+            for command in ("validate", "solve", "translate", "postulates"):
+                assert main([command, str(path)]) == 3
+                assert capsys.readouterr().err == f"error: rule id {rule_id!r} is not an identifier\n"
+
     def test_resource_error_is_2(self, tmp_path, capsys):
         big = tmp_path / "big.jsbaf"
         big.write_text("".join(f"arg x{i}\n" for i in range(20)))

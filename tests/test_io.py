@@ -103,6 +103,51 @@ class TestSystemFormat:
                 textio.parse_system_text(f"atom p\nstrict s1[{rank}]: p -> !!p\n")
             assert excinfo.value.line == 2
 
+    # (text, message, line): every error of a system file, and which of two
+    # errors is reported, pinned by its whole message
+    PARSE_ERRORS = (
+        ("option foo\n", "unknown option 'foo' (line 1)", 1),
+        ("atom p q\n", "expected one atom name, got 'p q' (line 1)", 1),
+        ("atom p\nstrict s1 p -> p\n", "expected ':' after the rule id (line 2)", 2),
+        ("atom p\nstrict s1:\n", "expected ':' after the rule id (line 2)", 2),
+        ("atom p\nstrict s1[0]: p -> p\n", "strict rules take no rank (line 2)", 2),
+        ("atom p\ndefeasible d1[0: => p\n", "expected ']' after the rank (line 2)", 2),
+        ("atom p\ndefeasible d1[x]: => p\n", "rank must be an integer (line 2)", 2),
+        ("atom p\nstrict s1: p => p\n", "expected '->' (line 2)", 2),
+        ("atom p\ndefeasible d1: p -> p\n", "expected '=>' (line 2)", 2),
+        ("atom p\ndefeasible d1: => p\nname d1\n", "expected '=' and a formula (line 3)", 3),
+        ("atom p\ndefeasible d1: => p\nname d1 = \n", "expected '=' and a formula (line 3)", 3),
+        ("atom p\ndefeasible d1: => p\nname d1 = p\nname d1 = !p\n", "second name for rule 'd1' (line 4)", 4),
+        ("frobnicate p\n", "unknown directive 'frobnicate' (line 1)", 1),
+        ("atom\tp\n", "unknown directive 'atom\\tp' (line 1)", 1),
+        ("atom p\nname d1 = p\n", "name given for unknown defeasible rules ['d1']", None),
+        ("atom p\nstrict ax_0: p -> p\n", "rule id 'ax_0' is reserved for axiom lines", None),
+        ("atom p\naxiom p &\n", "expected a formula (line 2, column 4)", 2),
+        ("atom p\nstrict s1: p, (p -> p\n", "expected ')' (line 2, column 3)", 2),
+        ("atom p\ndefeasible d1: => p )\n", "unexpected ')' (line 2, column 3)", 2),
+        ("atom p\nstrict s1: , -> p\nstrict s2: -> \n", "expected a formula (line 3, column 1)", 3),
+        ("atom p\naxiom " + "!" * 201 + "p\n", "formula nested too deeply (line 2)", 2),
+        ("atom p\ndefeasible d1: => p\nname d1 = p &\n", "expected a formula (line 3, column 4)", 3),
+        # comment and blank lines count
+        ("atom p # note\natom q#\n#only\n\nfrobnicate\n", "unknown directive 'frobnicate' (line 5)", 5),
+        # a line's error comes before any error about names or ids
+        ("atom p\nname d9 = p\nstrict ax_0: p -> p\nfrobnicate\n", "unknown directive 'frobnicate' (line 4)", 4),
+        # names are parsed in the order of their rules' lines, before unknown names are refused
+        ("atom p\ndefeasible d1: => p\ndefeasible d2: => p\nname d2 = )\nname d1 = &\nname d9 = p\n",
+         "expected a formula (line 5, column 1)", 5),
+        ("atom p\ndefeasible d2: => p\ndefeasible d1: => p\nname d2 = &\nname d1 = )\n",
+         "expected a formula (line 4, column 1)", 4),
+        ("atom p\nstrict ax_0: p -> p\nname d9 = p\n", "name given for unknown defeasible rules ['d9']", None),
+        # strict rules are checked for the reserved prefix first
+        ("atom p\ndefeasible ax_1: => p\nstrict ax_0: p -> p\n", "rule id 'ax_0' is reserved for axiom lines", None),
+    )
+
+    def test_every_parse_error_with_its_message_and_line(self):
+        for text, message, line in self.PARSE_ERRORS:
+            with pytest.raises(ParseError) as excinfo:
+                textio.parse_system_text(text)
+            assert (str(excinfo.value), excinfo.value.line) == (message, line), text
+
 
 class TestFrameworkFormat:
     def test_round_trip(self, j1):

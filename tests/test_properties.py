@@ -928,6 +928,43 @@ class TestStrictClosure:
         _strict_conclusions_match_closure(system)
 
 
+# a pool small enough that rules chain: rules with no antecedents, repeated
+# antecedents and a consequent among a rule's own antecedents are all common
+_closure_pool = st.sampled_from([parse_formula(t) for t in ("p", "q", "r", "!p", "!q", "p & q", "!(p & q)")])
+_strict_rule_sets = st.lists(st.tuples(st.lists(_closure_pool, max_size=3), _closure_pool), max_size=8).map(
+    lambda rules: [StrictRule(f"s{i}", tuple(ants), consequent) for i, (ants, consequent) in enumerate(rules)]
+)
+
+
+class TestClosureWorklist:
+    """The worklist closure is the full-pass fixpoint of the definition."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(_strict_rule_sets, st.lists(_closure_pool, max_size=3))
+    def test_random_rule_sets(self, rules, seeds):
+        assert cl_closure(rules, seeds) == naive.naive_cl_closure(rules, seeds)
+
+    def test_shapes(self):
+        p, q, r = (parse_formula(t) for t in "pqr")
+        for rules, seeds, closed in (
+            ([StrictRule("a", (), p), StrictRule("b", (p, p), q)], (), {p, q}),
+            ([StrictRule("a", (p,), p)], (), set()),
+            ([StrictRule("a", (p, q), p), StrictRule("b", (q,), r)], (q,), {q, r}),
+            ([StrictRule("a", (q, p), r), StrictRule("b", (p,), q)], (p,), {p, q, r}),
+        ):
+            assert cl_closure(rules, seeds) == naive.naive_cl_closure(rules, seeds) == closed
+
+    def test_criterion_6_preferred_conclusion_sets(self):
+        compared = grown = 0
+        for system in corpus6():
+            for family in (frozenset(), *ar.preferred_conclusions(system)):
+                closed = cl_closure(system.strict_rules, family)
+                assert closed == naive.naive_cl_closure(system.strict_rules, family)
+                compared += 1
+                grown += closed != family
+        assert (compared, grown) == (403, 95)
+
+
 class TestSemanticInvariants:
     def test_sim_is_admissible_everywhere(self, fuzzed_systems):
         for system in fuzzed_systems:

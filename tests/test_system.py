@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -42,7 +43,31 @@ class TestImmutability:
 
 class TestRefusedWhenBuilt:
     """A system refuses what it cannot represent on every route to one:
-    two rules sharing an id, and a rank that is not an integer."""
+    a rule id that is not an identifier, two rules sharing an id, and a
+    rank that is not an integer."""
+
+    def test_rule_ids_that_are_not_identifiers(self):
+        # a rule line with such an id parsed, validated and printed back as
+        # a line that does not parse to the same id
+        for text, rule_id in (
+            ("atom p\nstrict : p -> p\n", ""),
+            ("atom p\ndefeasible [1]: => p\n", ""),
+            ("atom p\nstrict a b: p -> p\n", "a b"),
+        ):
+            with pytest.raises(InstanceError, match=f"^rule id {rule_id!r} is not an identifier$"):
+                parse_system_text(text)
+        for rule_id in ("1d", "d-1", "d\u00e9", "d\n"):
+            with pytest.raises(InstanceError, match=f"^rule id {re.escape(repr(rule_id))} is not an identifier$"):
+                make_system(atoms=["p"], defeasible=[DefeasibleRule(rule_id, (), f("p"))])
+        system = make_system(atoms=["p"], defeasible=[DefeasibleRule("d1", (), f("p"))])
+        with pytest.raises(InstanceError, match="^rule id 's 1' is not an identifier$"):
+            replace(system, strict_rules=(StrictRule("s 1", (f("p"),), f("!!p")),))
+        s2 = make_system(atoms=["q"], defeasible=[DefeasibleRule("d2", (), f("q"))])
+        with pytest.raises(InstanceError, match="^rule id 'x 0' is not an identifier$"):
+            union_systems(system, s2, cross_rules=(StrictRule("x 0", (f("p"), f("q")), f("p & q")),))
+        # the ids generated for axioms, closures and unions are identifiers
+        kept = make_system(atoms=["p"], axioms=[f("p")], strict=[StrictRule("_s", (f("p"),), f("!!p"))])
+        assert {r.id for r in kept.strict_rules} == {"ax_516b9783", "_s"}
 
     def test_a_strict_and_a_defeasible_rule_sharing_an_id(self):
         with pytest.raises(InstanceError, match="^duplicate rule id r$"):

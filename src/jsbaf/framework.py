@@ -185,12 +185,11 @@ class Jsbaf:
     absence means unsupported, an empty set means supported by nothing
     (a tautology-like argument).  ``rank`` encodes the total preorder:
     a is at most as preferred as b iff rank[a] <= rank[b]; arguments it
-    leaves out get rank 0.  Without ``rank`` the framework is the
-    preference-free view, in which every rank condition is dropped.
+    leaves out get rank 0.  Without ``rank`` no rank condition applies.
 
     Frameworks are immutable (``supports`` and ``rank`` are read-only
     copies), so what is cached on them (support peel with the strict set,
-    engine, admissible masks and labelings) never goes stale.
+    engine with its admissible masks, labelings) never goes stale.
     """
 
     args: tuple[str, ...]
@@ -289,7 +288,9 @@ class _Engine:
     (:attr:`jsbaf.arguments.Translation.engine`), or from another engine by
     :meth:`restrict`; either way the constructor computes the support
     membership and :attr:`bound`, the root cut: strict | C for the root's
-    candidates C, or None when nothing is admissible."""
+    candidates C, or None when nothing is admissible.  ``masks``
+    (:func:`_admissible_masks`) and ``table`` (:mod:`jsbaf.grounded`'s
+    forced-IN table) start as None."""
 
     def __init__(self, ids, order, attackers, supports, rank, strict_mask):
         self.ids = ids
@@ -298,6 +299,10 @@ class _Engine:
         self.attackers = attackers
         self.supports = supports  # head index -> tail mask
         self.rank = rank  # rank per index, or None
+        # every attribute is set here, the root cut included, not added on first
+        # use: adding one to the instance __dict__ later slows every attribute
+        # read (CPython 3.11)
+        self.masks = self.table = None
         self.member_of = member_of = [[] for _ in ids]
         for h in sorted(supports):
             tail = supports[h]
@@ -309,9 +314,6 @@ class _Engine:
         for i in _bits(strict_mask):
             attacking |= attackers[i]
         self.strict_mask, self.strict_attackers = strict_mask, attacking
-        # the root cut, set here rather than cached on first use: a cache that
-        # writes the instance __dict__ slows every later attribute read
-        # (CPython 3.11)
         cand = None if attacking & strict_mask else self._narrow(
             strict_mask, attacking, (1 << self.n) - 1 & ~strict_mask & ~attacking
         )
@@ -575,32 +577,30 @@ def _check_enum_bound(n: int, max_args: int) -> None:
         )
 
 
-def _bounded_engine(framework: Jsbaf, max_args: int) -> _Engine:
-    """The framework's engine, once it is within the enumeration bound."""
-    _check_enum_bound(len(framework.args), max_args)
-    return _engine(framework)
+def _admissible_masks(eng: _Engine, max_args: int) -> list[tuple[int, int]]:
+    """Every admissible (IN mask, OUT mask) in search order, searched once
+    and kept on ``eng``; the bound holds whether or not they are kept."""
+    _check_enum_bound(eng.n, max_args)
+    if eng.masks is None:
+        eng.masks = list(eng.enumerate_admissible_masks())
+    return eng.masks
 
 
-def _admissible_masks(framework: Jsbaf, max_args: int) -> list[tuple[int, int]]:
-    """Every admissible (IN mask, OUT mask) in search order, searched once per
-    framework and cached on it; the bound holds whether or not they are
-    cached already."""
-    eng = _bounded_engine(framework, max_args)
-    return _cached(framework, "_masks_cache", lambda: list(eng.enumerate_admissible_masks()))
+def _labelings(ids: tuple[str, ...], masks) -> list[Labeling]:
+    """The Labelings of (IN mask, OUT mask) pairs over ``ids``, in vector order."""
+    return sorted((Labeling(ids, im, om) for im, om in masks), key=Labeling.vector)
 
 
 def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     """Every admissible labeling in vector order, built once per framework
     from :func:`_admissible_masks` and cached on it."""
-    masks = _admissible_masks(framework, max_args)
-    return _cached(framework, "_catalogue_cache", lambda: sorted(
-        (Labeling(framework.args, im, om) for im, om in masks), key=Labeling.vector
-    ))
+    masks = _admissible_masks(_engine(framework), max_args)
+    return _cached(framework, "_catalogue_cache", lambda: _labelings(framework.args, masks))
 
 
 def enumerate_preferred(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     """The admissible labelings with subset-maximal IN-sets, in the order
     of :func:`enumerate_admissible`: those of the engine's
     :meth:`~_Engine.preferred_masks`, the only masks built into Labelings."""
-    eng = _bounded_engine(framework, max_args)
-    return sorted((Labeling(eng.ids, im, om) for im, om in eng.preferred_masks()), key=Labeling.vector)
+    _check_enum_bound(len(framework.args), max_args)
+    return _labelings(framework.args, _engine(framework).preferred_masks())

@@ -1,12 +1,10 @@
 """Preference-free grounded semantics for joint-support frameworks.
 
-This semantics ignores preference ranks entirely.  It works on the
-preference-free view of a framework: the same :class:`~jsbaf.framework.Jsbaf`
-without ranks (:func:`from_jsbaf`), on which the legality, admissibility
-and SIM functions of :mod:`jsbaf.framework` drop every rank condition.
-Every function defined here takes the view itself, so ranks never count;
+This semantics ignores preference ranks entirely: every function
+defined here works on the framework's rank-free engine (:func:`_table`).
 ``legally_in`` and ``sim_labeling`` are the framework's, re-exported for
-the benchmark, and read the ranks they are given: give them the view.
+the benchmark, and read the ranks they are given: give them
+:func:`from_jsbaf`.
 
 The grounded labeling accepts exactly the arguments one is *forced* to
 accept.  An argument is forced IN w.r.t. a labeling when all its
@@ -30,14 +28,13 @@ forced-IN arguments are picked.
 
 Whether a base labeling extends so depends only on the argument, the
 head and the base, never on the labeling asked about.  So each
-(argument, head) pair is answered once per framework, at its first
-lookup, by the head labels of the catalogue bases that do not extend,
-and forced-IN reads that table: an UNDEC head fails the argument when
-the entry is non-empty, an OUT head when it holds OUT.  Forced-IN is one
+(argument, head) pair is answered once per engine, at its first lookup,
+by the head labels of the catalogue bases that do not extend, and
+forced-IN reads that table: an UNDEC head fails the argument when the
+entry is non-empty, an OUT head when it holds OUT.  Forced-IN is one
 operator on the engine's masks, ``_forced_in``: :func:`fi_set` names its
-mask, and the ground-complete oracle and the construction read it.  Both
-read the view's cached admissible masks; Labelings are built only for
-what is returned.
+mask, and the ground-complete oracle and the construction read it.
+Labelings are built only for what is returned.
 """
 
 from __future__ import annotations
@@ -52,11 +49,11 @@ from .framework import (  # legally_in and sim_labeling are the framework's, re-
     Labeling,
     _admissible_masks,
     _bits,
-    _check_enum_bound,
     _covering,
     _engine,
+    _Engine,
+    _labelings,
     _position,
-    enumerate_admissible,
     legally_in,
     sim_labeling,
 )
@@ -64,60 +61,51 @@ from .system import _cached
 
 
 def from_jsbaf(framework: Jsbaf) -> Jsbaf:
-    """The preference-free view: the same graph without ranks, built once.
-    Its fields are the ranked framework's, checked when that was built, so
-    the view skips ``__post_init__``; it starts with none of its caches."""
+    """The same graph without ranks.  Its fields are the ranked framework's,
+    checked when that was built, so ``__post_init__`` is skipped."""
     if framework.rank is None:
         return framework
-
-    def view():
-        g = object.__new__(Jsbaf)
-        for name in ("args", "attacks", "supports"):
-            object.__setattr__(g, name, getattr(framework, name))
-        object.__setattr__(g, "rank", None)
-        return g
-
-    return _cached(framework, "_view_cache", view)
+    g = object.__new__(Jsbaf)
+    for name in ("args", "attacks", "supports"):
+        object.__setattr__(g, name, getattr(framework, name))
+    object.__setattr__(g, "rank", None)
+    return g
 
 
 class _Table:
-    """What forced-IN reads of one view, cached on it.  It keeps no
-    reference to the view: the cycle would hold both until a collection.
+    """What forced-IN reads of one rank-free engine, kept as its ``table``
+    (with no reference back, which would make a cycle).
 
     Per argument, from the engine's support lists: ``down``, the mask of
     the argument and its support children, and ``reach``, their
     attackers; a support with head h is safe when ``reach[h]`` is all
     OUT.  Per (argument i, head h), filled at its first lookup: the labels
     of h in the catalogue bases that no catalogue labeling extends with
-    h's label kept and i legally IN.  The catalogue is the view's admissible
-    masks; an admissible OUT-set is ``legal_out`` of its IN-set, which grows
-    with it, so a labeling extends a base when its IN-set holds the base's."""
+    h's label kept and i legally IN.  The catalogue is the engine's
+    admissible masks; an admissible OUT-set is ``legal_out`` of its IN-set,
+    which grows with it, so a labeling extends a base when its IN-set holds
+    the base's."""
 
-    def __init__(self, g: Jsbaf):
-        self.eng = _engine(g)
-        self.down, self.reach = [0] * self.eng.n, [0] * self.eng.n
-        for i in self.eng.order:  # heads before their supporters
-            self.down[i], self.reach[i] = 1 << i, self.eng.attackers[i]
-            for h, _ in self.eng.member_of[i]:
+    def __init__(self, eng: _Engine):
+        self.down, self.reach = [0] * eng.n, [0] * eng.n
+        for i in eng.order:  # heads before their supporters
+            self.down[i], self.reach[i] = 1 << i, eng.attackers[i]
+            for h, _ in eng.member_of[i]:
                 self.down[i] |= self.down[h]
                 self.reach[i] |= self.reach[h]
-        self.catalogue = self.extended = None  # catalogue masks; per base, the labelings extending it
+        self.extended = None  # per catalogue base, the catalogue labelings extending it
         self.entries: dict[tuple[int, int], set[str]] = {}
 
-    def unextendable(self, g: Jsbaf, i: int, h: int, max_args: int) -> set[str]:
-        _check_enum_bound(len(g.args), max_args)
+    def unextendable(self, eng: _Engine, i: int, h: int, max_args: int) -> set[str]:
+        cat = _admissible_masks(eng, max_args)
         entry = self.entries.get((i, h))
         if entry is None:
-            if self.catalogue is None:
-                cat = _admissible_masks(g, max_args)
+            if self.extended is None:
                 self.extended = [sum(1 << c for c, (ci, _) in enumerate(cat) if not bi & ~ci) for bi, _ in cat]
-                self.catalogue = cat
-            cat, bit = self.catalogue, 1 << h
+            bit = 1 << h
             # i is legally IN where an admissible labeling has it IN; an extension
             # keeps an IN or OUT head as it is, and an UNDEC one must stay UNDEC
-            legal = sum(
-                1 << c for c, (ci, co) in enumerate(cat) if ci >> i & 1 or self.eng.legally_in(i, ci, co)
-            )
+            legal = sum(1 << c for c, (ci, co) in enumerate(cat) if ci >> i & 1 or eng.legally_in(i, ci, co))
             undec = sum(1 << c for c, (ci, co) in enumerate(cat) if not (ci | co) & bit)
             entry = self.entries[i, h] = {
                 IN if bi & bit else OUT if bo & bit else UNDEC
@@ -127,16 +115,25 @@ class _Table:
         return entry
 
 
-def _table(g: Jsbaf) -> tuple[Jsbaf, _Table]:
-    g = from_jsbaf(g)
-    return g, _cached(g, "_table_cache", lambda: _Table(g))
+def _table(g: Jsbaf) -> tuple[_Engine, _Table]:
+    """The rank-free engine of ``g`` and its forced-IN table: for a ranked
+    ``g``, the ranked engine's lists with ``rank`` None, built once and kept
+    on ``g``, since ranks change only ``member_of`` and ``bound``."""
+    eng = _engine(g)
+    if eng.rank is not None:
+        ranked = eng
+        eng = _cached(g, "_free_engine_cache", lambda: _Engine(
+            ranked.ids, ranked.order, ranked.attackers, ranked.supports, None, ranked.strict_mask))
+    if eng.table is None:
+        eng.table = _Table(eng)
+    return eng, eng.table
 
 
 def support_children(g: Jsbaf, arg: str) -> frozenset[str]:
     """Arguments reachable from ``arg`` along support paths."""
-    _, table = _table(g)
-    i = _position(table.eng.ids, arg)
-    return frozenset(a for j, a in enumerate(table.eng.ids) if (table.down[i] ^ 1 << i) >> j & 1)
+    eng, table = _table(g)
+    i = _position(eng.ids, arg)
+    return frozenset(a for j, a in enumerate(eng.ids) if (table.down[i] ^ 1 << i) >> j & 1)
 
 
 def more_informative(label: str, than: str) -> bool:
@@ -145,22 +142,22 @@ def more_informative(label: str, than: str) -> bool:
 
 
 def admissible_catalogue(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
-    """All admissible labelings of the preference-free view, built from its
-    cached masks and cached on it."""
-    return enumerate_admissible(from_jsbaf(g), max_args)
+    """All admissible labelings of ``g`` without ranks, in vector order."""
+    eng, _ = _table(g)
+    return _labelings(eng.ids, _admissible_masks(eng, max_args))
 
 
-def _forced_in(g: Jsbaf, table: _Table, in_mask: int, out_mask: int, max_args: int) -> int:
+def _forced_in(eng: _Engine, table: _Table, in_mask: int, out_mask: int, max_args: int) -> int:
     """The mask of the arguments forced IN: their attackers are OUT, and
     each support they are in has its head IN, is safe, or passes the table."""
-    eng, forced = table.eng, 0
+    forced = 0
     for i in range(eng.n):
         if eng.attackers[i] & ~out_mask:
             continue
         for h, _ in eng.member_of[i]:
             if in_mask >> h & 1 or not table.reach[h] & ~out_mask:
                 continue
-            unextendable = table.unextendable(g, i, h, max_args)
+            unextendable = table.unextendable(eng, i, h, max_args)
             if OUT in unextendable if out_mask >> h & 1 else unextendable:
                 break
         else:
@@ -169,19 +166,18 @@ def _forced_in(g: Jsbaf, table: _Table, in_mask: int, out_mask: int, max_args: i
 
 
 def fi_set(g: Jsbaf, labeling: Labeling, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> frozenset[str]:
-    g, table = _table(g)
+    eng, table = _table(g)
     _covering(g, labeling)
-    return labeling._names(_forced_in(g, table, labeling.in_mask, labeling.out_mask, max_args))
+    return labeling._names(_forced_in(eng, table, labeling.in_mask, labeling.out_mask, max_args))
 
 
 def enumerate_ground_complete(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
-    """The ground-complete labelings in vector order: the view's admissible
-    masks that hold every argument forced IN, the only ones built into
-    Labelings."""
-    masks = _admissible_masks(from_jsbaf(g), max_args)
-    g, table = _table(g)
-    complete = [(im, om) for im, om in masks if not _forced_in(g, table, im, om, max_args) & ~im]
-    return sorted((Labeling(g.args, im, om) for im, om in complete), key=Labeling.vector)
+    """The ground-complete labelings in vector order: the admissible masks
+    that hold every argument forced IN, the only ones built into Labelings."""
+    eng, table = _table(g)
+    masks = _admissible_masks(eng, max_args)
+    complete = [(im, om) for im, om in masks if not _forced_in(eng, table, im, om, max_args) & ~im]
+    return _labelings(eng.ids, complete)
 
 
 def grounded_construction(
@@ -199,14 +195,13 @@ def grounded_construction(
     order; the default takes the first.  The final labeling is the same
     for every choice function.  Only ``trace`` and the result get Labelings.
     """
-    g, table = _table(g)
-    eng = table.eng
+    eng, table = _table(g)
     in_mask = eng.strict_mask
     while True:
         out_mask = eng.legal_out(in_mask)
         if trace is not None:
             trace.append(Labeling(eng.ids, in_mask, out_mask))
-        candidates = [eng.ids[i] for i in _bits(_forced_in(g, table, in_mask, out_mask, max_args) & ~in_mask)]
+        candidates = [eng.ids[i] for i in _bits(_forced_in(eng, table, in_mask, out_mask, max_args) & ~in_mask)]
         if not candidates:
             return Labeling(eng.ids, in_mask, out_mask)
         chosen = candidates[0] if pick is None else pick(candidates)

@@ -24,8 +24,9 @@ Framework files::
     att <attacker> <target>
     sup <id> <- <id>,...,<id>     # empty right side = supported by {}
 
-Both printers emit a canonical form (sorted lines); parse(print(x)) is
-the identity on the parsed representation.
+Both formats refuse an empty item in a list (``p,, q``).  Both printers
+emit a canonical form (sorted lines); parse(print(x)) is the identity on
+the parsed representation.
 """
 
 from __future__ import annotations
@@ -97,7 +98,9 @@ def parse_system_text(text: str) -> ArgumentationSystem:
             left, found, right = body.partition(arrow)
             if not found:
                 raise ParseError(f"expected {arrow!r}", line=lineno)
-            ants = [memo.get(f) or parse_formula(f, lineno, memo) for f in map(str.strip, left.split(",")) if f]
+            # an empty list is no antecedent, as the printer writes it; an empty item is no formula
+            items = left.split(",") if left.strip() else ()
+            ants = [memo.get(f) or parse_formula(f, lineno, memo) for f in map(str.strip, items)]
             right = right.strip()
             rule = (rule_id, tuple(ants), memo.get(right) or parse_formula(right, lineno, memo))
             if keyword == "strict":
@@ -204,9 +207,10 @@ def parse_framework_text(text: str) -> Jsbaf:
                 raise ParseError(f"expected one supported argument name, got {head!r}", line=lineno)
             if head in supports:
                 raise ParseError(f"second supporting set for {head!r}", line=lineno)
-            supports[head] = frozenset(
-                part.strip() for part in tail.split(",") if part.strip()
-            )
+            names = [part.strip() for part in tail.split(",")] if tail.strip() else []
+            if "" in names:
+                raise ParseError("expected an argument name, got ''", line=lineno)
+            supports[head] = frozenset(names)
         else:
             raise ParseError(f"unknown directive {keyword!r}", line=lineno)
 

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
+import jsbaf.arguments as ar
 import jsbaf.framework as fw
 import jsbaf.generate as gen
 import jsbaf.grounded as gr
 import jsbaf.naive as naive
+from jsbaf import textio
 from jsbaf.errors import InstanceError, ResourceLimitError
 from jsbaf.framework import IN, OUT, UNDEC, Jsbaf, Labeling
 
-from conftest import labeling_of
+from conftest import INSTANCES, labeling_of
 
 
 @pytest.fixture(scope="module")
@@ -52,11 +54,11 @@ class TestFromJsbaf:
         assert j1.rank is not None
         assert g1.rank is None
         assert gr.from_jsbaf(g1) is g1
-        assert gr.from_jsbaf(j1) is g1
+        assert gr.from_jsbaf(j1) == g1
 
     def test_view_reuses_the_checked_fields_and_no_cache(self, monkeypatch):
         # b is above a, so the ranked engine lists the support of c under a
-        # alone; the view's must list it under both, as a fresh rank-free one
+        # alone; the rank-free engine must list it under both, as a fresh one
         ranked = Jsbaf(
             args=("a", "b", "c", "d"),
             attacks=frozenset({("d", "a"), ("c", "d")}),
@@ -64,7 +66,6 @@ class TestFromJsbaf:
             rank={"a": 0, "b": 1, "c": 0, "d": 1},
         )
         ranked_engine = fw._engine(ranked)
-        fw._support_walk(ranked)
         runs = [0]
         post_init = Jsbaf.__post_init__
 
@@ -77,12 +78,38 @@ class TestFromJsbaf:
         assert runs[0] == 0
         assert view.rank is None
         assert set(vars(view)) == {"args", "attacks", "supports", "rank"}
+        assert gr.from_jsbaf(ranked) is not view  # built anew, not cached
         plain = Jsbaf(args=ranked.args, attacks=ranked.attacks, supports=ranked.supports)
         assert view == plain
-        mine, fresh = fw._engine(view), fw._engine(plain)
-        assert mine is not ranked_engine and mine.member_of != ranked_engine.member_of
-        for name in ("attackers", "member_of", "strict_mask", "bound"):
-            assert getattr(mine, name) == getattr(fresh, name)
+        free, fresh = gr._table(ranked)[0], fw._Engine.of(plain)
+        assert free is not ranked_engine and free.member_of != ranked_engine.member_of
+        assert free.rank is None and gr._table(ranked)[0] is free
+        for name in ("attackers", "member_of", "strict_mask", "bound", "order"):
+            assert getattr(free, name) == getattr(fresh, name)
+
+    def test_one_support_walk_and_one_engine_for_a_ranked_framework(self, monkeypatch):
+        # as the CLI does: the rank-free validation, then the grounded oracle
+        framework = textio.parse_instance(str(INSTANCES / "j1.jsbaf"))
+        assert framework.rank is not None
+        walks, built = [], []
+        walk, of = fw._support_walk, fw._Engine.of.__func__
+
+        def counted_walk(f):
+            if "_walk_cache" not in vars(f):
+                walks.append(f)
+            return walk(f)
+
+        def counted_of(cls, f):
+            built.append(f)
+            return of(cls, f)
+
+        monkeypatch.setattr(fw, "_support_walk", counted_walk)
+        monkeypatch.setattr(fw._Engine, "of", classmethod(counted_of))
+        assert fw.validate_structure(framework).ok
+        gr.grounded_labeling(framework, oracle=True)
+        assert len(walks) == 1 and walks[0] is framework
+        assert len(built) == 1 and built[0] is framework
+        assert not {"_view_cache", "_masks_cache", "_table_cache"} & set(vars(framework))
 
     def test_ranks_and_call_order_do_not_matter(self):
         # the ranked engine cached by the preference-aware enumerator must
@@ -96,6 +123,17 @@ class TestFromJsbaf:
             expected = gr.grounded_labeling(gr.from_jsbaf(ranked))
             assert gr.grounded_labeling(ranked) == expected
             assert gr.grounded_labeling(g) == expected
+
+    def test_ranks_are_ignored_on_translations(self):
+        # the criterion-6 translations, against their graphs rebuilt without ranks
+        from test_acceptance import corpus6
+
+        for system in corpus6():
+            ranked = ar.framework_from_system(system).framework
+            plain = Jsbaf(args=ranked.args, attacks=ranked.attacks, supports=ranked.supports)
+            labeling = gr.grounded_labeling(ranked, oracle=True)
+            assert labeling == gr.grounded_labeling(plain)
+            assert naive.naive_is_admissible(plain, labeling, use_ranks=False)
 
 
 class TestLegality:
@@ -142,8 +180,8 @@ def fresh(g):
 
 def table_entries(g):
     """The (argument, head) pairs of the forced-IN table read so far."""
-    table = gr._table(g)[1]
-    return {(table.eng.ids[i], table.eng.ids[h]) for i, h in table.entries}
+    eng, table = gr._table(g)
+    return {(eng.ids[i], eng.ids[h]) for i, h in table.entries}
 
 
 class TestSafeSupports:
@@ -263,11 +301,14 @@ class TestGroundedOracle:
         gr.admissible_catalogue(g)
         gr.grounded_labeling(g, oracle=True)
         assert calls[0] == 1
-        # a ranked framework and its view keep their own labelings
+        # a ranked framework searches once on its rank-free engine, and once
+        # more on its ranked one; a view of it is a new framework
         ranked = Jsbaf(args=j1.args, attacks=j1.attacks, supports=j1.supports, rank=j1.rank)
-        assert gr.admissible_catalogue(ranked) is fw.enumerate_admissible(gr.from_jsbaf(ranked))
-        assert fw.enumerate_admissible(ranked) is not gr.admissible_catalogue(ranked)
-        assert calls[0] == 3
+        catalogue = gr.admissible_catalogue(ranked)
+        gr.grounded_labeling(ranked, oracle=True)
+        assert gr.admissible_catalogue(ranked) == catalogue and calls[0] == 2
+        assert fw.enumerate_admissible(ranked) == catalogue and calls[0] == 3
+        assert fw.enumerate_admissible(gr.from_jsbaf(ranked)) == catalogue and calls[0] == 4
 
     def test_oracle_refuses_a_construction_that_is_not_the_unique_minimum(self, monkeypatch):
         # a and b attack each other: all UNDEC is the grounded labeling, and

@@ -42,6 +42,11 @@ class TestSystemFormat:
         (d1,) = system.defeasible_rules
         assert all(f is axiom for f in (*s1.formulas(), d1.antecedents[0], d1.consequent, d1.name))
 
+    def test_empty_antecedent_lists_print_back(self):
+        # an empty list is valid, as the printer writes it; an empty item is not
+        text = "atom p\nstrict s1:  -> p\ndefeasible d1[0]:  => p\n"
+        assert textio.format_system(textio.parse_system_text(text)) == text
+
     def test_equal_sub_formula_texts_are_one_object(self):
         """A sub-formula text met again anywhere in the file, alone or
         inside a larger formula, is the formula object built the first time."""
@@ -125,7 +130,8 @@ class TestSystemFormat:
         ("atom p\naxiom p &\n", "expected a formula (line 2, column 4)", 2),
         ("atom p\nstrict s1: p, (p -> p\n", "expected ')' (line 2, column 3)", 2),
         ("atom p\ndefeasible d1: => p )\n", "unexpected ')' (line 2, column 3)", 2),
-        ("atom p\nstrict s1: , -> p\nstrict s2: -> \n", "expected a formula (line 3, column 1)", 3),
+        ("atom p\nstrict s1: , -> p\nstrict s2: -> \n", "expected a formula (line 2, column 1)", 2),
+        ("atom p\natom q\natom r\ndefeasible d1: p,, q, => r\n", "expected a formula (line 4, column 1)", 4),
         ("atom p\naxiom " + "!" * 201 + "p\n", "formula nested too deeply (line 2)", 2),
         ("atom p\ndefeasible d1: => p\nname d1 = p &\n", "expected a formula (line 3, column 4)", 3),
         # comment and blank lines count
@@ -173,6 +179,12 @@ class TestFrameworkFormat:
     def test_empty_support_side(self):
         framework = textio.parse_framework_text("arg a\nsup a <- \n")
         assert framework.supports["a"] == frozenset()
+
+    def test_empty_support_items_are_refused(self):
+        for text, line in (("arg a\narg b\narg c\nsup c <- a,,b\n", 4), ("arg c\nsup c <- ,\n", 2)):
+            with pytest.raises(ParseError) as excinfo:
+                textio.parse_framework_text(text)
+            assert (str(excinfo.value), excinfo.value.line) == (f"expected an argument name, got '' (line {line})", line)
 
     def test_duplicate_argument(self):
         with pytest.raises(ParseError):

@@ -293,10 +293,12 @@ def _fuzz_trial(checks, rng, options):
 
 def postulate_fails_on(system, postulate, **bounds) -> bool:
     """Replay helper: does any preferred conclusion set of the system
-    fail the given postulate?  Used for repro dumps and their shrinking."""
+    fail the given postulate?  Only that postulate's check family runs.
+    Used for repro dumps and their shrinking."""
+    checks = ("closure",) if postulate == "closure" else ("consistency",)
     return any(
         report.postulate == postulate and report.verdict == postulates.FAIL
-        for report in postulates.conclusion_reports(system, **bounds)
+        for report in postulates.conclusion_reports(system, checks, **bounds)
     )
 
 

@@ -188,8 +188,8 @@ class Jsbaf:
     leaves out get rank 0.  Without ``rank`` no rank condition applies.
 
     Frameworks are immutable (``supports`` and ``rank`` are read-only
-    copies), so what is cached on them (support peel with the strict set,
-    engine with its admissible masks, labelings) never goes stale.
+    copies), so the two values kept on them, the support peel and the
+    engine (which keeps whatever is derived from it), never go stale.
     """
 
     args: tuple[str, ...]
@@ -289,8 +289,8 @@ class _Engine:
     :meth:`restrict`; either way the constructor computes the support
     membership and :attr:`bound`, the root cut: strict | C for the root's
     candidates C, or None when nothing is admissible.  ``masks``
-    (:func:`_admissible_masks`) and ``table`` (:mod:`jsbaf.grounded`'s
-    forced-IN table) start as None."""
+    (:func:`_admissible_masks`), and :mod:`jsbaf.grounded`'s forced-IN
+    ``table`` and rank-free twin ``free``, start as None."""
 
     def __init__(self, ids, order, attackers, supports, rank, strict_mask):
         self.ids = ids
@@ -302,7 +302,7 @@ class _Engine:
         # every attribute is set here, the root cut included, not added on first
         # use: adding one to the instance __dict__ later slows every attribute
         # read (CPython 3.11)
-        self.masks = self.table = None
+        self.masks = self.table = self.free = None
         self.member_of = member_of = [[] for _ in ids]
         for h in sorted(supports):
             tail = supports[h]
@@ -398,10 +398,8 @@ class _Engine:
 
     def admissible_out_for(self, in_mask: int) -> int | None:
         """OUT mask completing ``in_mask`` to an admissible labeling, or
-        None, by the admissibility definition alone.  Conflict-freeness
-        needs no test: an IN argument with an IN attacker is legally OUT.
-        Nor does closure: a fully IN supporting set with a head not IN has
-        a least-preferred member not legally IN, or is empty (strict head)."""
+        None, by the admissibility definition alone (see the module
+        docstring for why conflict-freeness and closure need no test)."""
         if self.strict_mask & ~in_mask:
             return None
         out = self.legal_out(in_mask)
@@ -592,15 +590,16 @@ def _labelings(ids: tuple[str, ...], masks) -> list[Labeling]:
 
 
 def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
-    """Every admissible labeling in vector order, built once per framework
-    from :func:`_admissible_masks` and cached on it."""
-    masks = _admissible_masks(_engine(framework), max_args)
-    return _cached(framework, "_catalogue_cache", lambda: _labelings(framework.args, masks))
+    """Every admissible labeling in vector order, from the engine's
+    admissible masks (:func:`_admissible_masks`)."""
+    return _labelings(framework.args, _admissible_masks(_engine(framework), max_args))
 
 
 def enumerate_preferred(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     """The admissible labelings with subset-maximal IN-sets, in the order
     of :func:`enumerate_admissible`: those of the engine's
-    :meth:`~_Engine.preferred_masks`, the only masks built into Labelings."""
-    _check_enum_bound(len(framework.args), max_args)
-    return _labelings(framework.args, _engine(framework).preferred_masks())
+    :meth:`~_Engine.preferred_masks`, the only masks built into Labelings.
+    The engine is built first, so a support cycle is refused before the bound."""
+    eng = _engine(framework)
+    _check_enum_bound(eng.n, max_args)
+    return _labelings(eng.ids, eng.preferred_masks())

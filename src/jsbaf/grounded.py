@@ -57,7 +57,6 @@ from .framework import (  # legally_in and sim_labeling are the framework's, re-
     legally_in,
     sim_labeling,
 )
-from .system import _cached
 
 
 def from_jsbaf(framework: Jsbaf) -> Jsbaf:
@@ -115,25 +114,24 @@ class _Table:
         return entry
 
 
-def _table(g: Jsbaf) -> tuple[_Engine, _Table]:
-    """The rank-free engine of ``g`` and its forced-IN table: for a ranked
-    ``g``, the ranked engine's lists with ``rank`` None, built once and kept
-    on ``g``, since ranks change only ``member_of`` and ``bound``."""
+def _table(g: Jsbaf) -> _Engine:
+    """The rank-free engine of ``g``, with its forced-IN ``table`` made:
+    for a ranked ``g``, the ranked engine's ``free``, its lists with
+    ``rank`` None, since ranks change only ``member_of`` and ``bound``."""
     eng = _engine(g)
-    if eng.rank is not None:
-        ranked = eng
-        eng = _cached(g, "_free_engine_cache", lambda: _Engine(
-            ranked.ids, ranked.order, ranked.attackers, ranked.supports, None, ranked.strict_mask))
+    if eng.rank is not None and eng.free is None:
+        eng.free = _Engine(eng.ids, eng.order, eng.attackers, eng.supports, None, eng.strict_mask)
+    eng = eng.free or eng
     if eng.table is None:
         eng.table = _Table(eng)
-    return eng, eng.table
+    return eng
 
 
 def support_children(g: Jsbaf, arg: str) -> frozenset[str]:
     """Arguments reachable from ``arg`` along support paths."""
-    eng, table = _table(g)
+    eng = _table(g)
     i = _position(eng.ids, arg)
-    return frozenset(a for j, a in enumerate(eng.ids) if (table.down[i] ^ 1 << i) >> j & 1)
+    return frozenset(a for j, a in enumerate(eng.ids) if (eng.table.down[i] ^ 1 << i) >> j & 1)
 
 
 def more_informative(label: str, than: str) -> bool:
@@ -143,13 +141,14 @@ def more_informative(label: str, than: str) -> bool:
 
 def admissible_catalogue(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     """All admissible labelings of ``g`` without ranks, in vector order."""
-    eng, _ = _table(g)
+    eng = _table(g)
     return _labelings(eng.ids, _admissible_masks(eng, max_args))
 
 
-def _forced_in(eng: _Engine, table: _Table, in_mask: int, out_mask: int, max_args: int) -> int:
+def _forced_in(eng: _Engine, in_mask: int, out_mask: int, max_args: int) -> int:
     """The mask of the arguments forced IN: their attackers are OUT, and
-    each support they are in has its head IN, is safe, or passes the table."""
+    each support they are in has its head IN, is safe, or passes ``eng.table``."""
+    table = eng.table
     forced = 0
     for i in range(eng.n):
         if eng.attackers[i] & ~out_mask:
@@ -166,17 +165,17 @@ def _forced_in(eng: _Engine, table: _Table, in_mask: int, out_mask: int, max_arg
 
 
 def fi_set(g: Jsbaf, labeling: Labeling, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> frozenset[str]:
-    eng, table = _table(g)
+    eng = _table(g)
     _covering(g, labeling)
-    return labeling._names(_forced_in(eng, table, labeling.in_mask, labeling.out_mask, max_args))
+    return labeling._names(_forced_in(eng, labeling.in_mask, labeling.out_mask, max_args))
 
 
 def enumerate_ground_complete(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     """The ground-complete labelings in vector order: the admissible masks
     that hold every argument forced IN, the only ones built into Labelings."""
-    eng, table = _table(g)
+    eng = _table(g)
     masks = _admissible_masks(eng, max_args)
-    complete = [(im, om) for im, om in masks if not _forced_in(eng, table, im, om, max_args) & ~im]
+    complete = [(im, om) for im, om in masks if not _forced_in(eng, im, om, max_args) & ~im]
     return _labelings(eng.ids, complete)
 
 
@@ -195,13 +194,13 @@ def grounded_construction(
     order; the default takes the first.  The final labeling is the same
     for every choice function.  Only ``trace`` and the result get Labelings.
     """
-    eng, table = _table(g)
+    eng = _table(g)
     in_mask = eng.strict_mask
     while True:
         out_mask = eng.legal_out(in_mask)
         if trace is not None:
             trace.append(Labeling(eng.ids, in_mask, out_mask))
-        candidates = [eng.ids[i] for i in _bits(_forced_in(eng, table, in_mask, out_mask, max_args) & ~in_mask)]
+        candidates = [eng.ids[i] for i in _bits(_forced_in(eng, in_mask, out_mask, max_args) & ~in_mask)]
         if not candidates:
             return Labeling(eng.ids, in_mask, out_mask)
         chosen = candidates[0] if pick is None else pick(candidates)
@@ -210,8 +209,8 @@ def grounded_construction(
         i = _position(eng.ids, chosen)
         in_mask |= 1 << i
         for h, _ in eng.member_of[i]:
-            if not table.reach[h] & ~out_mask:  # a safe support: its head and children join
-                in_mask |= table.down[h]
+            if not eng.table.reach[h] & ~out_mask:  # a safe support: its head and children join
+                in_mask |= eng.table.down[h]
 
 
 def grounded_labeling(g: Jsbaf, oracle: bool = False, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> Labeling:

@@ -7,7 +7,7 @@ import time
 
 from hypothesis import given, settings, strategies as st
 
-from jsbaf import postulates, textio
+from jsbaf import naive, postulates, textio
 from jsbaf.cli import main
 from jsbaf.formulas import MAX_FORMULA_DEPTH
 from jsbaf.system import validate_system
@@ -44,9 +44,13 @@ class TestSolve:
         assert code == 0
         assert "A2 IN" in out and "B OUT" in out
 
-    def test_oracle_mode_on_admissible(self, capsys):
-        code = main(["solve", str(INSTANCES / "j1.jsbaf"), "--semantics", "admissible", "--oracle"])
-        assert code == 0
+    def test_oracle_mode_on_admissible(self, capsys, monkeypatch):
+        argv = ["solve", str(INSTANCES / "j1.jsbaf"), "--semantics", "admissible", "--oracle"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(naive, "naive_enumerate_admissible", lambda framework: [])
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "error: oracle mismatch: naive enumeration disagrees with the engine\n")
 
     def test_emit_jsbaf(self, capsys):
         code = main(["solve", str(INSTANCES / "as1.as"), "--emit-jsbaf"])
@@ -276,6 +280,11 @@ class TestExitCodes:
         big = tmp_path / "big.jsbaf"
         big.write_text("".join(f"arg x{i}\n" for i in range(20)))
         assert main(["solve", str(big), "--semantics", "admissible"]) == 2
+        capsys.readouterr()
+        # within the enumeration bound, past the naive oracle's
+        big.write_text("".join(f"arg x{i}\n" for i in range(13)))
+        assert main(["solve", str(big), "--max-enum-args", "20", "--oracle"]) == 2
+        assert capsys.readouterr() == ("", "resource limit: 13 arguments exceed the naive bound of 12\n")
 
     def test_truncated_construction_is_2(self, capsys):
         assert main(["solve", str(INSTANCES / "as1.as"), "--max-args", "3"]) == 2
@@ -530,6 +539,15 @@ class TestRefusal:
         ):
             assert main(argv) == 3
             assert capsys.readouterr() == ("", "error: duplicate rule id d1\n")
+
+    def test_support_naming_an_unknown_argument_is_3(self, tmp_path, capsys):
+        # an unknown supporter, and an unknown supported argument
+        path = tmp_path / "unknown.jsbaf"
+        for text in ("arg c\nsup c <- x\n", "arg a\nsup c <- a\n"):
+            path.write_text(text)
+            for command in ("validate", "solve"):
+                assert main([command, str(path)]) == 3
+                assert capsys.readouterr() == ("", "error: support for c mentions an unknown argument\n")
 
     def test_invalid_second_system_is_3(self, tmp_path, capsys):
         path = tmp_path / "invalid.as"

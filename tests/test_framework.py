@@ -66,6 +66,20 @@ class TestValidate:
         with pytest.raises(InstanceError, match="cyclic support chain through x -> y -> x"):
             fw.legally_in(framework, labeling_of(framework), "x")
 
+    def test_every_enumeration_refuses_a_cycle_before_the_size_bound(self):
+        # 14 arguments under the bound of 13: the cycle is named, not the bound
+        framework = Jsbaf(
+            args=("x", "y", *(f"a{i:02d}" for i in range(12))),
+            attacks=frozenset(),
+            supports={"x": frozenset({"y"}), "y": frozenset({"x"})},
+        )
+        for enumerate_ in (
+            fw.enumerate_admissible, fw.enumerate_preferred, gr.admissible_catalogue, gr.grounded_labeling,
+            fw.sim_labeling,
+        ):
+            with pytest.raises(InstanceError, match="^cyclic support chain through x -> y -> x$"):
+                enumerate_(framework)
+
     def test_long_chain_below_a_support_cycle(self):
         """A support chain of 49,998 arguments hanging from a 2-cycle: the
         witness is the 2-cycle alone, and walking back to it from the far end
@@ -366,7 +380,7 @@ class TestAdmissibleSearch:
         monkeypatch.setattr(fw._Engine, "enumerate_admissible_masks", counted_search)
         framework = Jsbaf(args=j1.args, attacks=j1.attacks, supports=j1.supports, rank=j1.rank)
         first = fw.enumerate_admissible(framework)
-        assert fw.enumerate_admissible(framework) is first
+        assert fw.enumerate_admissible(framework) == first
         assert calls[0] == 1
         with pytest.raises(ResourceLimitError, match="6 arguments exceed the enumeration bound of 5"):
             fw.enumerate_admissible(framework, max_args=5)

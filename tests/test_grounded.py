@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -81,9 +82,9 @@ class TestFromJsbaf:
         assert gr.from_jsbaf(ranked) is not view  # built anew, not cached
         plain = Jsbaf(args=ranked.args, attacks=ranked.attacks, supports=ranked.supports)
         assert view == plain
-        free, fresh = gr._table(ranked)[0], fw._Engine.of(plain)
+        free, fresh = gr._table(ranked), fw._Engine.of(plain)
         assert free is not ranked_engine and free.member_of != ranked_engine.member_of
-        assert free.rank is None and gr._table(ranked)[0] is free
+        assert free.rank is None and gr._table(ranked) is free is ranked_engine.free
         for name in ("attackers", "member_of", "strict_mask", "bound", "order"):
             assert getattr(free, name) == getattr(fresh, name)
 
@@ -110,6 +111,46 @@ class TestFromJsbaf:
         assert len(walks) == 1 and walks[0] is framework
         assert len(built) == 1 and built[0] is framework
         assert not {"_view_cache", "_masks_cache", "_table_cache"} & set(vars(framework))
+
+    @pytest.mark.parametrize("ranked", [True, False], ids=["ranked", "rank-free"])
+    def test_a_framework_keeps_only_its_walk_and_its_engine(self, j1, ranked):
+        # every public function of framework and grounded; whatever else
+        # they derive lives on the engine: its masks, and the rank-free
+        # twin with the forced-IN table
+        framework = Jsbaf(args=j1.args, attacks=j1.attacks, supports=j1.supports, rank=j1.rank if ranked else None)
+        sim = fw.sim_labeling(framework)
+        arguments = {
+            "strict_args": (framework,),
+            "validate_structure": (framework,),
+            "validate_jsbaf": (framework,),
+            "legally_in": (framework, sim, "c"),
+            "is_admissible": (framework, sim),
+            "sim_labeling": (framework,),
+            "enumerate_admissible": (framework,),
+            "enumerate_preferred": (framework,),
+            "from_jsbaf": (framework,),
+            "support_children": (framework, "e"),
+            "more_informative": (IN, UNDEC),
+            "admissible_catalogue": (framework,),
+            "fi_set": (framework, sim),
+            "enumerate_ground_complete": (framework,),
+            "grounded_construction": (framework, None, fw.DEFAULT_MAX_ENUM_ARGS, []),
+            "grounded_labeling": (framework, True),
+        }
+        public = {
+            name: function
+            for module in (fw, gr)
+            for name, function in vars(module).items()
+            if inspect.isfunction(function) and function.__module__ == module.__name__ and not name.startswith("_")
+        }
+        assert set(public) == set(arguments)
+        for name, function in public.items():
+            function(*arguments[name])
+        assert set(vars(framework)) == {"args", "attacks", "supports", "rank", "_walk_cache", "_engine_cache"}
+        engine = fw._engine(framework)
+        free = engine.free if ranked else engine
+        assert gr._table(framework) is free and free.rank is None and free.table is not None
+        assert engine.masks is not None and free.masks is not None
 
     def test_ranks_and_call_order_do_not_matter(self):
         # the ranked engine cached by the preference-aware enumerator must
@@ -180,8 +221,8 @@ def fresh(g):
 
 def table_entries(g):
     """The (argument, head) pairs of the forced-IN table read so far."""
-    eng, table = gr._table(g)
-    return {(eng.ids[i], eng.ids[h]) for i, h in table.entries}
+    eng = gr._table(g)
+    return {(eng.ids[i], eng.ids[h]) for i, h in eng.table.entries}
 
 
 class TestSafeSupports:
@@ -282,7 +323,7 @@ class TestGroundedOracle:
             supports={"B": frozenset({"A1", "A2"}), "Bbar": frozenset()},
         )
         gr.grounded_labeling(g, oracle=True)
-        assert gr._table(g)[1].entries
+        assert gr._table(g).table.entries
         for oracle in (True, False):
             with pytest.raises(ResourceLimitError, match="4 arguments exceed") as caught:
                 gr.grounded_labeling(g, oracle=oracle, max_args=3)
@@ -348,7 +389,7 @@ class TestForcedInTable:
                 labelings += 1
             complete = [lab for lab in catalogue if naive.naive_is_ground_complete(g, lab, catalogue)]
             assert gr.enumerate_ground_complete(g) == complete
-            entries = gr._table(g)[1].entries.values()
+            entries = gr._table(g).table.entries.values()
             tabled += bool(entries)
             rejecting += sum(1 for labels in entries if labels)
         # 1,744 labelings; the table was read on 104 frameworks

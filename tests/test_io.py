@@ -214,6 +214,8 @@ class TestParseInstance:
     def test_kind_override(self):
         framework = textio.parse_instance(str(INSTANCES / "j1.jsbaf"), kind="jsbaf")
         assert "bbar" in framework.args
+        with pytest.raises(ParseError, match="^unknown instance kind 'x'$"):
+            textio.parse_instance(str(INSTANCES / "j1.jsbaf"), kind="x")
 
 
 class TestLabelingOutput:

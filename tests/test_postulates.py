@@ -328,6 +328,42 @@ class TestReproShrinking:
         assert all(r.id != "noise" for r in shrunk.defeasible_rules)
         assert "noise" not in shrunk.rank
 
+    def test_a_replay_runs_only_its_own_postulates_checks(self, monkeypatch):
+        from jsbaf.cli import postulate_fails_on
+
+        system = make_system(atoms=["q"], axioms=[Var("q")], defeasible=[DefeasibleRule("d1", (), Not(Var("q")))])
+        calls = []
+        for name in ("check_closure", "check_direct_consistency", "check_indirect_consistency"):
+            def counted(*args, _check=getattr(po, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _check(*args, **kwargs)
+
+            monkeypatch.setattr(po, name, counted)
+        assert not postulate_fails_on(system, "closure")
+        assert set(calls) == {"check_closure"}
+        calls.clear()
+        assert postulate_fails_on(system, "direct_consistency")
+        assert set(calls) == {"check_direct_consistency", "check_indirect_consistency"}
+
+    def test_a_candidate_whose_check_raises_is_skipped(self):
+        # dropping a makes every check raise, as a bound hit or a refused
+        # instance does: those candidates are passed over, the rest shrink
+        system = make_system(
+            atoms=["p", "q", "r"],
+            defeasible=[DefeasibleRule(rule_id, (), Var(atom)) for rule_id, atom in zip("abc", "pqr")],
+        )
+        raised = []
+
+        def still_fails(candidate):
+            if all(r.id != "a" for r in candidate.defeasible_rules):
+                raised.append(candidate)
+                raise InstanceError("refused")
+            return True
+
+        shrunk = po.shrink_failing_system(system, still_fails)
+        assert [r.id for r in shrunk.defeasible_rules] == ["a"]
+        assert len(raised) == 3
+
     def test_replayed_repro_retriggers_the_verdict(self, tmp_path):
         from jsbaf import textio
         from jsbaf.cli import postulate_fails_on

@@ -851,6 +851,74 @@ class TestPreferredCuts:
         assert calls["legal_out"] <= 2_925, calls
 
 
+def _closed_mask(engine, rng, smallest, largest):
+    """A random mask of ``smallest`` to ``largest`` of the engine's
+    arguments, closed under supporting sets, or None: arguments are added in
+    a random order, each with everything below it along supports, while
+    they fit a target size drawn in that range."""
+    target, keep = rng.randint(smallest, largest), 0
+    for a in rng.sample(range(engine.n), engine.n):
+        stack, below = [a], 0
+        while stack:
+            j = stack.pop()
+            if not (keep | below) >> j & 1:
+                below |= 1 << j
+                stack.extend(fw._bits(engine.supports.get(j, 0)))
+        if (keep | below).bit_count() <= target:
+            keep |= below
+        if keep.bit_count() == target:
+            break
+    return keep if keep.bit_count() >= smallest else None
+
+
+class TestPreferredCutsAtScale:
+    """Past the 9 arguments the naive scan reaches, the reference is the
+    plain search filtered for maximal IN-sets, on sub-frameworks of 20-24
+    arguments of the seed-1 benchmark translate frameworks, each the
+    engine restricted to a mask closed under supporting sets.  Only draws
+    whose preferred search goes past its first leaf, where the cuts fire,
+    are checked."""
+
+    def test_restricted_translate_frameworks(self):
+        workloads = _load("workloads")
+        texts = workloads.translate_corpus("1", workloads.WORKLOADS["translate"].size)
+        engines = [ar.framework_from_system(textio.parse_system_text(text)).engine for text in texts]
+        engines = [engine for engine in engines if engine.n >= 20]
+        rng = random.Random(14)
+        checked = []
+        for _ in range(30):
+            engine = rng.choice(engines)
+            keep = _closed_mask(engine, rng, 20, 24)
+            if keep is None:
+                continue
+            sub = engine.restrict(keep)
+            search = sub.enumerate_admissible_masks()
+            first = next(search, None)
+            search.close()
+            if first is None or first[0] == sub.bound:
+                continue
+            plain = list(sub.enumerate_admissible_masks())
+            # largest first: an IN-set is maximal when no maximal one found so far holds it
+            maximal = set()
+            for in_mask in sorted({im for im, _ in plain}, key=int.bit_count, reverse=True):
+                if not any(in_mask & m == in_mask for m in maximal):
+                    maximal.add(in_mask)
+            preferred = sub.preferred_masks()
+            assert preferred == [(im, om) for im, om in plain if im in maximal]
+            framework = fw.Jsbaf(
+                args=sub.ids,
+                attacks=frozenset((sub.ids[a], sub.ids[b]) for b in range(sub.n) for a in fw._bits(sub.attackers[b])),
+                supports={sub.ids[h]: frozenset(sub.ids[t] for t in fw._bits(tail)) for h, tail in sub.supports.items()},
+                rank=dict(zip(sub.ids, sub.rank)),
+            )
+            for im, om in preferred:
+                assert naive.naive_is_admissible(framework, fw.Labeling(sub.ids, im, om))
+            checked.append((len(plain), len(preferred)))
+        # 13 draws of 30; three have two preferred labelings, one of them
+        # among 11,744 admissible ones
+        assert len(checked) >= 10 and any(count >= 2 for _, count in checked), checked
+
+
 class TestPlainAndFirstLeafWork:
     """The plain search (the grounded catalogue and its oracle) and the
     search to a first leaf (every preferred search, which mostly stops

@@ -69,6 +69,10 @@ class TestRefusedWhenBuilt:
         kept = make_system(atoms=["p"], axioms=[f("p")], strict=[StrictRule("_s", (f("p"),), f("!!p"))])
         assert {r.id for r in kept.strict_rules} == {"ax_516b9783", "_s"}
 
+    def test_an_axiomatic_rule_with_antecedents(self):
+        with pytest.raises(InstanceError, match="^axiomatic rule s1 must not have antecedents$"):
+            StrictRule("s1", (f("p"),), f("p"), axiomatic=True)
+
     def test_a_strict_and_a_defeasible_rule_sharing_an_id(self):
         with pytest.raises(InstanceError, match="^duplicate rule id r$"):
             make_system(
@@ -214,6 +218,12 @@ class TestUnion:
         s2 = make_system(atoms=["p"], defeasible=[DefeasibleRule("b", (), f("!p"))])
         with pytest.raises(InstanceError):
             union_systems(s1, s2)
+
+    def test_unknown_merge_policy_is_an_error(self):
+        s1 = make_system(atoms=["p"], defeasible=[DefeasibleRule("a", (), f("p"))])
+        s2 = make_system(atoms=["q"], defeasible=[DefeasibleRule("b", (), f("q"))])
+        with pytest.raises(InstanceError, match="^unknown merge policy 'x'$"):
+            union_systems(s1, s2, merge="x")
 
     def test_arguments_survive_union(self, as1, as_u):
         union = union_systems(as1, as_u)

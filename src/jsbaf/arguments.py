@@ -32,11 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from types import MappingProxyType
 
 from . import formulas as fm
 from .errors import ResourceLimitError
 from .formulas import Formula, Not
-from .framework import DEFAULT_MAX_ENUM_ARGS, Jsbaf, _bits, _check_enum_bound, _Engine
+from .framework import DEFAULT_MAX_ENUM_ARGS, Jsbaf, _bits, _check_enum_bound, _checked_jsbaf, _Engine
 from .system import ArgumentationSystem, DefeasibleRule, StrictRule, _cached
 
 DEFAULT_MAX_ARGS = 5000
@@ -58,8 +59,8 @@ class Argument:
         self.subs = subs
         self.conclusion = conclusion
         self.top_kind = top_kind
-        self.key = rule_id + "(" + ",".join(s.key for s in subs) + ")"
-        self.depth = 1 + max((s.depth for s in subs), default=0)
+        self.key = rule_id + "(" + ",".join([s.key for s in subs]) + ")"
+        self.depth = 1 + max([s.depth for s in subs], default=0)
         self._rule_set = self._sub_set = None
 
     @property
@@ -191,7 +192,9 @@ class Translation:
         return _cached(self, "_framework_cache", self._spell_out)
 
     def _spell_out(self) -> Jsbaf:
-        """The :class:`Jsbaf` with every mask spelled out as argument ids."""
+        """The :class:`Jsbaf` with every mask spelled out as argument ids.
+        The ids are sorted identifiers and the masks name only them, so the
+        fields are checked by construction and set as they are."""
         ids = self.ids
 
         def names(mask: int) -> list[str]:
@@ -202,11 +205,11 @@ class Translation:
                 mask ^= low
             return out
 
-        return Jsbaf(
-            args=ids,
-            attacks=frozenset((a, b) for b, mask in zip(ids, self.attackers) if mask for a in names(mask)),
-            supports={ids[h]: frozenset(names(tail)) for h, tail in self.supports.items()},
-            rank=dict(zip(ids, self.rank)),
+        return _checked_jsbaf(
+            ids,
+            frozenset((a, b) for b, mask in zip(ids, self.attackers) if mask for a in names(mask)),
+            MappingProxyType({ids[h]: frozenset(names(tail)) for h, tail in self.supports.items()}),
+            MappingProxyType(dict(zip(ids, self.rank))),
         )
 
 

@@ -14,7 +14,11 @@ bit r set when bit i of r is set; negation flips every bit and
 conjunction is bitwise and.  Gamma entails psi when no bit is set in the
 conjunction of Gamma's columns and the negation of psi's, and Gamma is
 satisfiable when that conjunction is not zero.  The row-by-row
-evaluation of the definition is :func:`jsbaf.naive.satisfies`.
+evaluation of the definition is :func:`jsbaf.naive.satisfies`.  Once the
+atom bound holds, :func:`entails` builds no table for an *evident* psi: a
+member of Gamma, the double negation of an evident formula, or the
+conjunction of two.  The test is sound, not complete, so what it does not
+settle goes to the table.
 
 Every formula carries a *key*: its serialisation in prefix notation.
 Lexicographic order on keys is the canonical total order used wherever a
@@ -128,8 +132,8 @@ def formula_key(formula: Formula) -> str:
     return formula.key
 
 
-def _atom_columns(formulas: tuple[Formula, ...], atom_bound: int):
-    """The column of each atom of ``formulas``, and the column of all 2**k rows."""
+def _atom_names(formulas: tuple[Formula, ...], atom_bound: int) -> frozenset[str]:
+    """The atoms of ``formulas``, refused past ``atom_bound`` of them."""
     names = atoms_of(formulas)
     if len(names) > atom_bound:
         raise ResourceLimitError(
@@ -137,6 +141,11 @@ def _atom_columns(formulas: tuple[Formula, ...], atom_bound: int):
             bound_name="atom_bound",
             bound_value=atom_bound,
         )
+    return names
+
+
+def _atom_columns(names: frozenset[str]):
+    """The column of each atom, and the column of all 2**k rows."""
     full = (1 << (1 << len(names))) - 1
     atoms = {}
     for i, name in enumerate(names):
@@ -153,10 +162,25 @@ def _column(formula: Formula, atoms: dict[str, int], full: int) -> int:
     return _column(formula.left, atoms, full) & _column(formula.right, atoms, full)
 
 
+def _evident(gamma: tuple[Formula, ...], psi: Formula) -> bool:
+    """``psi`` is a member of ``gamma``, the double negation of an evident
+    formula, or the conjunction of two: each is entailed, so True is sound,
+    and False settles nothing."""
+    if psi in gamma:
+        return True
+    if isinstance(psi, And):
+        return _evident(gamma, psi.left) and _evident(gamma, psi.right)
+    return isinstance(psi, Not) and isinstance(psi.sub, Not) and _evident(gamma, psi.sub.sub)
+
+
 def entails(gamma: Iterable[Formula], psi: Formula, atom_bound: int = DEFAULT_ATOM_BOUND) -> bool:
-    """Truth-table entailment: every model of ``gamma`` satisfies ``psi``."""
+    """Truth-table entailment: every model of ``gamma`` satisfies ``psi``.
+    Once the atom bound holds, an evident ``psi`` needs no table."""
     gamma = tuple(gamma)
-    atoms, full = _atom_columns(gamma + (psi,), atom_bound)
+    names = _atom_names(gamma + (psi,), atom_bound)
+    if _evident(gamma, psi):
+        return True
+    atoms, full = _atom_columns(names)
     counter = full ^ _column(psi, atoms, full)  # rows that falsify psi, then those that also satisfy gamma
     for g in gamma:
         counter &= _column(g, atoms, full)
@@ -165,7 +189,7 @@ def entails(gamma: Iterable[Formula], psi: Formula, atom_bound: int = DEFAULT_AT
 
 def satisfiable(gamma: Iterable[Formula], atom_bound: int = DEFAULT_ATOM_BOUND) -> bool:
     gamma = tuple(gamma)
-    atoms, full = _atom_columns(gamma, atom_bound)
+    atoms, full = _atom_columns(_atom_names(gamma, atom_bound))
     models = full
     for g in gamma:
         models &= _column(g, atoms, full)

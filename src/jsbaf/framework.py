@@ -225,6 +225,16 @@ class Jsbaf:
         return 0 if self.rank is None else self.rank[arg]
 
 
+def _checked_jsbaf(args, attacks, supports, rank) -> Jsbaf:
+    """The :class:`Jsbaf` of fields already in the form ``__post_init__``
+    leaves them in (sorted ids, a frozenset of attacks, read-only supports
+    and ranks over every id), set as they are, with no second check."""
+    framework = object.__new__(Jsbaf)
+    for name, value in (("args", args), ("attacks", attacks), ("supports", supports), ("rank", rank)):
+        object.__setattr__(framework, name, value)
+    return framework
+
+
 def strict_args(framework: Jsbaf) -> frozenset[str]:
     """Least fixpoint: supported by the empty set, or by strict arguments only."""
     return _support_walk(framework)[2]

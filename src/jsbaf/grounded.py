@@ -49,6 +49,7 @@ from .framework import (  # legally_in and sim_labeling are the framework's, re-
     Labeling,
     _admissible_masks,
     _bits,
+    _checked_jsbaf,
     _covering,
     _engine,
     _Engine,
@@ -64,11 +65,7 @@ def from_jsbaf(framework: Jsbaf) -> Jsbaf:
     checked when that was built, so ``__post_init__`` is skipped."""
     if framework.rank is None:
         return framework
-    g = object.__new__(Jsbaf)
-    for name in ("args", "attacks", "supports"):
-        object.__setattr__(g, name, getattr(framework, name))
-    object.__setattr__(g, "rank", None)
-    return g
+    return _checked_jsbaf(framework.args, framework.attacks, framework.supports, None)
 
 
 class _Table:

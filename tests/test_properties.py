@@ -124,6 +124,19 @@ def _random_formula(rng, names, depth):
     return And(_random_formula(rng, names, depth - 1), _random_formula(rng, names, depth - 1))
 
 
+def _count_tables(monkeypatch) -> list[int]:
+    """The truth tables built from now on, as a one-item list."""
+    tables = [0]
+    build = fm._atom_columns
+
+    def counted(names):
+        tables[0] += 1
+        return build(names)
+
+    monkeypatch.setattr(fm, "_atom_columns", counted)
+    return tables
+
+
 class TestTruthTableColumns:
     """The bit-column truth tables of :mod:`jsbaf.formulas` agree with the
     row-by-row evaluation in :mod:`jsbaf.naive`."""
@@ -143,6 +156,48 @@ class TestTruthTableColumns:
             assert satisfiable == naive.naive_satisfiable(gamma)
             outcomes.add((entailed, satisfiable, len(gamma) > 0))
         assert len(outcomes) == 5  # every mix: an empty gamma is satisfiable, an unsatisfiable one entails
+
+    def test_evident_queries(self, monkeypatch):
+        # psi evident from gamma: a member, !! of an evident formula, or &
+        # of two, nested up to depth 3; each is entailed with no table.  A
+        # near miss, an evident formula with one side or one negation off,
+        # still gets the answer of the row-by-row evaluation
+        tables = _count_tables(monkeypatch)
+        rng = random.Random(35)
+
+        def evident(gamma, depth):
+            roll = rng.random()
+            if depth == 0 or roll < 0.4:
+                return rng.choice(gamma)
+            if roll < 0.7:
+                return Not(Not(evident(gamma, depth - 1)))
+            return And(evident(gamma, depth - 1), evident(gamma, depth - 1))
+
+        fresh = Var("y")
+        outcomes = set()
+        for _ in range(1000):
+            names = [f"x{i}" for i in range(rng.randint(1, 6))]
+            gamma = [_random_formula(rng, names, 3) for _ in range(rng.randint(1, 4))]
+            psi = evident(gamma, 3)
+            built = tables[0]
+            assert fm.entails(gamma, psi) and naive.naive_entails(gamma, psi)
+            assert tables[0] == built
+            for miss in (And(psi, fresh), And(fresh, psi), Not(psi), Not(Not(Not(psi)))):
+                entailed = fm.entails(gamma, miss)
+                assert entailed == naive.naive_entails(gamma, miss)
+                outcomes.add(entailed)
+        assert outcomes == {False, True}
+
+    @pytest.mark.parametrize(
+        "gamma, psi, entailed",
+        [(["p & q"], "q & p", True), (["!!p"], "p", True), (["p", "!p"], "q", True), (["p"], "!!!p", False)],
+        ids=["commuted", "double-negation-elimination", "explosion", "triple-negation"],
+    )
+    def test_queries_the_table_settles(self, monkeypatch, gamma, psi, entailed):
+        tables = _count_tables(monkeypatch)
+        gamma, psi = [parse_formula(g) for g in gamma], parse_formula(psi)
+        assert fm.entails(gamma, psi) == naive.naive_entails(gamma, psi) == entailed
+        assert tables[0] == 1
 
     def test_translate_corpus_rules(self):
         workloads = _load("workloads")
@@ -565,6 +620,43 @@ class TestTranslationEngine:
             assert sorted(position) == list(range(engine.n))
             for head, tail in engine.supports.items():
                 assert all(position[head] < position[t] for t in range(engine.n) if tail >> t & 1)
+
+
+class TestCheckedTranslation:
+    """A translation's framework, set from its masks with no second check,
+    is the framework ``Jsbaf.__post_init__`` makes of the same fields: on
+    the seed-1 benchmark translate corpus, loaded as ``TestIndexedAttacks``
+    loads it, and on ``translate_26.as``."""
+
+    def test_translate_corpus_and_translate_26(self, monkeypatch):
+        workloads = _load("workloads")
+        texts = workloads.translate_corpus("1", workloads.WORKLOADS["translate"].size)
+        texts.append(TRANSLATE_26.read_text())
+        post_init, checks = fw.Jsbaf.__post_init__, [0]
+
+        def counted(self):
+            checks[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(fw.Jsbaf, "__post_init__", counted)
+        for text in texts:
+            framework = ar.framework_from_system(textio.parse_system_text(text)).framework
+            assert checks[0] == 0  # set from the masks, not checked again
+            checked = fw.Jsbaf(
+                args=framework.args[::-1],
+                attacks=list(framework.attacks),
+                supports={head: set(tail) for head, tail in framework.supports.items()},
+                rank=dict(framework.rank),
+            )
+            assert checks[0] == 1
+            checks[0] = 0
+            assert framework == checked
+            for name in ("args", "attacks", "supports", "rank"):
+                assert type(getattr(framework, name)) is type(getattr(checked, name))
+            assert all(type(tail) is frozenset for tail in framework.supports.values())
+            assert fw.validate_jsbaf(framework).ok
+            assert textio.format_framework(framework) == textio.format_framework(checked)
+        assert len(texts) == 148
 
 
 def _engine_by_key(engine, translation):

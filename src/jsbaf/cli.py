@@ -168,7 +168,7 @@ def _cmd_solve(options) -> int:
     if options.semantics == "grounded":
         if translation is None and any(framework.rank.values()):
             print("note: preference ranks are ignored under grounded semantics", file=sys.stderr)
-        labeling = gr.grounded_labeling(framework, oracle=options.oracle, max_args=options.max_enum_args)
+        labeling = gr.grounded_labeling(gr.from_jsbaf(framework), oracle=options.oracle, max_args=options.max_enum_args)
         labelings = [labeling]
         chunks.append(textio.format_labeling(labeling))
     else:

@@ -511,7 +511,12 @@ class _Engine:
         return kept
 
 
-def _engine(framework: Jsbaf) -> _Engine:
+def _engine(framework: Jsbaf, max_args: int | None = None) -> _Engine:
+    """The framework's engine, kept on it.  The one refusal order: a support
+    cycle first (by :meth:`_Engine.of`), then, when ``max_args`` is given,
+    a framework over it, before anything is built."""
+    if max_args is not None and not _support_walk(framework)[1]:
+        _check_enum_bound(len(framework.args), max_args)
     return _cached(framework, "_engine_cache", lambda: _Engine.of(framework))
 
 
@@ -602,14 +607,13 @@ def _labelings(ids: tuple[str, ...], masks) -> list[Labeling]:
 def enumerate_admissible(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     """Every admissible labeling in vector order, from the engine's
     admissible masks (:func:`_admissible_masks`)."""
-    return _labelings(framework.args, _admissible_masks(_engine(framework), max_args))
+    return _labelings(framework.args, _admissible_masks(_engine(framework, max_args), max_args))
 
 
 def enumerate_preferred(framework: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     """The admissible labelings with subset-maximal IN-sets, in the order
     of :func:`enumerate_admissible`: those of the engine's
     :meth:`~_Engine.preferred_masks`, the only masks built into Labelings.
-    The engine is built first, so a support cycle is refused before the bound."""
-    eng = _engine(framework)
-    _check_enum_bound(eng.n, max_args)
+    A framework over ``max_args`` is refused by :func:`_engine`."""
+    eng = _engine(framework, max_args)
     return _labelings(eng.ids, eng.preferred_masks())

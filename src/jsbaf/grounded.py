@@ -111,11 +111,12 @@ class _Table:
         return entry
 
 
-def _table(g: Jsbaf) -> _Engine:
+def _table(g: Jsbaf, max_args: int | None = None) -> _Engine:
     """The rank-free engine of ``g``, with its forced-IN ``table`` made:
     for a ranked ``g``, the ranked engine's ``free``, its lists with
-    ``rank`` None, since ranks change only ``member_of`` and ``bound``."""
-    eng = _engine(g)
+    ``rank`` None, since ranks change only ``member_of`` and ``bound``.
+    ``max_args`` goes to :func:`_engine`'s refusal."""
+    eng = _engine(g, max_args)
     if eng.rank is not None and eng.free is None:
         eng.free = _Engine(eng.ids, eng.order, eng.attackers, eng.supports, None, eng.strict_mask)
     eng = eng.free or eng
@@ -138,7 +139,7 @@ def more_informative(label: str, than: str) -> bool:
 
 def admissible_catalogue(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     """All admissible labelings of ``g`` without ranks, in vector order."""
-    eng = _table(g)
+    eng = _table(g, max_args)
     return _labelings(eng.ids, _admissible_masks(eng, max_args))
 
 
@@ -170,7 +171,7 @@ def fi_set(g: Jsbaf, labeling: Labeling, max_args: int = DEFAULT_MAX_ENUM_ARGS) 
 def enumerate_ground_complete(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
     """The ground-complete labelings in vector order: the admissible masks
     that hold every argument forced IN, the only ones built into Labelings."""
-    eng = _table(g)
+    eng = _table(g, max_args)
     masks = _admissible_masks(eng, max_args)
     complete = [(im, om) for im, om in masks if not _forced_in(eng, im, om, max_args) & ~im]
     return _labelings(eng.ids, complete)

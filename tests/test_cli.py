@@ -13,6 +13,7 @@ from jsbaf.formulas import MAX_FORMULA_DEPTH
 from jsbaf.system import validate_system
 
 from conftest import INSTANCES
+from test_framework import _count_framework_work
 
 
 def run_cli(*argv):
@@ -43,6 +44,16 @@ class TestSolve:
         out = capsys.readouterr().out
         assert code == 0
         assert "A2 IN" in out and "B OUT" in out
+
+    def test_grounded_builds_one_engine(self, capsys, monkeypatch):
+        # a framework file and a translation are ranked: grounded semantics
+        # build the rank-free engine alone, not the ranked one and its twin
+        calls = _count_framework_work(monkeypatch)
+        for name in ("j1.jsbaf", "as1.as"):
+            calls["engine"] = 0
+            assert main(["solve", str(INSTANCES / name), "--semantics", "grounded"]) == 0
+            assert calls["engine"] == 1, name
+        capsys.readouterr()
 
     def test_oracle_mode_on_admissible(self, capsys, monkeypatch):
         argv = ["solve", str(INSTANCES / "j1.jsbaf"), "--semantics", "admissible", "--oracle"]

@@ -80,6 +80,40 @@ class TestValidate:
             with pytest.raises(InstanceError, match="^cyclic support chain through x -> y -> x$"):
                 enumerate_(framework)
 
+    def test_a_refused_enumeration_builds_nothing(self, monkeypatch, as1, as_u):
+        # over the bound with acyclic supports, no engine is built and no
+        # root cut runs; the 8,000-argument chain was refused after 36.6 s
+        # when every enumeration built its engine first
+        def chain(n, rank=None):
+            ids = [f"a{i:04d}" for i in range(n)]
+            return Jsbaf(tuple(ids), frozenset(zip(ids, ids[1:])), {ids[1]: frozenset({ids[0]})}, rank)
+
+        frameworks = [chain(40), chain(40, {f"a{i:04d}": i % 3 for i in range(40)}), chain(8_000)]
+        calls = _count_framework_work(monkeypatch)
+        narrowed = [0]
+        narrow = fw._Engine._narrow
+
+        def counted_narrow(engine, *args):
+            narrowed[0] += 1
+            return narrow(engine, *args)
+
+        monkeypatch.setattr(fw._Engine, "_narrow", counted_narrow)
+        for framework in frameworks:
+            refusal = f"^{len(framework.args)} arguments exceed the enumeration bound of 13$"
+            for enumerate_ in (
+                fw.enumerate_admissible, fw.enumerate_preferred, gr.admissible_catalogue, gr.enumerate_ground_complete,
+            ):
+                with pytest.raises(ResourceLimitError, match=refusal):
+                    enumerate_(framework)
+        with pytest.raises(ResourceLimitError, match="exceed the enumeration bound of 3$"):
+            ar.preferred_conclusions(as1, max_enum_args=3)
+        report = po.check_non_interference(
+            as1, as_u, cross_rules=gen.cross_closure_rules(as1, as_u), budget=po.NonInterferenceBudget(max_enum_args=3)
+        )
+        assert report.verdict == po.INCONCLUSIVE
+        assert report.witness["reason"].endswith("exceed the enumeration bound of 3")
+        assert calls["engine"] == narrowed[0] == 0, (calls, narrowed)
+
     def test_long_chain_below_a_support_cycle(self):
         """A support chain of 49,998 arguments hanging from a 2-cycle: the
         witness is the 2-cycle alone, and walking back to it from the far end

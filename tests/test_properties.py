@@ -12,7 +12,7 @@ those pairwise relations.
 import pathlib
 import random
 import re
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -963,6 +963,24 @@ def _closed_mask(engine, rng, smallest, largest):
     return keep if keep.bit_count() >= smallest else None
 
 
+def _translate_engines():
+    """The engines of the seed-1 benchmark translate frameworks."""
+    workloads = _load("workloads")
+    texts = workloads.translate_corpus("1", workloads.WORKLOADS["translate"].size)
+    return [ar.framework_from_system(textio.parse_system_text(text)).engine for text in texts]
+
+
+def _spelled_out(engine):
+    """The ranked :class:`~jsbaf.framework.Jsbaf` of ``engine``'s masks."""
+    ids = engine.ids
+    return fw.Jsbaf(
+        args=ids,
+        attacks=frozenset((ids[a], ids[b]) for b in range(engine.n) for a in fw._bits(engine.attackers[b])),
+        supports={ids[h]: frozenset(ids[t] for t in fw._bits(tail)) for h, tail in engine.supports.items()},
+        rank=dict(zip(ids, engine.rank)),
+    )
+
+
 class TestPreferredCutsAtScale:
     """Past the 9 arguments the naive scan reaches, the reference is the
     plain search filtered for maximal IN-sets, on sub-frameworks of 20-24
@@ -972,10 +990,7 @@ class TestPreferredCutsAtScale:
     are checked."""
 
     def test_restricted_translate_frameworks(self):
-        workloads = _load("workloads")
-        texts = workloads.translate_corpus("1", workloads.WORKLOADS["translate"].size)
-        engines = [ar.framework_from_system(textio.parse_system_text(text)).engine for text in texts]
-        engines = [engine for engine in engines if engine.n >= 20]
+        engines = [engine for engine in _translate_engines() if engine.n >= 20]
         rng = random.Random(14)
         checked = []
         for _ in range(30):
@@ -997,18 +1012,49 @@ class TestPreferredCutsAtScale:
                     maximal.add(in_mask)
             preferred = sub.preferred_masks()
             assert preferred == [(im, om) for im, om in plain if im in maximal]
-            framework = fw.Jsbaf(
-                args=sub.ids,
-                attacks=frozenset((sub.ids[a], sub.ids[b]) for b in range(sub.n) for a in fw._bits(sub.attackers[b])),
-                supports={sub.ids[h]: frozenset(sub.ids[t] for t in fw._bits(tail)) for h, tail in sub.supports.items()},
-                rank=dict(zip(sub.ids, sub.rank)),
-            )
+            framework = _spelled_out(sub)
             for im, om in preferred:
                 assert naive.naive_is_admissible(framework, fw.Labeling(sub.ids, im, om))
             checked.append((len(plain), len(preferred)))
         # 13 draws of 30; three have two preferred labelings, one of them
         # among 11,744 admissible ones
         assert len(checked) >= 10 and any(count >= 2 for _, count in checked), checked
+
+
+class TestGroundedAtScale:
+    """Past the 9 arguments the naive scan reaches, the forced-IN table is
+    checked against :func:`jsbaf.naive.naive_forced_in` given the engine's
+    own catalogue, on rank-free sub-frameworks of 14-20 arguments of the
+    seed-1 benchmark translate frameworks, drawn as
+    :class:`TestPreferredCutsAtScale` draws them.  Only draws whose
+    catalogue has at most 400 labelings are checked."""
+
+    def test_restricted_translate_frameworks(self):
+        import jsbaf.grounded as gr
+
+        engines = [engine for engine in _translate_engines() if engine.n >= 14]
+        rng = random.Random(19)
+        checked = []
+        for _ in range(45):
+            engine = rng.choice(engines)
+            keep = _closed_mask(engine, rng, 14, 20)
+            if keep is None:
+                continue
+            g = gr.from_jsbaf(_spelled_out(engine.restrict(keep)))
+            n = len(g.args)
+            if sum(1 for _ in islice(fw._engine(g).enumerate_admissible_masks(), 401)) > 400:
+                continue
+            trace = []
+            gr.grounded_construction(g, max_args=n, trace=trace)
+            catalogue = gr.admissible_catalogue(g, max_args=n)
+            for labeling in trace:
+                assert gr.fi_set(g, labeling, max_args=n) == {
+                    a for a in g.args if naive.naive_forced_in(g, labeling, a, catalogue=catalogue)
+                }
+            gr.grounded_labeling(g, oracle=True, max_args=n)
+            checked.append((len(catalogue), len(gr._table(g).table.entries)))
+        # 21 draws of 45, with catalogues of 4-216 labelings and 1-6 table entries
+        assert len(checked) >= 10 and all(entries for _, entries in checked), checked
 
 
 class TestPlainAndFirstLeafWork:

@@ -297,7 +297,8 @@ class _Engine:
     Built from a framework by :meth:`of`, from a translation's masks
     (:attr:`jsbaf.arguments.Translation.engine`), or from another engine by
     :meth:`restrict`; either way the constructor computes the support
-    membership and :attr:`bound`, the root cut: strict | C for the root's
+    membership (``member_of``, and ``members``, the arguments with an entry
+    in it) and :attr:`bound`, the root cut: strict | C for the root's
     candidates C, or None when nothing is admissible.  ``masks``
     (:func:`_admissible_masks`), and :mod:`jsbaf.grounded`'s forced-IN
     ``table`` and rank-free twin ``free``, start as None."""
@@ -314,12 +315,15 @@ class _Engine:
         # read (CPython 3.11)
         self.masks = self.table = self.free = None
         self.member_of = member_of = [[] for _ in ids]
+        members = 0
         for h in sorted(supports):
             tail = supports[h]
             least = None if rank is None else min((rank[t] for t in _bits(tail)), default=0)
             for t in _bits(tail):
                 if least is None or rank[t] <= least:
                     member_of[t].append((h, tail & ~(1 << t)))
+                    members |= 1 << t
+        self.members = members
         attacking = 0
         for i in _bits(strict_mask):
             attacking |= attackers[i]
@@ -409,13 +413,31 @@ class _Engine:
     def admissible_out_for(self, in_mask: int) -> int | None:
         """OUT mask completing ``in_mask`` to an admissible labeling, or
         None, by the admissibility definition alone (see the module
-        docstring for why conflict-freeness and closure need no test)."""
+        docstring for why conflict-freeness and closure need no test).
+        The attack clause of legally IN is one mask test, ``attacking``,
+        the attackers of ``in_mask``, all OUT; an attacker in no support is
+        legally OUT only when ``in_mask`` attacks it, so one that it does
+        not attack refuses ``in_mask`` before ``legal_out`` runs, and only
+        IN arguments in a support are tested for the support clause."""
         if self.strict_mask & ~in_mask:
             return None
-        out = self.legal_out(in_mask)
-        if out & in_mask:
-            return None
+        attackers = self.attackers
+        attacking = 0
         m = in_mask
+        while m:
+            low = m & -m
+            attacking |= attackers[low.bit_length() - 1]
+            m ^= low
+        m = attacking & ~self.members
+        while m:
+            low = m & -m
+            if not attackers[low.bit_length() - 1] & in_mask:
+                return None
+            m ^= low
+        out = self.legal_out(in_mask)
+        if out & in_mask or attacking & ~out:
+            return None
+        m = in_mask & self.members
         while m:
             low = m & -m
             if not self.legally_in(low.bit_length() - 1, in_mask, out):

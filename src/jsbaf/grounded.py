@@ -32,9 +32,11 @@ head and the base, never on the labeling asked about.  So each
 by the head labels of the catalogue bases that do not extend, and
 forced-IN reads that table: an UNDEC head fails the argument when the
 entry is non-empty, an OUT head when it holds OUT.  Forced-IN is one
-operator on the engine's masks, ``_forced_in``: :func:`fi_set` names its
-mask, and the ground-complete oracle and the construction read it.
-Labelings are built only for what is returned.
+operator on the engine's masks, ``_forced_in``, asked about a mask of
+arguments: :func:`fi_set` asks about every argument and names the mask,
+while the ground-complete oracle and the construction ask only about the
+arguments not IN, the only ones they read.  Labelings are built only for
+what is returned.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .framework import (  # legally_in and sim_labeling are the framework's, re-
     Labeling,
     _admissible_masks,
     _bits,
+    _check_enum_bound,
     _checked_jsbaf,
     _covering,
     _engine,
@@ -75,12 +78,14 @@ class _Table:
     Per argument, from the engine's support lists: ``down``, the mask of
     the argument and its support children, and ``reach``, their
     attackers; a support with head h is safe when ``reach[h]`` is all
-    OUT.  Per (argument i, head h), filled at its first lookup: the labels
-    of h in the catalogue bases that no catalogue labeling extends with
-    h's label kept and i legally IN.  The catalogue is the engine's
-    admissible masks; an admissible OUT-set is ``legal_out`` of its IN-set,
-    which grows with it, so a labeling extends a base when its IN-set holds
-    the base's."""
+    OUT.  Per (argument i, head h), in ``entries``: the labels of h in the
+    catalogue bases that no catalogue labeling extends with h's label kept
+    and i legally IN.  A lookup reads a kept entry as it is; a missing one
+    is filled by :meth:`unextendable`, the one path that reads the
+    catalogue (searching it first when it is not kept).  The catalogue is
+    the engine's admissible masks; an admissible OUT-set is ``legal_out``
+    of its IN-set, which grows with it, so a labeling extends a base when
+    its IN-set holds the base's."""
 
     def __init__(self, eng: _Engine):
         self.down, self.reach = [0] * eng.n, [0] * eng.n
@@ -94,20 +99,18 @@ class _Table:
 
     def unextendable(self, eng: _Engine, i: int, h: int, max_args: int) -> set[str]:
         cat = _admissible_masks(eng, max_args)
-        entry = self.entries.get((i, h))
-        if entry is None:
-            if self.extended is None:
-                self.extended = [sum(1 << c for c, (ci, _) in enumerate(cat) if not bi & ~ci) for bi, _ in cat]
-            bit = 1 << h
-            # i is legally IN where an admissible labeling has it IN; an extension
-            # keeps an IN or OUT head as it is, and an UNDEC one must stay UNDEC
-            legal = sum(1 << c for c, (ci, co) in enumerate(cat) if ci >> i & 1 or eng.legally_in(i, ci, co))
-            undec = sum(1 << c for c, (ci, co) in enumerate(cat) if not (ci | co) & bit)
-            entry = self.entries[i, h] = {
-                IN if bi & bit else OUT if bo & bit else UNDEC
-                for b, (bi, bo) in enumerate(cat)
-                if not self.extended[b] & legal & (undec if undec >> b & 1 else -1)
-            }
+        if self.extended is None:
+            self.extended = [sum(1 << c for c, (ci, _) in enumerate(cat) if not bi & ~ci) for bi, _ in cat]
+        bit = 1 << h
+        # i is legally IN where an admissible labeling has it IN; an extension
+        # keeps an IN or OUT head as it is, and an UNDEC one must stay UNDEC
+        legal = sum(1 << c for c, (ci, co) in enumerate(cat) if ci >> i & 1 or eng.legally_in(i, ci, co))
+        undec = sum(1 << c for c, (ci, co) in enumerate(cat) if not (ci | co) & bit)
+        entry = self.entries[i, h] = {
+            IN if bi & bit else OUT if bo & bit else UNDEC
+            for b, (bi, bo) in enumerate(cat)
+            if not self.extended[b] & legal & (undec if undec >> b & 1 else -1)
+        }
         return entry
 
 
@@ -143,18 +146,22 @@ def admissible_catalogue(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> lis
     return _labelings(eng.ids, _admissible_masks(eng, max_args))
 
 
-def _forced_in(eng: _Engine, in_mask: int, out_mask: int, max_args: int) -> int:
-    """The mask of the arguments forced IN: their attackers are OUT, and
-    each support they are in has its head IN, is safe, or passes ``eng.table``."""
+def _forced_in(eng: _Engine, in_mask: int, out_mask: int, max_args: int, among: int) -> int:
+    """The mask of the arguments in ``among`` forced IN: their attackers
+    are OUT, and each support they are in has its head IN, is safe, or
+    passes ``eng.table``.  The bound is checked at every table lookup."""
     table = eng.table
     forced = 0
     for i in range(eng.n):
-        if eng.attackers[i] & ~out_mask:
+        if not among >> i & 1 or eng.attackers[i] & ~out_mask:
             continue
         for h, _ in eng.member_of[i]:
             if in_mask >> h & 1 or not table.reach[h] & ~out_mask:
                 continue
-            unextendable = table.unextendable(eng, i, h, max_args)
+            _check_enum_bound(eng.n, max_args)
+            unextendable = table.entries.get((i, h))
+            if unextendable is None:
+                unextendable = table.unextendable(eng, i, h, max_args)
             if OUT in unextendable if out_mask >> h & 1 else unextendable:
                 break
         else:
@@ -165,7 +172,7 @@ def _forced_in(eng: _Engine, in_mask: int, out_mask: int, max_args: int) -> int:
 def fi_set(g: Jsbaf, labeling: Labeling, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> frozenset[str]:
     eng = _table(g)
     _covering(g, labeling)
-    return labeling._names(_forced_in(eng, labeling.in_mask, labeling.out_mask, max_args))
+    return labeling._names(_forced_in(eng, labeling.in_mask, labeling.out_mask, max_args, -1))
 
 
 def enumerate_ground_complete(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -> list[Labeling]:
@@ -173,7 +180,7 @@ def enumerate_ground_complete(g: Jsbaf, max_args: int = DEFAULT_MAX_ENUM_ARGS) -
     that hold every argument forced IN, the only ones built into Labelings."""
     eng = _table(g, max_args)
     masks = _admissible_masks(eng, max_args)
-    complete = [(im, om) for im, om in masks if not _forced_in(eng, im, om, max_args) & ~im]
+    complete = [(im, om) for im, om in masks if not _forced_in(eng, im, om, max_args, ~im)]
     return _labelings(eng.ids, complete)
 
 
@@ -198,7 +205,7 @@ def grounded_construction(
         out_mask = eng.legal_out(in_mask)
         if trace is not None:
             trace.append(Labeling(eng.ids, in_mask, out_mask))
-        candidates = [eng.ids[i] for i in _bits(_forced_in(eng, in_mask, out_mask, max_args) & ~in_mask)]
+        candidates = [eng.ids[i] for i in _bits(_forced_in(eng, in_mask, out_mask, max_args, ~in_mask))]
         if not candidates:
             return Labeling(eng.ids, in_mask, out_mask)
         chosen = candidates[0] if pick is None else pick(candidates)

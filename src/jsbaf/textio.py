@@ -12,12 +12,13 @@ System files are line-oriented::
 
 Axiom lines get content-derived rule ids ``ax_<first 8 hex digits of
 the SHA-1 of the formula>`` (see :func:`jsbaf.system.axiom_rule_id`), so
-the prefix ``ax`` is reserved.  A system file is read in one loop over
-its lines, which strips ``#`` comments only from a file that has one;
-every formula text is looked up in one memo for the whole file, so each
-distinct text is parsed once.  Names may come before or after their
-rule, so each defeasible rule is built after the loop, with its name;
-an error on a line is reported before any error about names or ids.
+the prefix ``ax`` is reserved.  A system file, like a framework file, is
+read in one loop over its lines, which strips ``#`` comments only from a
+file that has one; every formula text is looked up in one memo for the
+whole file, so each distinct text is parsed once.  Names may come before
+or after their rule, so each defeasible rule is built after the loop,
+with its name; an error on a line is reported before any error about
+names or ids.
 Framework files::
 
     arg <id> [rank=<int>]
@@ -54,6 +55,8 @@ def instance_digest(text: str) -> str:
 
 
 def _lines(text: str):
+    """The numbered non-blank lines of ``text`` without comments, which
+    :func:`parse_instance` reads to tell the kind of a file."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -174,8 +177,12 @@ def parse_framework_text(text: str) -> Jsbaf:
     args: dict[str, int] = {}
     attacks: set[tuple[str, str]] = set()
     supports: dict[str, frozenset[str]] = {}
+    comments = "#" in text
 
-    for lineno, line in _lines(text):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = (line.split("#", 1)[0] if comments else line).strip()
+        if not line:
+            continue
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
         if keyword == "arg":

@@ -340,6 +340,41 @@ class TestAdmissibility:
     def test_all_undec_misses_strict_arguments(self, j1):
         assert not fw.is_admissible(j1, labeling_of(j1))
 
+    @staticmethod
+    def _leaf_check(monkeypatch, framework, in_set):
+        """The leaf check's OUT set for ``in_set``, with its ``legal_out`` calls."""
+        eng = fw._engine(framework)  # built first: its root cut calls legal_out
+        calls = [0]
+        legal_out = fw._Engine.legal_out
+
+        def counted(engine, in_mask):
+            calls[0] += 1
+            return legal_out(engine, in_mask)
+
+        monkeypatch.setattr(fw._Engine, "legal_out", counted)
+        out = eng.admissible_out_for(labeling_of(framework, in_set=in_set).in_mask)
+        return None if out is None else Labeling(eng.ids, 0, out).out_set, calls[0]
+
+    def test_an_unsupported_attacker_not_attacked_is_refused_before_legal_out(self, monkeypatch):
+        # y attacks x and is in no support, so it is OUT only if the IN-set attacks it
+        framework = Jsbaf(args=("x", "y"), attacks=frozenset({("y", "x")}))
+        assert self._leaf_check(monkeypatch, framework, {"x"}) == (None, 0)
+        both = Jsbaf(args=("x", "y"), attacks=frozenset({("y", "x"), ("x", "y")}))
+        assert self._leaf_check(monkeypatch, both, {"x"}) == ({"y"}, 1)
+
+    def test_a_supported_attacker_reaches_legal_out(self, monkeypatch):
+        # y attacks x and is in h's support with z: y is OUT only through that
+        # support, its head h attacked by x and its co-supporter z IN
+        framework = Jsbaf(
+            args=("h", "x", "y", "z"),
+            attacks=frozenset({("y", "x"), ("x", "h")}),
+            supports={"h": frozenset({"y", "z"})},
+        )
+        assert self._leaf_check(monkeypatch, framework, {"x", "z"}) == ({"h", "y"}, 1)
+        assert naive.naive_is_admissible(framework, labeling_of(framework, in_set={"x", "z"}, out_set={"h", "y"}))
+        # without z, y is not OUT: refused after legal_out, as x is not legally IN
+        assert self._leaf_check(monkeypatch, framework, {"x"}) == (None, 1)
+
 
 class TestSim:
     def test_example(self, j1, l1):

@@ -377,15 +377,21 @@ class TestForcedInTable:
     def test_fi_set_matches_the_definition(self):
         # every catalogue labeling of 300 random frameworks: the table
         # lookups against the catalogue-squared scan of the naive oracle
-        rng = random.Random(1111)
+        rng, bits = random.Random(1111), random.Random(37)
         labelings = tabled = rejecting = 0
         for _ in range(300):
             g = gen.generate_ground_framework(rng=rng, max_args=8)
             catalogue = naive.naive_enumerate_admissible(g, use_ranks=False)
             assert gr.admissible_catalogue(g) == catalogue
+            eng = gr._table(g)
             for lab in catalogue:
                 expected = {a for a in g.args if naive.naive_forced_in(g, lab, a, catalogue)}
                 assert gr.fi_set(g, lab) == expected
+                # asked about some arguments, forced-IN answers for those alone
+                im, om, m = lab.in_mask, lab.out_mask, fw.DEFAULT_MAX_ENUM_ARGS
+                every = gr._forced_in(eng, im, om, m, -1)
+                for among in (~im, bits.getrandbits(len(g.args))):
+                    assert gr._forced_in(eng, im, om, m, among) == every & among
                 labelings += 1
             complete = [lab for lab in catalogue if naive.naive_is_ground_complete(g, lab, catalogue)]
             assert gr.enumerate_ground_complete(g) == complete
@@ -399,7 +405,8 @@ class TestForcedInTable:
 class TestForcedInWork:
     def test_legality_tests_on_criterion_5(self, monkeypatch):
         # the catalogue-squared scan made 7,417 legally-IN tests here; each
-        # table entry tests the catalogue labelings where its argument is not IN
+        # table entry tests the catalogue labelings where its argument is not
+        # IN, and the leaf check only the IN arguments in a support
         from test_acceptance import corpus5, run_criterion_5
 
         calls = [0]
@@ -413,7 +420,7 @@ class TestForcedInWork:
         corpus5.cache_clear()  # fresh frameworks, with nothing cached on them
         ok, _ = run_criterion_5()
         assert ok
-        assert calls[0] <= 2_743
+        assert calls[0] <= 832
 
     def test_construction_stays_on_masks_on_criterion_5(self, monkeypatch):
         # forced-IN is read as a mask: the run names no forced-IN set, and a

@@ -190,6 +190,19 @@ class TestFrameworkFormat:
         with pytest.raises(ParseError):
             textio.parse_framework_text("arg a\narg a\n")
 
+    def test_comment_and_blank_lines_count(self):
+        with pytest.raises(ParseError) as excinfo:
+            textio.parse_framework_text("arg a # note\narg b#\n#only\n\natt a\n")
+        assert (str(excinfo.value), excinfo.value.line) == ("expected two argument ids (line 5)", 5)
+
+    def test_commented_file_parses_as_its_canonical_text(self, j1):
+        canonical = textio.format_framework(j1)
+        lines = canonical.splitlines()
+        commented = "# j1, commented\n" + lines[0] + "  # note\n\n" + "\n".join(lines[1:]) + "#\n"
+        framework = textio.parse_framework_text(commented)
+        assert framework == textio.parse_framework_text(canonical)
+        assert textio.format_framework(framework) == canonical
+
     def test_json_mirror(self, j1):
         data = json.loads(json.dumps(textio.framework_to_dict(j1)))
         assert data["args"] == [{"id": a, "rank": j1.rank[a]} for a in j1.args]

@@ -1066,7 +1066,7 @@ class TestPlainAndFirstLeafWork:
 
     @pytest.mark.parametrize(
         "number, leaves, legal_out",
-        [pytest.param(5, 803, 1_808, id="criterion-5"), pytest.param(6, 204, 515, id="criterion-6")],
+        [pytest.param(5, 803, 1_697, id="criterion-5"), pytest.param(6, 204, 515, id="criterion-6")],
     )
     def test_work_on_the_acceptance_corpus(self, monkeypatch, number, leaves, legal_out):
         corpus = f"corpus{number}"
@@ -1080,11 +1080,14 @@ class TestPlainAndFirstLeafWork:
 
 
 class TestLeafCheck:
-    def test_every_in_mask_against_the_definition(self):
+    def test_every_in_mask_against_the_definition(self, monkeypatch):
         # the leaf check tests only the admissibility definition: every IN
         # mask, conflicting and unclosed ones included, gets the OUT mask of
-        # the naive admissible labeling with that IN-set, or None
-        conflicting = unclosed = 0
+        # the naive admissible labeling with that IN-set, or None; some masks
+        # holding the strict arguments are refused before legal_out, for an
+        # attacker in no support that the IN-set does not attack
+        calls = _count_search_work(monkeypatch)
+        conflicting = unclosed = early = 0
         for framework in _frameworks_outside_the_domain():
             eng = fw._engine(framework)
             admissible = naive.naive_enumerate_admissible(framework)
@@ -1092,12 +1095,15 @@ class TestLeafCheck:
             expected = {lab.in_mask: lab.out_mask for lab in admissible}
             assert len(expected) == len(admissible)
             for in_mask in range(1 << eng.n):
+                before = calls["legal_out"]
                 assert eng.admissible_out_for(in_mask) == expected.get(in_mask)
+                early += calls["legal_out"] == before and not eng.strict_mask & ~in_mask
                 conflicting += any(eng.attackers[i] & in_mask for i in range(eng.n) if in_mask >> i & 1)
                 unclosed += any(
                     not tail & ~in_mask and not in_mask >> head & 1 for head, tail in eng.supports.items()
                 )
-        assert conflicting > 1_000 and unclosed > 1_000, (conflicting, unclosed)
+        # 1,337 of 6,823 masks are refused before legal_out
+        assert conflicting > 1_000 and unclosed > 1_000 and early > 1_000, (conflicting, unclosed, early)
 
 
 def _strict_conclusions_match_closure(system):
